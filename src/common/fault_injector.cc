@@ -52,7 +52,7 @@ void FaultInjector::StallBlock(size_t block, int millis) {
   stall_block_.store(block, std::memory_order_relaxed);
 }
 
-void FaultInjector::MaybeStall(size_t block) {
+void FaultInjector::MaybeStall(size_t block, CancelState* cancel) {
   const size_t target = stall_block_.load(std::memory_order_relaxed);
   bool stall = target == block;
   if (!stall && threshold_ != 0) {
@@ -61,7 +61,12 @@ void FaultInjector::MaybeStall(size_t block) {
   if (!stall) return;
   int ms = stall_ms_.load(std::memory_order_relaxed);
   if (ms <= 0) ms = 5;  // rate-drawn stalls default to a short hiccup
-  std::this_thread::sleep_for(std::chrono::milliseconds(ms));
+  const auto until =
+      std::chrono::steady_clock::now() + std::chrono::milliseconds(ms);
+  while (std::chrono::steady_clock::now() < until) {
+    if (cancel != nullptr && cancel->ShouldStop()) return;
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
 }
 
 void FaultInjector::CrashNow() {

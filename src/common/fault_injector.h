@@ -7,6 +7,7 @@
 #include <memory>
 #include <string>
 
+#include "common/cancel.h"
 #include "common/result.h"
 #include "common/status.h"
 
@@ -91,11 +92,14 @@ class FaultInjector {
   void FailNth(Site site, uint64_t nth);
 
   /// Configures kStall: block index `block` of any job stalls `millis` ms
-  /// (checked by RunBlocks before the block body runs).
+  /// (checked by RunBlocks before the block body runs). A stalled block
+  /// wakes early once its plan is cancelled, so a long pinned stall holds
+  /// a query mid-flight until exactly the moment it is cancelled.
   void StallBlock(size_t block, int millis);
-  /// Sleeps if a stall is configured for `block`; also draws the kStall
-  /// rate when one is armed via rate alone.
-  void MaybeStall(size_t block);
+  /// Sleeps if a stall is configured for `block` (until `cancel`, if
+  /// non-null, says stop); also draws the kStall rate when one is armed via
+  /// rate alone.
+  void MaybeStall(size_t block, CancelState* cancel);
 
   uint64_t calls(Site site) const {
     return counter_[static_cast<int>(site)].load();
@@ -109,8 +113,8 @@ class FaultInjector {
   /// The process-wide injector configured from the environment, or nullptr
   /// when `MOAFLAT_FAULT_SEED` is unset. `MOAFLAT_FAULT_RATE` (a decimal
   /// fraction, default 0.01) sets the per-site firing rate. Resolved once;
-  /// the query service attaches it to the contexts of sessions that opt in
-  /// (SessionOptions::inject_faults). Malformed values are rejected loudly:
+  /// a query-service session opts in by passing it as its
+  /// SessionOptions::fault_injector. Malformed values are rejected loudly:
   /// the process exits with a diagnostic instead of silently running with a
   /// defaulted seed or rate (the MOAFLAT_THREADS strict-parse discipline —
   /// a sweep that thinks it is injecting faults but is not must not pass).

@@ -110,7 +110,7 @@ size_t RunBlocks(const BlockPlan& plan,
         // kernel re-checks CheckInterrupt() after the phase and unwinds,
         // so the partially evaluated shards are never materialized.
         if (plan.cancel != nullptr && plan.cancel->ShouldStop()) return;
-        if (injector != nullptr) injector->MaybeStall(b);
+        if (injector != nullptr) injector->MaybeStall(b, plan.cancel);
         // No implicit accounting inside parallel blocks: the caller thread
         // would otherwise attribute its blocks' touches to the context
         // while worker-run blocks attribute nothing, making fault counts

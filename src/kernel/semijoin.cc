@@ -46,16 +46,15 @@ Result<Bat> DatavectorSemijoin(const ExecContext& ctx, const Bat& ab,
   const Column& extent = *dv->extent();
   const Column& vector = *dv->values();
 
-  const uint64_t key = cd.head().heap_id();
   std::shared_ptr<const std::vector<uint32_t>> lookup =
-      dv->CachedLookup(key);
+      dv->CachedLookup(cd.head());
   const bool cached = lookup != nullptr;
   if (!cached) {
-    // First semijoin with this right operand: binary-search every element
-    // of CD's head in the extent (lines 7-15 of the pseudo-code). The
-    // probes are independent, so they run as morsels on the TaskPool;
-    // block shards concatenate in block order, reproducing the serial
-    // LOOKUP array (and, via the shard merge, its exact probe faults).
+    // First semijoin with this right operand: look up every element of
+    // CD's head in the extent (lines 7-15 of the pseudo-code). The probes
+    // are independent, so they run as morsels on the TaskPool; block
+    // shards concatenate in block order, reproducing the serial LOOKUP
+    // array (and, via the shard merge, its exact probe faults).
     cd.head().TouchAll();
     const BlockPlan plan = ctx.Plan(cd.size());
     struct Shard {
@@ -65,11 +64,8 @@ Result<Bat> DatavectorSemijoin(const ExecContext& ctx, const Bat& ab,
     std::vector<Shard> shards(plan.blocks);
     RunBlocks(plan, [&](int block, size_t begin, size_t end) {
       Shard& mine = shards[block];
-      storage::IoScope scope(&mine.io);
-      for (size_t i = begin; i < end; ++i) {
-        const int64_t pos = dv->FindPosition(cd.head().OidAt(i));
-        if (pos >= 0) mine.positions.push_back(static_cast<uint32_t>(pos));
-      }
+      dv->FindPositions(cd.head(), begin, end, &mine.positions,
+                        ctx.io() != nullptr ? &mine.io : nullptr);
     });
     // An interrupted probe phase leaves partial shards: bail *before*
     // caching, so the accelerator's LOOKUP memo is never half-built.
@@ -81,7 +77,7 @@ Result<Bat> DatavectorSemijoin(const ExecContext& ctx, const Bat& ab,
       positions->insert(positions->end(), s.positions.begin(),
                         s.positions.end());
     }
-    dv->StoreLookup(key, positions);
+    dv->StoreLookup(cd.head_col(), positions);
     lookup = positions;
   }
 
@@ -100,11 +96,19 @@ Result<Bat> DatavectorSemijoin(const ExecContext& ctx, const Bat& ab,
     // Serial: interleave the extent/vector touches per element under the
     // caller's accountant, as the fetch loop really accesses them — a
     // capacity-limited (LRU) pager is sensitive to that order, and shard
-    // replay would drop the re-faults of pages it evicts mid-phase.
-    for (size_t k = 0; k < hits; ++k) {
-      extent.TouchAt(pos_data[k]);
-      vector.TouchAt(pos_data[k]);
-      if (k > 0 && pos_data[k] < pos_data[k - 1]) ascending = false;
+    // replay would drop the re-faults of pages it evicts mid-phase. The
+    // page filters forward each page's first touch in that order (every
+    // touch, under an LRU pager) and add the repeats in bulk.
+    {
+      storage::ColdPageFilter extent_pages(ctx.io(), extent.heap_id(),
+                                           extent.width(), extent.size());
+      storage::ColdPageFilter vector_pages(ctx.io(), vector.heap_id(),
+                                           vector.width(), vector.size());
+      for (size_t k = 0; k < hits; ++k) {
+        extent_pages.Touch(pos_data[k]);
+        vector_pages.Touch(pos_data[k]);
+        if (k > 0 && pos_data[k] < pos_data[k - 1]) ascending = false;
+      }
     }
     hs.Gather(pos_data, hits, 0);
     ts.Gather(pos_data, hits, 0);

@@ -1,8 +1,39 @@
 #include "mil/program.h"
 
+#include <charconv>
 #include <sstream>
 
 namespace moaflat::mil {
+namespace {
+
+/// Shortest fixed-notation text that reads back as `v`, with a decimal
+/// point so the lexer takes it for a double (`1.0`, not the int `1`).
+template <typename T>
+std::string DecimalText(T v) {
+  char buf[512];  // fixed notation of any finite double fits
+  const auto res =
+      std::to_chars(buf, buf + sizeof(buf), v, std::chars_format::fixed);
+  std::string s(buf, res.ptr);
+  if (s.find('.') == std::string::npos) s += ".0";
+  return s;
+}
+
+}  // namespace
+
+std::string MilArg::ToString() const {
+  if (kind == Kind::kVar) return var;
+  switch (lit.type()) {
+    case MonetType::kDate:
+      // Bare, 1994-01-01 would lex as three numbers.
+      return "\"" + lit.AsDate().ToString() + "\"";
+    case MonetType::kDbl:
+      return DecimalText(lit.AsDbl());
+    case MonetType::kFlt:
+      return DecimalText(lit.AsFlt());
+    default:
+      return lit.ToString();
+  }
+}
 
 std::string MilStmt::ToString() const {
   std::ostringstream os;

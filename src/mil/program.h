@@ -28,9 +28,9 @@ struct MilArg {
     return a;
   }
 
-  std::string ToString() const {
-    return kind == Kind::kVar ? var : lit.ToString();
-  }
+  /// The variable name, or the literal in the form ParseMil reads back as
+  /// the same value (dates quoted, doubles with a decimal point).
+  std::string ToString() const;
 };
 
 /// Shorthand constructors used throughout the rewriter and tests.

@@ -466,9 +466,9 @@ void QueryService::RunQuery(const std::shared_ptr<Query>& q) {
       .WithParallelDegree(opts.parallel_degree)
       .WithSchedule(q->session, opts.weight)
       .WithSeed(opts.seed)
-      .WithCancelToken(q->token);
+      .WithCancelToken(q->token)
+      .WithFaultInjector(opts.fault_injector);
   if (opts.default_timeout_ms > 0) ctx.WithTimeout(opts.default_timeout_ms);
-  if (opts.inject_faults) ctx.WithFaultInjector(FaultInjector::FromEnv());
 
   mil::MilInterpreter interp(&env, &ctx);
 

@@ -52,11 +52,13 @@ struct SessionOptions {
   /// running (0 = none). A query that outlives it stops at the next block
   /// boundary with kDeadlineExceeded; the session stays reusable.
   int64_t default_timeout_ms = 0;
-  /// Opt-in: run this session's queries under the process-wide
-  /// environment-configured FaultInjector (MOAFLAT_FAULT_SEED). No-op when
-  /// the environment arms no injector. Off by default so an armed
-  /// environment never perturbs sessions that expect exact results.
-  bool inject_faults = false;
+  /// Opt-in: the FaultInjector this session's queries run under (not
+  /// owned; must outlive them; null = none). Pass FaultInjector::FromEnv()
+  /// for the process-wide environment-configured one (MOAFLAT_FAULT_SEED),
+  /// or a private injector to pin a stall or a single fault to one session.
+  /// Null by default so an armed environment never perturbs sessions that
+  /// expect exact results.
+  FaultInjector* fault_injector = nullptr;
   /// Opt-in durability: a successful mutating query of this session commits
   /// its bindings to the shared catalog through the write-ahead log, and is
   /// acknowledged kDone only after the log record is fsynced. Requires

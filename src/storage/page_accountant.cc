@@ -166,6 +166,26 @@ void IoStats::MoveFrom(IoStats&& other) {
   other.Reset();
 }
 
+ColdPageFilter::ColdPageFilter(IoStats* io, uint64_t heap, int width,
+                               size_t elements)
+    : io_(io), heap_(heap), width_(width) {
+  if (io == nullptr || width <= 0) return;
+  // Elements straddling a page boundary (widths not dividing the page) or
+  // an LRU pager: every touch goes through as is.
+  if (io->capacity_ > 0 || kPageSize % static_cast<uint64_t>(width) != 0) {
+    mode_ = Mode::kForward;
+    return;
+  }
+  mode_ = Mode::kFilter;
+  pages_ = (elements * static_cast<uint64_t>(width) + kPageSize - 1) /
+           kPageSize;
+  seen_.assign(static_cast<size_t>((pages_ + 63) / 64), 0);
+}
+
+ColdPageFilter::~ColdPageFilter() {
+  if (repeats_ > 0) io_->touches_ += repeats_;
+}
+
 IoStats* CurrentIo() { return t_current_io; }
 
 IoScope::IoScope(IoStats* stats) : previous_(t_current_io) {

@@ -3,6 +3,7 @@
 
 #include <array>
 #include <atomic>
+#include <cassert>
 #include <cstddef>
 #include <cstdint>
 #include <list>
@@ -119,6 +120,12 @@ class IoStats {
   uint64_t random_faults() const { return rand_faults_; }
   uint64_t logical_touches() const { return touches_; }
 
+  /// The ordered fault log MergeFrom replays (ForShard accountants only;
+  /// empty otherwise): page key and access kind of every fault.
+  const std::vector<std::pair<uint64_t, Access>>& fault_log() const {
+    return fault_log_;
+  }
+
   /// Returns-and-clears the latched (simulated) IO read error, if any.
   /// A page fault under an armed FaultInjector may latch one; the next
   /// ExecContext::CheckInterrupt() poll surfaces it as the statement's
@@ -149,6 +156,9 @@ class IoStats {
   uint64_t evictions() const { return evictions_; }
 
  private:
+  // Reads the capacity and adds its filtered repeat touches in bulk.
+  friend class ColdPageFilter;
+
   /// Touched-page bitmap of one heap (cold-run mode).
   struct PageBitmap {
     std::vector<uint64_t> words;
@@ -255,6 +265,78 @@ class IoStats {
   // exchange, never on the Status itself.
   std::atomic<bool> has_error_{false};
   Status error_;
+};
+
+/// Page filter for loops that touch the elements of one heap many times
+/// (binary-search probes, positional gathers): it forwards only the first
+/// touch of each page to the accountant and adds the repeat touches in
+/// bulk when it goes out of scope.
+///
+/// Exactness: under cold-run accounting a touched page stays resident, so
+/// a repeat touch of a page this filter already forwarded is a hit whose
+/// only effect is one logical touch. Every fault comes from a forwarded
+/// first touch, and those reach the accountant in their original order,
+/// also when several filters interleave over one accountant. Faults, the
+/// sequential/random split, logical touches and a shard's fault-log order
+/// therefore equal those of touching every element. A capacity-limited
+/// (LRU) accountant is sensitive to the recency of every touch, so for it
+/// the filter forwards each touch unchanged.
+class ColdPageFilter {
+ public:
+  /// Filters random element touches of `heap` (`elements` values of
+  /// `width` bytes) on their way to `io`. A null `io` or a storage-less
+  /// heap (width 0) reports nothing, exactly like Column::TouchAt.
+  ColdPageFilter(IoStats* io, uint64_t heap, int width, size_t elements);
+  ~ColdPageFilter();
+
+  ColdPageFilter(const ColdPageFilter&) = delete;
+  ColdPageFilter& operator=(const ColdPageFilter&) = delete;
+
+  /// Same accounting as io->TouchElement(heap, index, width, kRandom).
+  void Touch(uint64_t index) {
+    if (mode_ != Mode::kFilter) {
+      if (mode_ == Mode::kForward) {
+        io_->TouchElement(heap_, index, width_, Access::kRandom);
+      }
+      return;
+    }
+    const uint64_t page = index * static_cast<uint64_t>(width_) / kPageSize;
+    assert(page < pages_ && "touch beyond the filtered heap");
+    uint64_t& word = seen_[static_cast<size_t>(page >> 6)];
+    const uint64_t bit = 1ULL << (page & 63);
+    if ((word & bit) != 0) {
+      ++repeats_;
+      return;
+    }
+    word |= bit;
+    ++pages_seen_;
+    io_->TouchElement(heap_, index, width_, Access::kRandom);
+  }
+
+  /// True if touches reach an accountant at all.
+  bool active() const { return mode_ != Mode::kOff; }
+
+  /// True once every page of the heap has been forwarded (cold mode only):
+  /// from then on every touch is a repeat, so a caller that knows how many
+  /// touches a step makes may report them through AddRepeats alone.
+  bool saturated() const {
+    return mode_ == Mode::kFilter && pages_seen_ == pages_;
+  }
+
+  /// Adds `n` repeat touches; valid only once saturated().
+  void AddRepeats(uint64_t n) { repeats_ += n; }
+
+ private:
+  enum class Mode { kOff, kForward, kFilter };
+
+  IoStats* io_;
+  uint64_t heap_;
+  int width_;
+  Mode mode_ = Mode::kOff;
+  std::vector<uint64_t> seen_;  // pages already forwarded (kFilter)
+  uint64_t pages_ = 0;
+  uint64_t pages_seen_ = 0;
+  uint64_t repeats_ = 0;
 };
 
 /// The IoStats currently collecting for this thread, or nullptr when IO

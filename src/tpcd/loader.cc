@@ -58,7 +58,8 @@ class ClassLoader {
 
     // All attributes of the class share one extent and one LOOKUP cache:
     // the first datavector semijoin against a selection "blazes the trail"
-    // for every other attribute (Section 5.2.1 / Fig. 10 commentary).
+    // for every other attribute (Section 5.2.1 / Fig. 10 commentary), and
+    // the extent's density is checked once for the whole class.
     auto dv =
         std::make_shared<bat::Datavector>(extent_col_, values, lookup_cache_);
     stats->datavector_bytes += values->byte_size();

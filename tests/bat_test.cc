@@ -286,11 +286,12 @@ TEST(DatavectorTest, FindPositionBinarySearches) {
 
 TEST(DatavectorTest, LookupCacheRoundTrip) {
   Datavector dv(Column::MakeOid({1, 2}), Column::MakeInt({5, 6}));
-  EXPECT_EQ(dv.CachedLookup(77), nullptr);
+  ColumnPtr probe = Column::MakeOid({1, 2});
+  EXPECT_EQ(dv.CachedLookup(*probe), nullptr);
   auto vec = std::make_shared<std::vector<uint32_t>>(
       std::vector<uint32_t>{0, 1});
-  dv.StoreLookup(77, vec);
-  EXPECT_EQ(dv.CachedLookup(77), vec);
+  dv.StoreLookup(probe, vec);
+  EXPECT_EQ(dv.CachedLookup(*probe), vec);
 }
 
 TEST(PageAccountingTest, ColdTouchesFaultOncePerPage) {

@@ -215,7 +215,7 @@ TEST(FaultInjectionTest, SeededServiceSweepHoldsInvariantsAtEverySeed) {
     int failures = 0;
     for (int round = 0; round < 8; ++round) {
       uint64_t qid = svc.Submit(sid, mil).ValueOrDie();
-      // The service consults FromEnv() for opted-in sessions; this test
+      // Sessions opt in by passing FromEnv() as their injector; this test
       // drives its own injector through the context the interpreter path
       // installs per statement, so run the query and inspect the result
       // either way.

@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include "mil/parser.h"
 #include "moa/parser.h"
 #include "moa/query.h"
 #include "moa/result_view.h"
@@ -149,6 +150,45 @@ TEST_F(RewriterExtraTest, AllSuiteMoaTextsParse) {
     EXPECT_TRUE(parsed.ok()) << "Q" << q << ": "
                              << parsed.status().ToString();
   }
+}
+
+TEST_F(RewriterExtraTest, TranslatedSuiteProgramsRoundTripThroughMilText) {
+  tpcd::QuerySuite suite(instance_);
+  Rewriter rw(&instance_->db);
+  bool saw_date = false, saw_dbl = false;
+  for (int q : {1, 3, 6, 10, 13}) {
+    const mil::MilProgram p =
+        rw.TranslateText(suite.MoaText(q)).ValueOrDie().program;
+    auto back = mil::ParseMil(p.ToString());
+    ASSERT_TRUE(back.ok()) << "Q" << q << ": " << back.status().ToString()
+                           << "\n" << p.ToString();
+    ASSERT_EQ(p.stmts.size(), back->stmts.size()) << "Q" << q;
+    for (size_t i = 0; i < p.stmts.size(); ++i) {
+      const mil::MilStmt& want = p.stmts[i];
+      const mil::MilStmt& got = back->stmts[i];
+      const std::string where = "Q" + std::to_string(q) + ": " +
+                                want.ToString();
+      EXPECT_EQ(want.var, got.var) << where;
+      EXPECT_EQ(want.op, got.op) << where;
+      ASSERT_EQ(want.args.size(), got.args.size()) << where;
+      for (size_t a = 0; a < want.args.size(); ++a) {
+        const mil::MilArg& wa = want.args[a];
+        const mil::MilArg& ga = got.args[a];
+        ASSERT_EQ(wa.kind, ga.kind) << where;
+        if (wa.kind == mil::MilArg::Kind::kVar) {
+          EXPECT_EQ(wa.var, ga.var) << where;
+          continue;
+        }
+        saw_date |= wa.lit.type() == MonetType::kDate;
+        saw_dbl |= wa.lit.type() == MonetType::kDbl;
+        EXPECT_EQ(wa.lit.type(), ga.lit.type()) << where;
+        EXPECT_EQ(Value::Compare(wa.lit, ga.lit), 0) << where;
+      }
+    }
+  }
+  // The literal kinds the bare rendering used to garble are covered.
+  EXPECT_TRUE(saw_date);
+  EXPECT_TRUE(saw_dbl);
 }
 
 TEST_F(RewriterExtraTest, TranslationIsDeterministic) {

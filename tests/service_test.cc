@@ -20,6 +20,8 @@
 #include <vector>
 
 #include "bat/bat.h"
+#include "common/fault_injector.h"
+#include "common/parallel.h"
 #include "common/stride_scheduler.h"
 #include "kernel/exec_context.h"
 #include "mil/interpreter.h"
@@ -696,8 +698,28 @@ TEST(CancellationTest, ShutdownVetoesQueuedQueriesAndWakesEveryWaiter) {
   QueryService svc(cfg);
   svc.SetCatalog(catalog);
 
-  uint64_t running_sid = svc.OpenSession().ValueOrDie();
+  // Hold the running scan mid-flight deterministically: block 1 of its
+  // first parallel select stalls until the query is cancelled (or a minute
+  // passes), so Shutdown finds it running however fast the machine is.
+  SetParallelBlockCap(kMaxParallelDegree);  // multi-block plans on any host
+  struct RestoreCap {
+    ~RestoreCap() { SetParallelBlockCap(0); }
+  } restore_cap;
+  FaultInjector stall(/*seed=*/1, /*rate=*/0.0);
+  stall.StallBlock(1, 60'000);
+  SessionOptions held;
+  held.parallel_degree = 4;
+  held.fault_injector = &stall;
+  uint64_t running_sid = svc.OpenSession(held).ValueOrDie();
   uint64_t running_qid = svc.Submit(running_sid, SlowScanMil()).ValueOrDie();
+  // Running, not queued: Shutdown must cancel it rather than veto it.
+  for (int spin = 0; spin < 10000; ++spin) {
+    if (svc.Poll(running_qid).ValueOrDie().state == QueryState::kRunning) {
+      break;
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  ASSERT_EQ(svc.Poll(running_qid).ValueOrDie().state, QueryState::kRunning);
   // Fill the admit queue behind the running scan.
   std::vector<uint64_t> queued;
   for (int i = 0; i < 4; ++i) {
