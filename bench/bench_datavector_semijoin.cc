@@ -41,7 +41,8 @@ struct Fixture {
       ColumnPtr values = Column::MakeInt(vals);
       Bat oid_ordered(extent, values,
                       bat::Properties{true, false, true, false});
-      Bat sorted = kernel::SortTail(oid_ordered).ValueOrDie();
+      Bat sorted =
+          kernel::SortTail(kernel::ExecContext(), oid_ordered).ValueOrDie();
       Bat sorted_dv = sorted;
       sorted_dv.SetDatavector(
           std::make_shared<bat::Datavector>(extent, values));
@@ -58,15 +59,17 @@ struct Fixture {
 };
 
 void BM_HashSemijoin(benchmark::State& state) {
+  const kernel::ExecContext ctx;
   Fixture f(1 << 18, 0.01, 1);
   for (auto _ : state) {
-    auto out = kernel::Semijoin(f.attrs_nodv[0], f.selection);
+    auto out = kernel::Semijoin(ctx, f.attrs_nodv[0], f.selection);
     benchmark::DoNotOptimize(out);
   }
 }
 BENCHMARK(BM_HashSemijoin);
 
 void BM_DatavectorSemijoin_ColdLookup(benchmark::State& state) {
+  const kernel::ExecContext ctx;
   Fixture f(1 << 18, 0.01, 1);
   for (auto _ : state) {
     // A fresh right operand every iteration defeats the LOOKUP cache.
@@ -83,7 +86,7 @@ void BM_DatavectorSemijoin_ColdLookup(benchmark::State& state) {
               }()),
               Column::MakeVoid(0, f.selection.size()), f.selection.props());
     state.ResumeTiming();
-    auto out = kernel::Semijoin(f.attrs_dv[0], fresh);
+    auto out = kernel::Semijoin(ctx, f.attrs_dv[0], fresh);
     benchmark::DoNotOptimize(out);
   }
 }
@@ -93,12 +96,13 @@ BENCHMARK(BM_DatavectorSemijoin_ColdLookup);
 /// fetches. With datavectors the first semijoin blazes the trail and the
 /// remaining p-1 ride the cached LOOKUP array.
 void BM_RepeatedSemijoins(benchmark::State& state, bool use_dv) {
+  const kernel::ExecContext ctx;
   const int p = static_cast<int>(state.range(0));
   Fixture f(1 << 18, 0.01, p);
   auto& attrs = use_dv ? f.attrs_dv : f.attrs_nodv;
   for (auto _ : state) {
     for (int a = 0; a < p; ++a) {
-      auto out = kernel::Semijoin(attrs[a], f.selection);
+      auto out = kernel::Semijoin(ctx, attrs[a], f.selection);
       benchmark::DoNotOptimize(out);
     }
   }
@@ -115,6 +119,7 @@ BENCHMARK(BM_RepeatedSemijoins_Hash)->Arg(3)->Arg(6)->Arg(12);
 BENCHMARK(BM_RepeatedSemijoins_Datavector)->Arg(3)->Arg(6)->Arg(12);
 
 void BM_SyncSemijoin(benchmark::State& state) {
+  const kernel::ExecContext ctx;
   // Synced operands short-circuit to a zero-copy view.
   ColumnPtr head = Column::MakeOid([] {
     std::vector<Oid> v(1 << 18);
@@ -124,7 +129,7 @@ void BM_SyncSemijoin(benchmark::State& state) {
   Bat a(head, Column::MakeInt(std::vector<int32_t>(1 << 18, 7)));
   Bat b(head, Column::MakeInt(std::vector<int32_t>(1 << 18, 9)));
   for (auto _ : state) {
-    auto out = kernel::Semijoin(a, b);
+    auto out = kernel::Semijoin(ctx, a, b);
     benchmark::DoNotOptimize(out);
   }
 }

@@ -24,8 +24,9 @@ int main() {
   std::printf("MOA source:\n%s\n\n", suite.MoaText(13).c_str());
 
   storage::IoStats io;
-  storage::IoScope scope(&io);
-  auto qr = moa::RunMoa(inst->db, suite.MoaText(13)).ValueOrDie();
+  kernel::ExecContext ctx;
+  ctx.WithIo(&io);
+  auto qr = moa::RunMoa(ctx, inst->db, suite.MoaText(13)).ValueOrDie();
 
   std::printf("%10s %8s %7s  %s\n", "elapsed-ms", "faults", "#out",
               "MIL statement  [chosen implementation]");

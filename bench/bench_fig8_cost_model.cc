@@ -18,10 +18,10 @@
 
 #include "bat/datavector.h"
 #include "common/rng.h"
+#include "kernel/cost_model.h"
 #include "kernel/operators.h"
 #include "relational/executor.h"
 #include "storage/page_accountant.h"
-#include "tpcd/cost_model.h"
 
 namespace {
 
@@ -31,7 +31,7 @@ using bat::Column;
 using bat::ColumnPtr;
 
 void PrintAnalytic() {
-  tpcd::CostModel model(tpcd::CostModelParams{});
+  kernel::CostModel model(kernel::CostModelParams{});
   std::printf(
       "== Fig. 8 (analytic): select-project IO cost, X=6e6 n=16 w=4 "
       "B=4096 ==\n");
@@ -92,7 +92,8 @@ struct WideTable {
       Bat oid_ordered(extent, values,
                       bat::Properties{true, false, true, false});
       auto dv = std::make_shared<bat::Datavector>(extent, values);
-      Bat sorted = kernel::SortTail(oid_ordered).ValueOrDie();
+      Bat sorted =
+          kernel::SortTail(kernel::ExecContext(), oid_ordered).ValueOrDie();
       sorted.SetDatavector(dv);
       attr_bats.push_back(std::move(sorted));
     }
@@ -102,12 +103,14 @@ struct WideTable {
   /// attributes via (datavector) semijoins. Returns cold page faults.
   uint64_t MeasureDv(double s, int p) const {
     storage::IoStats io;
-    storage::IoScope scope(&io);
+    kernel::ExecContext ctx;
+    ctx.WithIo(&io);
     const int32_t hi = static_cast<int32_t>(s * 1000000) - 1;
-    Bat sel = kernel::SelectRange(attr_bats[0], Value::Int(0), Value::Int(hi))
-                  .ValueOrDie();
+    Bat sel =
+        kernel::SelectRange(ctx, attr_bats[0], Value::Int(0), Value::Int(hi))
+            .ValueOrDie();
     for (int a = 1; a <= p; ++a) {
-      Bat fetched = kernel::Semijoin(attr_bats[a], sel).ValueOrDie();
+      Bat fetched = kernel::Semijoin(ctx, attr_bats[a], sel).ValueOrDie();
       (void)fetched;
     }
     return io.faults();
@@ -117,11 +120,10 @@ struct WideTable {
   /// retrieval (the full row is fetched regardless of p).
   uint64_t MeasureRel(double s) const {
     storage::IoStats io;
-    storage::IoScope scope(&io);
     const int32_t hi = static_cast<int32_t>(s * 1000000) - 1;
-    rel::RowSet sel = rel::IndexRange(*row_tab, "a0", Value::Int(0),
+    rel::RowSet sel = rel::IndexRange(&io, *row_tab, "a0", Value::Int(0),
                                       Value::Int(hi));
-    rel::RowSet fetched = rel::FetchFilter(sel, {});
+    rel::RowSet fetched = rel::FetchFilter(&io, sel, {});
     (void)fetched;
     return io.faults();
   }

@@ -78,9 +78,10 @@ int main(int argc, char** argv) {
     double base_sec;
     tpcd::EngineRun base;
     {
-      storage::IoScope scope(&base_io);
+      kernel::ExecContext ctx;
+      ctx.WithIo(&base_io);
       const auto t0 = std::chrono::steady_clock::now();
-      auto r = suite.RunBaseline(q);
+      auto r = suite.RunBaseline(q, ctx);
       base_sec = Seconds(t0);
       if (!r.ok()) {
         std::printf("Q%-3d baseline failed: %s\n", q,
@@ -90,7 +91,7 @@ int main(int argc, char** argv) {
       base = *r;
     }
 
-    // Monet run: fresh cold IO scope + memory epoch.
+    // Monet run: fresh cold accountant + memory epoch.
     storage::IoStats monet_io;
     double monet_sec;
     tpcd::EngineRun monet;
@@ -98,9 +99,10 @@ int main(int argc, char** argv) {
     const uint64_t mem_before = mem.current();
     mem.MarkEpoch();
     {
-      storage::IoScope scope(&monet_io);
+      kernel::ExecContext ctx;
+      ctx.WithIo(&monet_io);
       const auto t0 = std::chrono::steady_clock::now();
-      auto r = suite.RunMonet(q);
+      auto r = suite.RunMonet(q, ctx);
       monet_sec = Seconds(t0);
       if (!r.ok()) {
         std::printf("Q%-3d monet failed: %s\n", q,

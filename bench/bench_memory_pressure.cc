@@ -27,9 +27,10 @@ Result<uint64_t> RunQ1Workload(const tpcd::TpcdInstance& inst,
                                size_t capacity_pages) {
   storage::IoStats io =
       capacity_pages == 0 ? storage::IoStats() : storage::IoStats(capacity_pages);
-  storage::IoScope scope(&io);
+  kernel::ExecContext ctx;
+  ctx.WithIo(&io);
   mil::MilEnv env = inst.db.env();
-  mil::MilInterpreter interp(&env);
+  mil::MilInterpreter interp(&env, &ctx);
   using mil::L;
   using mil::V;
   for (int pass = 0; pass < 2; ++pass) {

@@ -14,6 +14,7 @@
 using namespace moaflat;  // NOLINT
 
 int main(int argc, char** argv) {
+  const kernel::ExecContext ctx;
   const double sf = argc > 1 ? std::atof(argv[1]) : 0.005;
   auto inst = tpcd::MakeInstance(sf).ValueOrDie();
   const std::string clerk = argc > 2 ? argv[2] : inst->probe_clerk;
@@ -28,7 +29,7 @@ int main(int argc, char** argv) {
 
   std::printf("MOA query (Section 4.1 of the paper):\n%s\n\n", q13.c_str());
 
-  auto qr = moa::RunMoa(inst->db, q13).ValueOrDie();
+  auto qr = moa::RunMoa(ctx, inst->db, q13).ValueOrDie();
 
   std::printf("Flattened MIL program:\n%s\n",
               qr.translation.program.ToString().c_str());

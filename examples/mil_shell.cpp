@@ -179,7 +179,8 @@ int main(int argc, char** argv) {
 
   mil::MilEnv env = inst->db.env();
   storage::IoStats io;
-  storage::IoScope scope(&io);
+  kernel::ExecContext ctx;
+  ctx.WithIo(&io);
 
   std::string line;
   while (std::getline(std::cin, line)) {
@@ -205,7 +206,7 @@ int main(int argc, char** argv) {
       std::printf("parse error: %s\n", program.status().ToString().c_str());
       continue;
     }
-    mil::MilInterpreter interp(&env);
+    mil::MilInterpreter interp(&env, &ctx);
     Status st = interp.Run(*program);
     if (!st.ok()) {
       std::printf("error: %s\n", st.ToString().c_str());

@@ -14,6 +14,7 @@
 using namespace moaflat;  // NOLINT
 
 int main() {
+  const kernel::ExecContext ctx;
   auto inst = tpcd::MakeInstance(0.005).ValueOrDie();
 
   const char* query =
@@ -21,7 +22,7 @@ int main() {
       "select[=(%available, 0)](%supplies) : out_of_stock>](Supplier)";
   std::printf("MOA query (Section 4.3.2):\n%s\n\n", query);
 
-  auto qr = moa::RunMoa(inst->db, query).ValueOrDie();
+  auto qr = moa::RunMoa(ctx, inst->db, query).ValueOrDie();
   std::printf("Flattened MIL:\n%s\n",
               qr.translation.program.ToString().c_str());
 

@@ -15,6 +15,10 @@ using bat::Bat;
 using bat::Column;
 
 int main() {
+  // Every operator runs under an explicit execution context; this one has
+  // no tracer and no page-fault accountant attached.
+  const kernel::ExecContext ctx;
+
   // Customer_name[oid, str] and Customer_acctbal[oid, dbl]: vertical
   // decomposition means each attribute is its own binary table. Sharing
   // one head column makes the BATs provably *synced* (Section 5.1).
@@ -27,12 +31,12 @@ int main() {
   std::printf("Customer_name =\n%s\n", name.DebugString().c_str());
 
   // Point selection on the tail: who is called "Annita"?
-  Bat annitas = kernel::Select(name, Value::Str("Annita")).ValueOrDie();
+  Bat annitas = kernel::Select(ctx, name, Value::Str("Annita")).ValueOrDie();
   std::printf("select(Customer_name, \"Annita\") =\n%s\n",
               annitas.DebugString().c_str());
 
   // Semijoin re-assembles vertical fragments: balances of the selection.
-  Bat balances = kernel::Semijoin(acctbal, annitas).ValueOrDie();
+  Bat balances = kernel::Semijoin(ctx, acctbal, annitas).ValueOrDie();
   std::printf("semijoin(Customer_acctbal, annitas) =\n%s\n",
               balances.DebugString().c_str());
 
@@ -43,16 +47,15 @@ int main() {
 
   // Multiplex: bulk scalar computation over synced BATs.
   Bat doubled =
-      kernel::Multiplex("*", {acctbal, Value::Dbl(2.0)}).ValueOrDie();
+      kernel::Multiplex(ctx, "*", {acctbal, Value::Dbl(2.0)}).ValueOrDie();
   std::printf("[*](Customer_acctbal, 2.0) =\n%s\n",
               doubled.DebugString().c_str());
 
   // Group + set-aggregate: total balance per name.
-  Bat grp = kernel::Group(name).ValueOrDie();
-  Bat grouped_bal =
-      kernel::Join(grp.Mirror(), acctbal).ValueOrDie();
-  Bat totals =
-      kernel::SetAggregate(kernel::AggKind::kSum, grouped_bal).ValueOrDie();
+  Bat grp = kernel::Group(ctx, name).ValueOrDie();
+  Bat grouped_bal = kernel::Join(ctx, grp.Mirror(), acctbal).ValueOrDie();
+  Bat totals = kernel::SetAggregate(ctx, kernel::AggKind::kSum, grouped_bal)
+                   .ValueOrDie();
   std::printf("{sum} of acctbal grouped by name =\n%s\n",
               totals.DebugString().c_str());
   return 0;

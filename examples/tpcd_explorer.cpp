@@ -18,12 +18,13 @@ namespace {
 
 void RunOne(tpcd::QuerySuite& suite, int q, bool verbose) {
   storage::IoStats io;
-  storage::IoScope scope(&io);
+  kernel::ExecContext ctx;
+  ctx.WithIo(&io);
 
   const auto t0 = std::chrono::steady_clock::now();
-  auto monet = suite.RunMonet(q).ValueOrDie();
+  auto monet = suite.RunMonet(q, ctx).ValueOrDie();
   const auto t1 = std::chrono::steady_clock::now();
-  auto base = suite.RunBaseline(q).ValueOrDie();
+  auto base = suite.RunBaseline(q, ctx).ValueOrDie();
   const auto t2 = std::chrono::steady_clock::now();
 
   const double monet_ms =

@@ -283,31 +283,28 @@ class Column {
   /// True if all values are distinct (hash-based check).
   bool ComputeKey() const;
 
-  // --- IO accounting (no-ops when no IoScope is active) ---------------
+  // --- IO accounting (no-ops when `io` is null) ---------------------
 
-  /// Reports a random touch of element i.
-  void TouchAt(size_t i) const {
-    if (storage::IoStats* io = storage::CurrentIo()) {
+  /// Reports a random touch of element i to `io`.
+  void TouchAt(storage::IoStats* io, size_t i) const {
+    if (io != nullptr) {
       io->TouchElement(heap_id_, i, width(), storage::Access::kRandom);
     }
   }
 
-  /// Reports a sequential touch of elements [lo, hi).
-  void TouchRange(size_t lo, size_t hi) const {
-    if (storage::IoStats* io = storage::CurrentIo()) {
-      io->TouchRange(heap_id_, lo, hi, width());
-    }
+  /// Reports a sequential touch of elements [lo, hi) to `io`.
+  void TouchRange(storage::IoStats* io, size_t lo, size_t hi) const {
+    if (io != nullptr) io->TouchRange(heap_id_, lo, hi, width());
   }
 
-  /// Reports a sequential touch of the whole column.
-  void TouchAll() const { TouchRange(0, size_); }
+  /// Reports a sequential touch of the whole column to `io`.
+  void TouchAll(storage::IoStats* io) const { TouchRange(io, 0, size_); }
 
   /// Reports one random touch per gathered element — the batch equivalent
   /// of a TouchAt loop, with the accountant's heap lookup hoisted out.
-  void TouchGather(const uint32_t* idx, size_t n) const {
-    if (storage::IoStats* io = storage::CurrentIo()) {
-      io->TouchGather(heap_id_, idx, n, width());
-    }
+  void TouchGather(storage::IoStats* io, const uint32_t* idx,
+                   size_t n) const {
+    if (io != nullptr) io->TouchGather(heap_id_, idx, n, width());
   }
 
   /// Storage representation; exposed for the builder machinery only.

@@ -48,12 +48,12 @@ std::shared_ptr<const DenseExtent> DvLookupCache::Dense(const Column& extent) {
   return dense_;
 }
 
-int64_t Datavector::FindPosition(Oid oid) const {
+int64_t Datavector::FindPosition(Oid oid, storage::IoStats* io) const {
   size_t lo = 0;
   size_t hi = extent_->size();
   while (lo < hi) {
     const size_t mid = lo + (hi - lo) / 2;
-    extent_->TouchAt(mid);
+    extent_->TouchAt(io, mid);
     const Oid at = extent_->OidAt(mid);
     if (at < oid) {
       lo = mid + 1;
@@ -72,9 +72,8 @@ void Datavector::FindPositions(const Column& probe, size_t begin, size_t end,
                                storage::IoStats* io) const {
   const std::shared_ptr<const DenseExtent> dense = cache_->Dense(*extent_);
   if (dense == nullptr) {
-    storage::IoScope scope(io);
     for (size_t i = begin; i < end; ++i) {
-      const int64_t pos = FindPosition(probe.OidAt(i));
+      const int64_t pos = FindPosition(probe.OidAt(i), io);
       if (pos >= 0) out->push_back(static_cast<uint32_t>(pos));
     }
     return;

@@ -115,9 +115,9 @@ class Datavector {
   const ColumnPtr& values() const { return values_; }
 
   /// Binary-searches `oid` in the extent; returns its position or -1.
-  /// Reports the probed pages to the active IO scope. The reference that
-  /// FindPositions reproduces.
-  int64_t FindPosition(Oid oid) const;
+  /// Reports the probed pages to `io` (null: not accounted). The reference
+  /// that FindPositions reproduces.
+  int64_t FindPosition(Oid oid, storage::IoStats* io) const;
 
   /// Batched LOOKUP: for each probe[i], i in [begin, end), appends the
   /// extent position of the oid to `out` if the extent holds it, and

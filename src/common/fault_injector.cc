@@ -134,6 +134,7 @@ FaultInjector* FaultInjector::FromEnv() {
 }
 
 namespace {
+// lint:allow(thread-local) alloc sites have no ExecContext in reach
 thread_local FaultInjector* t_current_injector = nullptr;
 }  // namespace
 

@@ -29,8 +29,12 @@ namespace moaflat {
 /// Sites:
 ///   kBudgetCharge — ExecContext::ChargeMemory fails as if the budget were
 ///       exhausted (the mid-kernel veto path).
-///   kIo — the IoStats accountant records a simulated read error on a page
-///       fault; surfaced by the next ExecContext::CheckInterrupt poll.
+///   kIo — the IoStats accountant that owns a query's faults records a
+///       simulated read error on a page fault; surfaced by the next
+///       ExecContext::CheckInterrupt poll. Shard accountants of parallel
+///       blocks draw no kIo events: each fault draws one when the owner
+///       replays it at the block-ordered merge, on the owner's thread, so
+///       a query draws exactly one event per fault at any degree.
 ///   kAlloc — ColumnBuilder::Reserve / ColumnScatter construction throws
 ///       std::bad_alloc (caught and unwound at the statement boundary).
 ///   kStall — a worker sleeps `stall_ms` before running a block, widening
@@ -145,9 +149,10 @@ class FaultInjector {
 };
 
 /// The injector currently armed for this thread, or nullptr. Allocation
-/// sites (ColumnBuilder / ColumnScatter) live below the ExecContext layer,
-/// so they consult this thread-local, which OpRecorder installs for the
-/// duration of each kernel operator call.
+/// sites (ColumnBuilder / ColumnScatter) live below the ExecContext layer
+/// with no context in reach, so they — and the owning IoStats's kIo draw —
+/// consult this thread-local, which OpRecorder installs for the duration
+/// of each kernel operator call.
 FaultInjector* CurrentFaultInjector();
 
 /// RAII scope installing `injector` as the thread's current one (nullptr

@@ -14,7 +14,9 @@ namespace {
 // under an injected bad_alloc), and legal chains are short — the full
 // documented order is eight ranks deep.
 constexpr int kMaxHeld = 64;
+// lint:allow(thread-local) a lock is held by a thread, so its stack is one
 thread_local const Mutex* g_held[kMaxHeld];
+// lint:allow(thread-local) the depth of this thread's g_held stack
 thread_local int g_held_n = 0;
 
 [[noreturn]] void RankAbort(const char* why, const Mutex& mu) {

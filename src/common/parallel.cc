@@ -8,7 +8,6 @@
 
 #include "common/fault_injector.h"
 #include "common/task_pool.h"
-#include "storage/page_accountant.h"
 
 namespace moaflat {
 namespace {
@@ -111,12 +110,6 @@ size_t RunBlocks(const BlockPlan& plan,
         // so the partially evaluated shards are never materialized.
         if (plan.cancel != nullptr && plan.cancel->ShouldStop()) return;
         if (injector != nullptr) injector->MaybeStall(b, plan.cancel);
-        // No implicit accounting inside parallel blocks: the caller thread
-        // would otherwise attribute its blocks' touches to the context
-        // while worker-run blocks attribute nothing, making fault counts
-        // depend on scheduling. Kernels install explicit per-block shard
-        // accountants.
-        storage::IoScope mute(nullptr);
         fn(static_cast<int>(b), plan.Begin(b), plan.End(b));
       },
       SchedTag{plan.sched_group, plan.sched_weight,

@@ -105,11 +105,10 @@ BlockPlan PlanBlocks(size_t n, int degree = 0);
 
 /// Runs `fn(block, begin, end)` for every block of the plan on the
 /// persistent TaskPool (the calling thread participates) and returns the
-/// block count. Single-block plans run inline on the caller with its IO
-/// scope intact; multi-block runs execute every block with *no* implicit
-/// IO accounting scope — a kernel that touches pages inside `fn` must
-/// install its own per-block storage::IoStats (see IoStats::ForShard) and
-/// merge the shards afterwards. `fn` must only write block-local state.
+/// block count. Single-block plans run inline on the caller. A kernel that
+/// touches pages inside `fn` of a multi-block plan passes its touches a
+/// per-block storage::IoStats (see IoStats::ForShard) and merges the
+/// shards afterwards. `fn` must only write block-local state.
 size_t RunBlocks(const BlockPlan& plan,
                  const std::function<void(int, size_t, size_t)>& fn);
 

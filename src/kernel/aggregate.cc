@@ -160,8 +160,8 @@ Result<Bat> HashSetAggregate(const ExecContext& ctx, AggKind kind,
                              const Bat& ab, OpRecorder& rec) {
   const Column& head = ab.head();
   const Column& tail = ab.tail();
-  head.TouchAll();
-  tail.TouchAll();
+  head.TouchAll(ctx.io());
+  tail.TouchAll(ctx.io());
   std::vector<std::pair<Oid, Acc>> groups;  // sorted by oid before emit
   // Scatter bookkeeping is blocks x partitions; cap the fan-out so it
   // stays linear in practice (kMaxScatterDegree^2 headers at worst).
@@ -258,8 +258,8 @@ Result<Bat> RunSetAggregate(const ExecContext& ctx, AggKind kind,
                             const Bat& ab, OpRecorder& rec) {
   const Column& head = ab.head();
   const Column& tail = ab.tail();
-  head.TouchAll();
-  tail.TouchAll();
+  head.TouchAll(ctx.io());
+  tail.TouchAll(ctx.io());
   const size_t n = ab.size();
 
   struct RunOut {
@@ -349,7 +349,7 @@ Result<Value> ScalarAggregate(const ExecContext& ctx, AggKind kind,
                               const Bat& ab) {
   OpRecorder rec(ctx, "aggregate");
   const Column& tail = ab.tail();
-  tail.TouchAll();
+  tail.TouchAll(ctx.io());
   Acc acc;
   WithAccumulator(tail, kind, [&](auto accum) {
     for (size_t i = 0; i < ab.size(); ++i) accum(&acc, i);

@@ -5,7 +5,6 @@ namespace moaflat::kernel {
 OpRecorder::OpRecorder(const ExecContext& ctx, const char* op)
     : ctx_(ctx),
       op_(op),
-      io_scope_(ctx.io()),
       fault_scope_(ctx.fault_injector()),
       start_(std::chrono::steady_clock::now()),
       faults_before_(ctx.io() != nullptr ? ctx.io()->faults() : 0) {}

@@ -36,16 +36,6 @@ class ExecContext {
  public:
   ExecContext() : charged_(std::make_shared<std::atomic<uint64_t>>(0)) {}
 
-  /// Compatibility shim for the legacy free-function operator API: snapshots
-  /// the thread-local TraceScope / IoScope singletons into a context, so
-  /// pre-ExecContext callers keep their exact behavior.
-  static ExecContext FromThreadLocals() {
-    ExecContext ctx;
-    ctx.tracer_ = ExecTracer::Current();
-    ctx.io_ = storage::CurrentIo();
-    return ctx;
-  }
-
   ExecContext& WithTracer(ExecTracer* tracer) {
     tracer_ = tracer;
     return *this;
@@ -209,10 +199,10 @@ class ExecContext {
   std::shared_ptr<std::atomic<uint64_t>> charged_;
 };
 
-/// Per-operator-call guard used inside every kernel operator. Binds the
-/// context's IoStats for the duration of the call (so column touches are
-/// attributed to this context and no other), snapshots time and the fault
-/// counter, and emits a TraceRecord into the context's tracer on Finish().
+/// Per-operator-call guard used inside every kernel operator. Arms the
+/// context's fault injector for the allocation sites below the context
+/// layer, snapshots time and the fault counter, and emits a TraceRecord
+/// into the context's tracer on Finish().
 class OpRecorder {
  public:
   OpRecorder(const ExecContext& ctx, const char* op);
@@ -227,7 +217,6 @@ class OpRecorder {
  private:
   const ExecContext& ctx_;
   const char* op_;
-  storage::IoScope io_scope_;
   FaultScope fault_scope_;  // arms ctx's injector for alloc sites
   std::chrono::steady_clock::time_point start_;
   uint64_t faults_before_;

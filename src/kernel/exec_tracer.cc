@@ -15,10 +15,4 @@ std::string ExecTracer::LastImplOf(const std::string& op) const {
   return "";
 }
 
-TraceScope::TraceScope(ExecTracer* tracer) : previous_(internal::tl_tracer) {
-  internal::tl_tracer = tracer;
-}
-
-TraceScope::~TraceScope() { internal::tl_tracer = previous_; }
-
 }  // namespace moaflat::kernel

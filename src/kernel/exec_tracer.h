@@ -20,15 +20,6 @@ struct TraceRecord {
   uint64_t faults = 0;
 };
 
-class ExecTracer;
-
-namespace internal {
-/// Legacy thread-local tracer slot. Kept only as the compatibility shim
-/// behind ExecContext::FromThreadLocals() and TraceScope; operators never
-/// read it directly — all execution state flows through ExecContext.
-inline thread_local ExecTracer* tl_tracer = nullptr;
-}  // namespace internal
-
 /// Collects TraceRecords for an execution context. Attach one to an
 /// ExecContext (ctx.WithTracer(&tracer)); two contexts with distinct
 /// tracers never observe each other's records, which is what makes
@@ -37,31 +28,12 @@ class ExecTracer {
  public:
   std::vector<TraceRecord> records;
 
-  /// Compatibility shim: the tracer installed on this thread via
-  /// TraceScope, or nullptr. New code should pass an ExecContext instead.
-  static ExecTracer* Current() { return internal::tl_tracer; }
-
   /// Sum of recorded fault counts.
   uint64_t TotalFaults() const;
 
   /// Implementation name of the most recent record with op == `op`
   /// (empty if none); lets tests assert the optimizer's choice.
   std::string LastImplOf(const std::string& op) const;
-};
-
-/// RAII installer for an ExecTracer on this thread (compatibility shim:
-/// the free-function operator API picks it up via
-/// ExecContext::FromThreadLocals()).
-class TraceScope {
- public:
-  explicit TraceScope(ExecTracer* tracer);
-  ~TraceScope();
-
-  TraceScope(const TraceScope&) = delete;
-  TraceScope& operator=(const TraceScope&) = delete;
-
- private:
-  ExecTracer* previous_;
 };
 
 }  // namespace moaflat::kernel

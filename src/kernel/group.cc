@@ -143,7 +143,7 @@ Result<Bat> HashGroup(const ExecContext& ctx, const Bat& ab, OpRecorder& rec) {
   // The result shares the head; only the gid tail is new storage.
   MF_RETURN_NOT_OK(ctx.ChargeMemory(ab.size() * sizeof(Oid)));
   const Column& tail = ab.tail();
-  tail.TouchAll();
+  tail.TouchAll(ctx.io());
   std::vector<Oid> gids(ab.size());
   const BlockPlan plan = ctx.Plan(ab.size());
   if (plan.blocks <= 1) {
@@ -240,14 +240,15 @@ Result<Bat> FinishRefine(const Bat& ab, std::vector<Oid> gids) {
   return Bat::Make(ab.head_col(), gid_col, props);
 }
 
-/// Shared refinement machinery of the two variants: `dpos_of(i)` yields
-/// the position in CD whose tail refines row i (or a negative value for
-/// "missing", an error). Runs block-local RefineTables in parallel and
-/// merges them into the serial first-appearance numbering exactly as
-/// HashGroup does for its GroupTable.
+/// Shared refinement machinery of the two variants: `dpos_of(i, io)`
+/// yields the position in CD whose tail refines row i (or a negative value
+/// for "missing", an error), reporting its touches to `io`. Runs
+/// block-local RefineTables in parallel and merges them into the serial
+/// first-appearance numbering exactly as HashGroup does for its
+/// GroupTable.
 template <typename DposFn>
 Result<std::vector<Oid>> ParallelRefine(const ExecContext& ctx, const Bat& ab,
-                                        const Column& d, bool shard_io,
+                                        const Column& d,
                                         const DposFn& dpos_of) {
   const Column& prev = ab.tail();
   std::vector<Oid> gids(ab.size());
@@ -261,7 +262,7 @@ Result<std::vector<Oid>> ParallelRefine(const ExecContext& ctx, const Bat& ab,
     bool miss = false;
     WithRowOps(d, [&](auto dhash, auto deq) {
       for (size_t i = 0; i < ab.size(); ++i) {
-        const int64_t pos = dpos_of(i);
+        const int64_t pos = dpos_of(i, ctx.io());
         if (pos < 0) {
           miss = true;
           return;
@@ -282,11 +283,10 @@ Result<std::vector<Oid>> ParallelRefine(const ExecContext& ctx, const Bat& ab,
   std::vector<Shard> shards(plan.blocks);
   RunBlocks(plan, [&](int block, size_t begin, size_t end) {
     Shard& mine = shards[block];
-    storage::IoScope scope(shard_io ? &mine.io : nullptr);
     mine.table = std::make_unique<RefineTable>(d);
     WithRowOps(d, [&](auto dhash, auto deq) {
       for (size_t i = begin; i < end; ++i) {
-        const int64_t pos = dpos_of(i);
+        const int64_t pos = dpos_of(i, &mine.io);
         if (pos < 0) {
           mine.missing = true;
           return;
@@ -297,7 +297,7 @@ Result<std::vector<Oid>> ParallelRefine(const ExecContext& ctx, const Bat& ab,
     });
   });
   for (Shard& s : shards) {
-    if (shard_io && ctx.io() != nullptr) ctx.io()->MergeFrom(s.io);
+    if (ctx.io() != nullptr) ctx.io()->MergeFrom(s.io);
   }
   for (const Shard& s : shards) {
     if (s.missing) return missing();
@@ -326,12 +326,13 @@ Result<Bat> SyncGroupRefine(const ExecContext& ctx, const Bat& ab,
                             const Bat& cd, OpRecorder& rec) {
   MF_RETURN_NOT_OK(ctx.ChargeMemory(ab.size() * sizeof(Oid)));
   const Column& d = cd.tail();
-  ab.tail().TouchAll();
-  d.TouchAll();
+  ab.tail().TouchAll(ctx.io());
+  d.TouchAll(ctx.io());
   MF_ASSIGN_OR_RETURN(
       std::vector<Oid> gids,
-      ParallelRefine(ctx, ab, d, /*shard_io=*/false,
-                     [](size_t i) { return static_cast<int64_t>(i); }));
+      ParallelRefine(ctx, ab, d, [](size_t i, storage::IoStats*) {
+        return static_cast<int64_t>(i);
+      }));
   MF_ASSIGN_OR_RETURN(Bat res, FinishRefine(ab, std::move(gids)));
   rec.Finish("sync_group_refine", res.size());
   return res;
@@ -343,12 +344,12 @@ Result<Bat> HashGroupRefine(const ExecContext& ctx, const Bat& ab,
   MF_RETURN_NOT_OK(ctx.ChargeMemory(ab.size() * sizeof(Oid)));
   const Column& d = cd.tail();
   auto hash = cd.EnsureHeadHash(ctx.parallel_degree());
-  ab.tail().TouchAll();
+  ab.tail().TouchAll(ctx.io());
   MF_ASSIGN_OR_RETURN(
       std::vector<Oid> gids,
-      ParallelRefine(ctx, ab, d, /*shard_io=*/true, [&](size_t i) {
+      ParallelRefine(ctx, ab, d, [&](size_t i, storage::IoStats* io) {
         const int64_t pos = hash->FindFirst(ab.head(), i);
-        if (pos >= 0) d.TouchAt(static_cast<size_t>(pos));
+        if (pos >= 0) d.TouchAt(io, static_cast<size_t>(pos));
         return pos;
       }));
   MF_ASSIGN_OR_RETURN(Bat res, FinishRefine(ab, std::move(gids)));

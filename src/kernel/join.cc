@@ -57,9 +57,8 @@ Result<Bat> FinishJoin(const Bat& ab, const Bat& cd, ColumnPtr out_head,
 Result<Bat> FetchJoin(const ExecContext& ctx, const Bat& ab, const Bat& cd,
                       OpRecorder& rec) {
   // zero-copy: nothing is materialized, nothing to charge
-  (void)ctx;  // lint:allow(uncharged-kernel)
-  ab.head().TouchAll();
-  cd.tail().TouchAll();
+  ab.head().TouchAll(ctx.io());
+  cd.tail().TouchAll(ctx.io());
   bat::Properties props;
   props.hsorted = ab.props().hsorted;
   props.hkey = ab.props().hkey;
@@ -78,8 +77,8 @@ Result<Bat> MergeJoin(const ExecContext& ctx, const Bat& ab, const Bat& cd,
   const Column& d = cd.tail();
   JoinOut out(a, d);
   ChargeGate gate(ctx, a, d);
-  b.TouchAll();
-  c.TouchAll();
+  b.TouchAll(ctx.io());
+  c.TouchAll(ctx.io());
   size_t i = 0, j = 0;
   const size_t n = ab.size(), m = cd.size();
   while (i < n && j < m) {
@@ -92,8 +91,8 @@ Result<Bat> MergeJoin(const ExecContext& ctx, const Bat& ab, const Bat& cd,
       // Emit the full run of equal keys on the right for this left BUN.
       size_t j2 = j;
       while (j2 < m && c.EqualAt(j2, c, j)) {
-        a.TouchAt(i);
-        d.TouchAt(j2);
+        a.TouchAt(ctx.io(), i);
+        d.TouchAt(ctx.io(), j2);
         out.heads.AppendFrom(a, i);
         out.tails.AppendFrom(d, j2);
         MF_RETURN_NOT_OK(gate.Add(1));
@@ -124,7 +123,7 @@ Result<Bat> HashJoin(const ExecContext& ctx, const Bat& ab, const Bat& cd,
   const Column& c = cd.head();
   const Column& d = cd.tail();
   auto hash = cd.EnsureHeadHash(ctx.parallel_degree());
-  b.TouchAll();
+  b.TouchAll(ctx.io());
 
   struct alignas(64) Shard {
     std::vector<uint32_t> lefts;   // matching left positions
@@ -136,7 +135,6 @@ Result<Bat> HashJoin(const ExecContext& ctx, const Bat& ab, const Bat& cd,
   std::vector<Shard> shards(plan.blocks);
   RunBlocks(plan, [&](int block, size_t begin, size_t end) {
     Shard& mine = shards[block];
-    storage::IoScope scope(&mine.io);
     // The charge counter is shared and atomic, so concurrent shard gates
     // account exactly and an over-budget join stops all blocks early.
     // The gate is fed per match (so a high-fanout probe cannot overshoot
@@ -150,9 +148,9 @@ Result<Bat> HashJoin(const ExecContext& ctx, const Bat& ab, const Bat& cd,
       const size_t hi = std::min(end, lo + kProbeChunk);
       hash->ForEachMatchRange(b, lo, hi, [&](size_t i, uint32_t pos) {
         if (!mine.status.ok()) return;
-        c.TouchAt(pos);
-        a.TouchAt(i);
-        d.TouchAt(pos);
+        c.TouchAt(&mine.io, pos);
+        a.TouchAt(&mine.io, i);
+        d.TouchAt(&mine.io, pos);
         mine.lefts.push_back(static_cast<uint32_t>(i));
         mine.rights.push_back(pos);
         if (++pending >= internal::ChargeGate::kChunkRows) {

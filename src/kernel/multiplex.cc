@@ -1,5 +1,4 @@
 #include <algorithm>
-#include <optional>
 #include <vector>
 
 #include "common/parallel.h"
@@ -127,7 +126,7 @@ Result<Bat> SyncedNumericMultiplex(const ExecContext& ctx,
                                    const std::vector<MxArg>& args,
                                    OpRecorder& rec) {
   MF_ASSIGN_OR_RETURN(MxShape sh, AnalyzeMx(fn, args));
-  for (const Bat* b : sh.bats) b->tail().TouchAll();
+  for (const Bat* b : sh.bats) b->tail().TouchAll(ctx.io());
   const Bat* driver = sh.driver;
   const size_t n = driver->size();
   MF_RETURN_NOT_OK(ctx.ChargeMemory(n * sizeof(double)));
@@ -393,7 +392,7 @@ Result<Bat> SyncedMultiplex(const ExecContext& ctx, const std::string& fn,
                             const std::vector<MxArg>& args, OpRecorder& rec) {
   MF_ASSIGN_OR_RETURN(MxShape sh, AnalyzeMx(fn, args));
   const Bat* driver = sh.driver;
-  for (const Bat* b : sh.bats) b->tail().TouchAll();
+  for (const Bat* b : sh.bats) b->tail().TouchAll(ctx.io());
   const size_t n = driver->size();
   // The result tail materializes n values of the scalar result type; the
   // head is zero-copy. This path used to charge nothing — a large synced
@@ -483,7 +482,7 @@ Result<Bat> HeadJoinMultiplex(const ExecContext& ctx, const std::string& fn,
                               OpRecorder& rec) {
   MF_ASSIGN_OR_RETURN(MxShape sh, AnalyzeMx(fn, args));
   const Bat* driver = sh.driver;
-  for (const Bat* b : sh.bats) b->tail().TouchAll();
+  for (const Bat* b : sh.bats) b->tail().TouchAll(ctx.io());
   const size_t n = driver->size();
   const size_t nb = sh.bats.size();
 
@@ -533,15 +532,14 @@ Result<Bat> HeadJoinMultiplex(const ExecContext& ctx, const std::string& fn,
     // Serial plans touch the caller's accountant directly: a capacity-
     // limited (LRU) pager needs the true touch sequence, and shard
     // replay only carries first-touch faults (see select.cc).
-    std::optional<storage::IoScope> scope;
-    if (plan.blocks > 1) scope.emplace(&mine.io);
+    storage::IoStats* io = plan.blocks > 1 ? &mine.io : ctx.io();
     internal::ChargeGate gate(ctx, row_bytes);
     for (size_t k = 0; k < nb; ++k) {
       if (sh.bats[k] == driver) continue;
       const Column& tail = sh.bats[k]->tail();
       hashes[k]->ForEachFirstMatch(driver->head(), begin, end,
                                    [&](size_t j, uint32_t p) {
-                                     tail.TouchAt(p);
+                                     tail.TouchAt(io, p);
                                      pos[k][j] = p;
                                    });
     }

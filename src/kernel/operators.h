@@ -19,9 +19,9 @@
 ///
 /// Every operator takes an ExecContext first: the context owns the tracer
 /// the chosen implementations report to, the IO/page-fault accountant, and
-/// the memory budget. The context-free overloads below are one-line
-/// compatibility wrappers that snapshot the legacy thread-local scopes
-/// (TraceScope / IoScope) into a context.
+/// the memory budget. It is the only channel: an operator's touches reach
+/// ctx.io() (or, inside a parallel block, the block's shard accountant)
+/// as an explicit argument, and nothing is read from thread-local state.
 namespace moaflat::kernel {
 
 using bat::Bat;
@@ -209,98 +209,6 @@ Result<Bat> InsertBuns(const ExecContext& ctx, const Bat& ab,
 
 /// Concatenation of BUN sequences (no dedup); loader utility.
 Result<Bat> Append(const ExecContext& ctx, const Bat& ab, const Bat& cd);
-
-// ---------------------------------------------------------------------
-// Legacy free-function API: source-compatible wrappers that forward to a
-// context snapshotting the thread-local TraceScope / IoScope shims.
-
-inline Result<Bat> Select(const Bat& ab, const Value& v) {
-  return Select(ExecContext::FromThreadLocals(), ab, v);
-}
-inline Result<Bat> SelectRange(const Bat& ab, const Value& lo,
-                               const Value& hi) {
-  return SelectRange(ExecContext::FromThreadLocals(), ab, lo, hi);
-}
-inline Result<Bat> SelectCmp(const Bat& ab, CmpOp op, const Value& v) {
-  return SelectCmp(ExecContext::FromThreadLocals(), ab, op, v);
-}
-inline Result<Bat> SelectLike(const Bat& ab, const std::string& pattern) {
-  return SelectLike(ExecContext::FromThreadLocals(), ab, pattern);
-}
-inline Result<Bat> Join(const Bat& ab, const Bat& cd) {
-  return Join(ExecContext::FromThreadLocals(), ab, cd);
-}
-inline Result<Bat> Semijoin(const Bat& ab, const Bat& cd) {
-  return Semijoin(ExecContext::FromThreadLocals(), ab, cd);
-}
-inline Result<Bat> Diff(const Bat& ab, const Bat& cd) {
-  return Diff(ExecContext::FromThreadLocals(), ab, cd);
-}
-inline Result<Bat> Union(const Bat& ab, const Bat& cd) {
-  return Union(ExecContext::FromThreadLocals(), ab, cd);
-}
-inline Result<Bat> Intersect(const Bat& ab, const Bat& cd) {
-  return Intersect(ExecContext::FromThreadLocals(), ab, cd);
-}
-inline Result<Bat> ThetaJoin(const Bat& ab, const Bat& cd, CmpOp op) {
-  return ThetaJoin(ExecContext::FromThreadLocals(), ab, cd, op);
-}
-inline Result<Bat> Unique(const Bat& ab) {
-  return Unique(ExecContext::FromThreadLocals(), ab);
-}
-inline Result<Bat> HeadUnique(const Bat& ab) {
-  return HeadUnique(ExecContext::FromThreadLocals(), ab);
-}
-inline Result<Bat> Mark(const Bat& ab, Oid base) {
-  return Mark(ExecContext::FromThreadLocals(), ab, base);
-}
-inline Result<Bat> VoidTail(const Bat& ab) {
-  return VoidTail(ExecContext::FromThreadLocals(), ab);
-}
-inline Result<Bat> Slice(const Bat& ab, size_t lo, size_t hi) {
-  return Slice(ExecContext::FromThreadLocals(), ab, lo, hi);
-}
-inline Result<Bat> Fetch(const Bat& ab, const Bat& positions) {
-  return Fetch(ExecContext::FromThreadLocals(), ab, positions);
-}
-inline Result<Value> CountDistinctTail(const Bat& ab) {
-  return CountDistinctTail(ExecContext::FromThreadLocals(), ab);
-}
-inline Result<Bat> Histogram(const Bat& ab) {
-  return Histogram(ExecContext::FromThreadLocals(), ab);
-}
-inline Result<Bat> SortTail(const Bat& ab) {
-  return SortTail(ExecContext::FromThreadLocals(), ab);
-}
-inline Result<Bat> TopN(const Bat& ab, size_t n, bool descending) {
-  return TopN(ExecContext::FromThreadLocals(), ab, n, descending);
-}
-inline Result<Bat> Group(const Bat& ab) {
-  return Group(ExecContext::FromThreadLocals(), ab);
-}
-inline Result<Bat> GroupRefine(const Bat& ab, const Bat& cd) {
-  return GroupRefine(ExecContext::FromThreadLocals(), ab, cd);
-}
-inline Result<Bat> Multiplex(const std::string& fn,
-                             const std::vector<MxArg>& args) {
-  return Multiplex(ExecContext::FromThreadLocals(), fn, args);
-}
-inline Result<Bat> SetAggregate(AggKind kind, const Bat& ab) {
-  return SetAggregate(ExecContext::FromThreadLocals(), kind, ab);
-}
-inline Result<Value> ScalarAggregate(AggKind kind, const Bat& ab) {
-  return ScalarAggregate(ExecContext::FromThreadLocals(), kind, ab);
-}
-inline Result<Bat> ProjectConst(const Bat& ab, const Value& v) {
-  return ProjectConst(ExecContext::FromThreadLocals(), ab, v);
-}
-inline Result<Bat> InsertBuns(const Bat& ab, const std::vector<Value>& heads,
-                              const std::vector<Value>& tails) {
-  return InsertBuns(ExecContext::FromThreadLocals(), ab, heads, tails);
-}
-inline Result<Bat> Append(const Bat& ab, const Bat& cd) {
-  return Append(ExecContext::FromThreadLocals(), ab, cd);
-}
 
 }  // namespace moaflat::kernel
 

@@ -30,8 +30,8 @@ Result<Bat> GatherPositions(const ExecContext& ctx, const Bat& ab,
   const Column& head = ab.head();
   const Column& tail = ab.tail();
   MF_RETURN_NOT_OK(ChargeGather(ctx, pos.size(), head, tail));
-  head.TouchGather(pos.data(), pos.size());
-  tail.TouchGather(pos.data(), pos.size());
+  head.TouchGather(ctx.io(), pos.data(), pos.size());
+  tail.TouchGather(ctx.io(), pos.data(), pos.size());
   ColumnBuilder hb(BuilderType(head));
   ColumnBuilder tb(BuilderType(tail), tail.str_heap());
   hb.Reserve(pos.size());
@@ -52,8 +52,8 @@ Result<Bat> Unique(const ExecContext& ctx, const Bat& ab) {
   OpRecorder rec(ctx, "unique");
   const Column& head = ab.head();
   const Column& tail = ab.tail();
-  head.TouchAll();
-  tail.TouchAll();
+  head.TouchAll(ctx.io());
+  tail.TouchAll(ctx.io());
 
   // Pair-hash with representative verification.
   std::unordered_map<uint64_t, std::vector<uint32_t>> seen;
@@ -93,7 +93,7 @@ Result<Bat> Unique(const ExecContext& ctx, const Bat& ab) {
 Result<Bat> HeadUnique(const ExecContext& ctx, const Bat& ab) {
   OpRecorder rec(ctx, "hunique");
   const Column& head = ab.head();
-  head.TouchAll();
+  head.TouchAll(ctx.io());
   std::unordered_map<uint64_t, std::vector<uint32_t>> seen;
   std::vector<uint32_t> keep;
   for (size_t i = 0; i < ab.size(); ++i) {
@@ -158,7 +158,7 @@ Result<Bat> Slice(const ExecContext& ctx, const Bat& ab, size_t lo,
 Result<Bat> SortTail(const ExecContext& ctx, const Bat& ab) {
   OpRecorder rec(ctx, "sort");
   const Column& tail = ab.tail();
-  tail.TouchAll();
+  tail.TouchAll(ctx.io());
   std::vector<uint32_t> pos(ab.size());
   std::iota(pos.begin(), pos.end(), 0u);
   // Typed sort key: the double view is exactly CompareAt's comparison for
@@ -195,7 +195,7 @@ Result<Bat> TopN(const ExecContext& ctx, const Bat& ab, size_t n,
                  bool descending) {
   OpRecorder rec(ctx, "topn");
   const Column& tail = ab.tail();
-  tail.TouchAll();
+  tail.TouchAll(ctx.io());
   std::vector<uint32_t> pos(ab.size());
   std::iota(pos.begin(), pos.end(), 0u);
   const size_t k = std::min(n, pos.size());

@@ -25,16 +25,16 @@ using internal::NumValue;
 using internal::SetSync;
 
 /// First position i in the (tail-sorted) column with col[i] >= v
-/// (or > v when `after_equal`). Binary search; probes are counted unless
-/// `touch` is false (the selectivity *estimate* must not perturb the fault
+/// (or > v when `after_equal`). Binary search; probes are reported to `io`
+/// (null for the selectivity *estimate*, which must not perturb the fault
 /// accounting of the execution it prices).
 size_t LowerPos(const Column& col, const Value& v, bool after_equal,
-                bool touch = true) {
+                storage::IoStats* io) {
   size_t lo = 0;
   size_t hi = col.size();
   while (lo < hi) {
     const size_t mid = lo + (hi - lo) / 2;
-    if (touch) col.TouchAt(mid);
+    col.TouchAt(io, mid);
     const int c = col.CompareValue(mid, v);
     const bool go_right = after_equal ? (c <= 0) : (c < 0);
     if (go_right) {
@@ -111,7 +111,7 @@ Result<std::pair<ColumnPtr, ColumnPtr>> GatherMatches(
     // shard replay only carries first-touch faults and would deflate
     // the re-fault counts of evicted pages.
     const std::vector<uint32_t>& idx = matches[0].idx;
-    head.TouchGather(idx.data(), idx.size());
+    head.TouchGather(ctx.io(), idx.data(), idx.size());
     hs.Gather(idx.data(), idx.size(), 0);
     ts.Gather(idx.data(), idx.size(), 0);
     return std::make_pair(hs.Finish(), ts.Finish());
@@ -122,8 +122,7 @@ Result<std::pair<ColumnPtr, ColumnPtr>> GatherMatches(
   std::vector<IoShard> shards(plan.blocks);
   RunBlocks(plan, [&](int block, size_t, size_t) {
     const std::vector<uint32_t>& idx = matches[block].idx;
-    storage::IoScope scope(&shards[block].io);
-    head.TouchGather(idx.data(), idx.size());
+    head.TouchGather(&shards[block].io, idx.data(), idx.size());
     hs.Gather(idx.data(), idx.size(), offset[block]);
     ts.Gather(idx.data(), idx.size(), offset[block]);
   });
@@ -218,12 +217,12 @@ Result<Bat> BinsearchSelect(const ExecContext& ctx, const Bat& ab,
   const Column& tail = ab.tail();
   size_t begin = 0;
   size_t end = tail.size();
-  if (lo.present) begin = LowerPos(tail, lo.value, !lo.inclusive);
-  if (hi.present) end = LowerPos(tail, hi.value, hi.inclusive);
+  if (lo.present) begin = LowerPos(tail, lo.value, !lo.inclusive, ctx.io());
+  if (hi.present) end = LowerPos(tail, hi.value, hi.inclusive, ctx.io());
   if (begin > end) begin = end;
   MF_RETURN_NOT_OK(ChargeGather(ctx, end - begin, head, tail));
-  head.TouchRange(begin, end);
-  tail.TouchRange(begin, end);
+  head.TouchRange(ctx.io(), begin, end);
+  tail.TouchRange(ctx.io(), begin, end);
 
   // Detect result-head sortedness (dynamic property detection): bulk
   // loads sort stably, so the heads inside one tail run are typically
@@ -251,7 +250,7 @@ Result<Bat> ScanSelect(const ExecContext& ctx, const Bat& ab, const Bound& lo,
                        const Bound& hi, OpRecorder& rec) {
   const Column& head = ab.head();
   const Column& tail = ab.tail();
-  tail.TouchAll();
+  tail.TouchAll(ctx.io());
   const BlockPlan plan = ctx.Plan(tail.size());
   std::vector<MatchShard> matches(plan.blocks);
   ScanMatches(tail, lo, hi, plan, matches);
@@ -292,7 +291,7 @@ Result<Bat> PredicateSelect(const ExecContext& ctx, const Bat& ab,
   OpRecorder rec(ctx, "select");
   const Column& head = ab.head();
   const Column& tail = ab.tail();
-  tail.TouchAll();
+  tail.TouchAll(ctx.io());
   const BlockPlan plan = ctx.Plan(tail.size());
   std::vector<MatchShard> matches(plan.blocks);
   RunBlocks(plan, [&](int block, size_t begin, size_t end) {
@@ -332,8 +331,8 @@ double EstimateSelectivity(const Bat& ab, const Bound& lo, const Bound& hi) {
   const Column& tail = ab.tail();
   size_t begin = 0;
   size_t end = tail.size();
-  if (lo.present) begin = LowerPos(tail, lo.value, !lo.inclusive, false);
-  if (hi.present) end = LowerPos(tail, hi.value, hi.inclusive, false);
+  if (lo.present) begin = LowerPos(tail, lo.value, !lo.inclusive, nullptr);
+  if (hi.present) end = LowerPos(tail, hi.value, hi.inclusive, nullptr);
   if (begin > end) begin = end;
   return static_cast<double>(end - begin) / static_cast<double>(tail.size());
 }

@@ -1,5 +1,4 @@
 #include <algorithm>
-#include <optional>
 #include <vector>
 
 #include "common/parallel.h"
@@ -55,7 +54,7 @@ Result<Bat> DatavectorSemijoin(const ExecContext& ctx, const Bat& ab,
     // are independent, so they run as morsels on the TaskPool; block
     // shards concatenate in block order, reproducing the serial LOOKUP
     // array (and, via the shard merge, its exact probe faults).
-    cd.head().TouchAll();
+    cd.head().TouchAll(ctx.io());
     const BlockPlan plan = ctx.Plan(cd.size());
     struct Shard {
       std::vector<uint32_t> positions;
@@ -121,9 +120,8 @@ Result<Bat> DatavectorSemijoin(const ExecContext& ctx, const Bat& ab,
     std::vector<InsertShard> ishards(iplan.blocks);
     RunBlocks(iplan, [&](int block, size_t begin, size_t end) {
       InsertShard& mine = ishards[block];
-      storage::IoScope scope(&mine.io);
-      extent.TouchGather(pos_data + begin, end - begin);
-      vector.TouchGather(pos_data + begin, end - begin);
+      extent.TouchGather(&mine.io, pos_data + begin, end - begin);
+      vector.TouchGather(&mine.io, pos_data + begin, end - begin);
       hs.Gather(pos_data + begin, end - begin, begin);
       ts.Gather(pos_data + begin, end - begin, begin);
       for (size_t k = begin + 1; k < end; ++k) {
@@ -187,8 +185,8 @@ Result<Bat> MergeSemijoin(const ExecContext& ctx, const Bat& ab,
   ColumnBuilder hb(BuilderType(a));
   ColumnBuilder tb(BuilderType(b), b.str_heap());
   internal::ChargeGate gate(ctx, a, b);
-  a.TouchAll();
-  c.TouchAll();
+  a.TouchAll(ctx.io());
+  c.TouchAll(ctx.io());
   size_t i = 0, j = 0;
   const size_t n = ab.size(), m = cd.size();
   while (i < n && j < m) {
@@ -198,7 +196,7 @@ Result<Bat> MergeSemijoin(const ExecContext& ctx, const Bat& ab,
     } else if (cmp > 0) {
       ++j;
     } else {
-      b.TouchAt(i);
+      b.TouchAt(ctx.io(), i);
       hb.AppendFrom(a, i);
       tb.AppendFrom(b, i);
       MF_RETURN_NOT_OK(gate.Add(1));
@@ -223,7 +221,7 @@ Result<Bat> HashSemijoin(const ExecContext& ctx, const Bat& ab, const Bat& cd,
   const Column& a = ab.head();
   const Column& b = ab.tail();
   auto hash = cd.EnsureHeadHash(ctx.parallel_degree());
-  a.TouchAll();
+  a.TouchAll(ctx.io());
 
   struct alignas(64) Shard {
     std::vector<uint32_t> matches;
@@ -234,7 +232,6 @@ Result<Bat> HashSemijoin(const ExecContext& ctx, const Bat& ab, const Bat& cd,
   std::vector<Shard> shards(plan.blocks);
   RunBlocks(plan, [&](int block, size_t begin, size_t end) {
     Shard& mine = shards[block];
-    storage::IoScope scope(&mine.io);
     internal::ChargeGate gate(ctx, a, b);
     size_t gated = 0;
     constexpr size_t kProbeChunk = 16 * 1024;
@@ -242,7 +239,7 @@ Result<Bat> HashSemijoin(const ExecContext& ctx, const Bat& ab, const Bat& cd,
          lo += kProbeChunk) {
       const size_t hi = std::min(end, lo + kProbeChunk);
       hash->ForEachContained(a, lo, hi, [&](size_t i) {
-        b.TouchAt(i);
+        b.TouchAt(&mine.io, i);
         mine.matches.push_back(static_cast<uint32_t>(i));
       });
       mine.status = gate.Add(mine.matches.size() - gated);
@@ -307,8 +304,7 @@ Result<std::vector<MissShard>> ParallelMisses(
     // Serial plans touch the caller's accountant directly: a capacity-
     // limited (LRU) pager needs the true touch sequence, and shard
     // replay only carries first-touch faults (see select.cc).
-    std::optional<storage::IoScope> scope;
-    if (plan.blocks > 1) scope.emplace(&mine.io);
+    storage::IoStats* io = plan.blocks > 1 ? &mine.io : ctx.io();
     internal::ChargeGate gate(ctx, gate_bytes_per_row);
     constexpr size_t kProbeChunk = 16 * 1024;
     size_t gated = 0;
@@ -316,7 +312,7 @@ Result<std::vector<MissShard>> ParallelMisses(
          lo += kProbeChunk) {
       const size_t hi = std::min(end, lo + kProbeChunk);
       hash.ForEachMissing(probe, lo, hi, [&](size_t i) {
-        touch.TouchAt(i);
+        touch.TouchAt(io, i);
         mine.misses.push_back(static_cast<uint32_t>(i));
       });
       mine.status = gate.Add(mine.misses.size() - gated);
@@ -344,7 +340,7 @@ Result<Bat> HashAntiSemijoin(const ExecContext& ctx, const Bat& ab,
   const Column& a = ab.head();
   const Column& b = ab.tail();
   auto hash = cd.EnsureHeadHash(ctx.parallel_degree());
-  a.TouchAll();
+  a.TouchAll(ctx.io());
   const BlockPlan plan = ctx.Plan(ab.size());
   MF_ASSIGN_OR_RETURN(
       std::vector<MissShard> shards,
@@ -391,8 +387,8 @@ Result<Bat> HashUnion(const ExecContext& ctx, const Bat& ab, const Bat& cd,
   const Column& b = ab.tail();
   ColumnBuilder hb(BuilderType(a));
   ColumnBuilder tb(BuilderType(b), b.str_heap());
-  a.TouchAll();
-  b.TouchAll();
+  a.TouchAll(ctx.io());
+  b.TouchAll(ctx.io());
   hb.Reserve(ab.size());
   tb.Reserve(ab.size());
   hb.AppendRange(a, 0, ab.size());
@@ -400,7 +396,7 @@ Result<Bat> HashUnion(const ExecContext& ctx, const Bat& ab, const Bat& cd,
   auto hash = ab.EnsureHeadHash(ctx.parallel_degree());
   const Column& c = cd.head();
   const Column& d = cd.tail();
-  c.TouchAll();
+  c.TouchAll(ctx.io());
   const BlockPlan plan = ctx.Plan(cd.size());
   // The result rows were charged upfront (the ab.size()+cd.size() upper
   // bound above), so the miss gate adds nothing more.

@@ -1,6 +1,5 @@
 #include <algorithm>
 #include <numeric>
-#include <optional>
 #include <vector>
 
 #include "common/parallel.h"
@@ -153,8 +152,8 @@ Result<Bat> BandThetaJoin(const ExecContext& ctx, const Bat& ab,
                        });
     }
   }
-  b.TouchAll();
-  c.TouchAll();
+  b.TouchAll(ctx.io());
+  c.TouchAll(ctx.io());
 
   const BlockPlan plan = ctx.Plan(ab.size());
   std::vector<ThetaShard> shards(plan.blocks);
@@ -163,13 +162,12 @@ Result<Bat> BandThetaJoin(const ExecContext& ctx, const Bat& ab,
     // Serial plans touch the caller's accountant directly: a capacity-
     // limited (LRU) pager needs the true touch sequence, and shard
     // replay only carries first-touch faults (see select.cc).
-    std::optional<storage::IoScope> scope;
-    if (plan.blocks > 1) scope.emplace(&mine.io);
+    storage::IoStats* io = plan.blocks > 1 ? &mine.io : ctx.io();
     internal::ChargeGate gate(ctx, a, d);
     auto emit = [&](size_t i, size_t j) {
       const uint32_t pos = order[j];
-      a.TouchAt(i);
-      d.TouchAt(pos);
+      a.TouchAt(io, i);
+      d.TouchAt(io, pos);
       mine.lefts.push_back(static_cast<uint32_t>(i));
       mine.rights.push_back(pos);
       mine.status = gate.Add(1);
@@ -270,20 +268,20 @@ Result<Bat> NestedThetaJoin(const ExecContext& ctx, const Bat& ab,
   const Column& b = ab.tail();
   const Column& c = cd.head();
   const Column& d = cd.tail();
-  b.TouchAll();
-  c.TouchAll();
+  b.TouchAll(ctx.io());
+  c.TouchAll(ctx.io());
   const size_t m = cd.size();
 
   const BlockPlan plan = ctx.Plan(ab.size());
   std::vector<ThetaShard> shards(plan.blocks);
   RunBlocks(plan, [&](int block, size_t begin, size_t end) {
     ThetaShard& mine = shards[block];
-    std::optional<storage::IoScope> scope;  // serial: caller's accountant
-    if (plan.blocks > 1) scope.emplace(&mine.io);
+    // Serial: the caller's accountant.
+    storage::IoStats* io = plan.blocks > 1 ? &mine.io : ctx.io();
     internal::ChargeGate gate(ctx, a, d);
     auto emit = [&](size_t i, size_t j) {
-      a.TouchAt(i);
-      d.TouchAt(j);
+      a.TouchAt(io, i);
+      d.TouchAt(io, j);
       mine.lefts.push_back(static_cast<uint32_t>(i));
       mine.rights.push_back(static_cast<uint32_t>(j));
       mine.status = gate.Add(1);
@@ -356,7 +354,7 @@ Result<Bat> Fetch(const ExecContext& ctx, const Bat& ab,
   const Column& head = ab.head();
   const Column& tail = ab.tail();
   MF_RETURN_NOT_OK(internal::ChargeGather(ctx, positions.size(), head, tail));
-  positions.tail().TouchAll();
+  positions.tail().TouchAll(ctx.io());
   // Validate and collect first, then one bulk typed gather per column.
   std::vector<uint32_t> pos(positions.size());
   for (size_t i = 0; i < positions.size(); ++i) {
@@ -368,8 +366,8 @@ Result<Bat> Fetch(const ExecContext& ctx, const Bat& ab,
     }
     pos[i] = static_cast<uint32_t>(p);
   }
-  head.TouchGather(pos.data(), pos.size());
-  tail.TouchGather(pos.data(), pos.size());
+  head.TouchGather(ctx.io(), pos.data(), pos.size());
+  tail.TouchGather(ctx.io(), pos.data(), pos.size());
   ColumnBuilder hb(MonetType::kOidT);
   ColumnBuilder tb(BuilderType(tail), tail.str_heap());
   hb.Reserve(pos.size());

@@ -70,12 +70,10 @@ Status MilInterpreter::Run(const MilProgram& program) {
 
 Status MilInterpreter::Exec(const MilStmt& stmt) {
   if (hook_) MF_RETURN_NOT_OK(hook_(stmt));
-  // The session context (explicit, or a per-statement snapshot of the
-  // legacy thread-local scopes); the statement runs under a copy with a
-  // local tracer so the per-statement implementation choices can be
-  // reported even when the session has no tracer of its own.
-  const kernel::ExecContext base =
-      ctx_ != nullptr ? *ctx_ : kernel::ExecContext::FromThreadLocals();
+  // The statement runs under a copy of the session context with a local
+  // tracer, so the per-statement implementation choices can be reported
+  // even when the session has no tracer of its own.
+  const kernel::ExecContext& base = *ctx_;
   kernel::ExecTracer local_tracer;
   kernel::ExecContext stmt_ctx = base;
   stmt_ctx.WithTracer(&local_tracer);

@@ -59,12 +59,12 @@ struct StmtTrace {
 /// Execution state flows through an ExecContext: every statement runs under
 /// a copy of the session context whose tracer is swapped for a per-statement
 /// one (the raw material of the Fig. 10 trace); the records are forwarded to
-/// the session tracer afterwards. Without an explicit context the
-/// interpreter snapshots the legacy thread-local scopes per statement.
+/// the session tracer afterwards.
 class MilInterpreter {
  public:
-  explicit MilInterpreter(MilEnv* env,
-                          const kernel::ExecContext* ctx = nullptr)
+  /// Statements run under `*ctx`, which must outlive the interpreter; its
+  /// accountant receives every page fault the program causes.
+  MilInterpreter(MilEnv* env, const kernel::ExecContext* ctx)
       : env_(env), ctx_(ctx) {}
 
   /// Runs all statements; on success the result variables are bound in the

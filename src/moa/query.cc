@@ -23,8 +23,4 @@ Result<QueryResult> RunMoa(const kernel::ExecContext& ctx, const Database& db,
   return qr;
 }
 
-Result<QueryResult> RunMoa(const Database& db, const std::string& moa_text) {
-  return RunMoa(kernel::ExecContext::FromThreadLocals(), db, moa_text);
-}
-
 }  // namespace moaflat::moa

@@ -32,9 +32,6 @@ struct QueryResult {
 Result<QueryResult> RunMoa(const kernel::ExecContext& ctx, const Database& db,
                            const std::string& moa_text);
 
-/// Compatibility overload: snapshots the legacy thread-local scopes.
-Result<QueryResult> RunMoa(const Database& db, const std::string& moa_text);
-
 }  // namespace moaflat::moa
 
 #endif  // MOAFLAT_MOA_QUERY_H_

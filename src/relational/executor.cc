@@ -2,8 +2,9 @@
 
 namespace moaflat::rel {
 
-RowSet FullScan(const Table& t, const std::function<bool(RowId)>& pred) {
-  t.TouchRowRange(0, t.num_rows());
+RowSet FullScan(storage::IoStats* io, const Table& t,
+                const std::function<bool(RowId)>& pred) {
+  t.TouchRowRange(io, 0, t.num_rows());
   RowSet out;
   out.table = &t;
   out.rows.reserve(t.num_rows());
@@ -15,22 +16,23 @@ RowSet FullScan(const Table& t, const std::function<bool(RowId)>& pred) {
   return out;
 }
 
-RowSet IndexRange(Table& t, const std::string& col, const Value& lo,
-                  const Value& hi) {
+RowSet IndexRange(storage::IoStats* io, Table& t, const std::string& col,
+                  const Value& lo, const Value& hi) {
   const int c = t.ColIndex(col);
   const InvertedIndex* idx = t.EnsureIndex(c);
   RowSet out;
   out.table = &t;
-  out.rows = idx->RangeSelect(lo, hi);
+  out.rows = idx->RangeSelect(io, lo, hi);
   return out;
 }
 
-RowSet FetchFilter(const RowSet& in, const std::function<bool(RowId)>& pred) {
+RowSet FetchFilter(storage::IoStats* io, const RowSet& in,
+                   const std::function<bool(RowId)>& pred) {
   RowSet out;
   out.table = in.table;
   out.rows.reserve(in.rows.size());
   for (RowId r : in.rows) {
-    in.table->TouchRow(r);
+    in.table->TouchRow(io, r);
     if (!pred || pred(r)) out.rows.push_back(r);
   }
   return out;
@@ -65,7 +67,8 @@ Key KeyOf(const Table& t, RowId r, int col) {
 
 }  // namespace
 
-std::vector<std::pair<RowId, RowId>> HashJoin(const RowSet& left,
+std::vector<std::pair<RowId, RowId>> HashJoin(storage::IoStats* io,
+                                              const RowSet& left,
                                               const std::string& lcol,
                                               const RowSet& right,
                                               const std::string& rcol) {
@@ -74,32 +77,33 @@ std::vector<std::pair<RowId, RowId>> HashJoin(const RowSet& left,
   std::unordered_multimap<Key, RowId, KeyHash> build;
   build.reserve(right.rows.size() * 2);
   for (RowId r : right.rows) {
-    right.table->TouchRow(r);
+    right.table->TouchRow(io, r);
     build.emplace(KeyOf(*right.table, r, rc), r);
   }
   std::vector<std::pair<RowId, RowId>> out;
   for (RowId l : left.rows) {
-    left.table->TouchRow(l);
+    left.table->TouchRow(io, l);
     auto [lo, hi] = build.equal_range(KeyOf(*left.table, l, lc));
     for (auto it = lo; it != hi; ++it) out.emplace_back(l, it->second);
   }
   return out;
 }
 
-RowSet HashSemijoin(const RowSet& left, const std::string& lcol,
-                    const RowSet& right, const std::string& rcol) {
+RowSet HashSemijoin(storage::IoStats* io, const RowSet& left,
+                    const std::string& lcol, const RowSet& right,
+                    const std::string& rcol) {
   const int lc = left.table->ColIndex(lcol);
   const int rc = right.table->ColIndex(rcol);
   std::unordered_map<Key, bool, KeyHash> build;
   build.reserve(right.rows.size() * 2);
   for (RowId r : right.rows) {
-    right.table->TouchRow(r);
+    right.table->TouchRow(io, r);
     build.emplace(KeyOf(*right.table, r, rc), true);
   }
   RowSet out;
   out.table = left.table;
   for (RowId l : left.rows) {
-    left.table->TouchRow(l);
+    left.table->TouchRow(io, l);
     if (build.count(KeyOf(*left.table, l, lc)) > 0) out.rows.push_back(l);
   }
   return out;

@@ -113,19 +113,20 @@ InvertedIndex::InvertedIndex(const Table* table, int col)
   }
 }
 
-void InvertedIndex::TouchEntry(size_t i) const {
-  if (storage::IoStats* io = storage::CurrentIo()) {
+void InvertedIndex::TouchEntry(storage::IoStats* io, size_t i) const {
+  if (io != nullptr) {
     io->TouchBytes(heap_id_, i * entry_width_, entry_width_,
                    storage::Access::kRandom);
   }
 }
 
-size_t InvertedIndex::LowerBound(const Value& v, bool after_equal) const {
+size_t InvertedIndex::LowerBound(storage::IoStats* io, const Value& v,
+                                 bool after_equal) const {
   const bat::Column& c = *table_->data_[col_];
   size_t lo = 0, hi = order_.size();
   while (lo < hi) {
     const size_t mid = lo + (hi - lo) / 2;
-    TouchEntry(mid);
+    TouchEntry(io, mid);
     const int cmp = c.CompareValue(order_[mid], v);
     if (after_equal ? (cmp <= 0) : (cmp < 0)) {
       lo = mid + 1;
@@ -136,17 +137,15 @@ size_t InvertedIndex::LowerBound(const Value& v, bool after_equal) const {
   return lo;
 }
 
-std::vector<uint32_t> InvertedIndex::RangeSelect(const Value& lo,
+std::vector<uint32_t> InvertedIndex::RangeSelect(storage::IoStats* io,
+                                                 const Value& lo,
                                                  const Value& hi) const {
-  size_t begin = lo.is_nil() ? 0 : LowerBound(lo, false);
-  size_t end = hi.is_nil() ? order_.size() : LowerBound(hi, true);
+  size_t begin = lo.is_nil() ? 0 : LowerBound(io, lo, false);
+  size_t end = hi.is_nil() ? order_.size() : LowerBound(io, hi, true);
   if (begin > end) begin = end;
-  if (storage::IoStats* io = storage::CurrentIo()) {
-    if (end > begin) {
-      io->TouchBytes(heap_id_, begin * entry_width_,
-                     (end - begin) * entry_width_,
-                     storage::Access::kSequential);
-    }
+  if (io != nullptr && end > begin) {
+    io->TouchBytes(heap_id_, begin * entry_width_,
+                   (end - begin) * entry_width_, storage::Access::kSequential);
   }
   return std::vector<uint32_t>(order_.begin() + begin, order_.begin() + end);
 }

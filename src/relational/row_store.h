@@ -32,14 +32,16 @@ class InvertedIndex {
 
   /// Row ids whose value lies in [lo, hi] (nil = unbounded), in index
   /// (value) order. Binary-search probes and the scanned index range are
-  /// charged to the active IO scope.
-  std::vector<uint32_t> RangeSelect(const Value& lo, const Value& hi) const;
+  /// charged to `io` (null: not accounted).
+  std::vector<uint32_t> RangeSelect(storage::IoStats* io, const Value& lo,
+                                    const Value& hi) const;
 
   size_t size() const { return order_.size(); }
 
  private:
-  size_t LowerBound(const Value& v, bool after_equal) const;
-  void TouchEntry(size_t i) const;
+  size_t LowerBound(storage::IoStats* io, const Value& v,
+                    bool after_equal) const;
+  void TouchEntry(storage::IoStats* io, size_t i) const;
 
   const Table* table_;
   int col_;
@@ -93,21 +95,19 @@ class Table {
   /// Total table bytes, for the load report.
   size_t byte_size() const { return num_rows_ * row_width_; }
 
-  /// Charges the page holding row `r` to the active IO scope.
-  void TouchRow(size_t r) const {
-    if (storage::IoStats* io = storage::CurrentIo()) {
+  /// Charges the page holding row `r` to `io` (null: not accounted).
+  void TouchRow(storage::IoStats* io, size_t r) const {
+    if (io != nullptr) {
       io->TouchBytes(heap_id_, r * row_width_, row_width_,
                      storage::Access::kRandom);
     }
   }
 
-  /// Charges a sequential scan of rows [lo, hi).
-  void TouchRowRange(size_t lo, size_t hi) const {
-    if (storage::IoStats* io = storage::CurrentIo()) {
-      if (hi > lo) {
-        io->TouchBytes(heap_id_, lo * row_width_, (hi - lo) * row_width_,
-                       storage::Access::kSequential);
-      }
+  /// Charges a sequential scan of rows [lo, hi) to `io`.
+  void TouchRowRange(storage::IoStats* io, size_t lo, size_t hi) const {
+    if (io != nullptr && hi > lo) {
+      io->TouchBytes(heap_id_, lo * row_width_, (hi - lo) * row_width_,
+                     storage::Access::kSequential);
     }
   }
 

@@ -6,7 +6,6 @@ namespace moaflat::storage {
 namespace {
 
 std::atomic<uint64_t> g_next_heap_id{1};
-thread_local IoStats* t_current_io = nullptr;
 
 }  // namespace
 
@@ -102,11 +101,6 @@ void IoStats::AdmitLru(uint64_t key, Access acc) {
 
 void IoStats::MergeFrom(const IoStats& shard) {
   touches_ += shard.touches_;
-  if (shard.has_error_.load(std::memory_order_acquire) &&
-      !has_error_.load(std::memory_order_relaxed)) {
-    error_ = shard.error_;
-    has_error_.store(true, std::memory_order_release);
-  }
   if (capacity_ > 0) {
     for (const auto& [key, acc] : shard.fault_log_) AdmitLru(key, acc);
     return;
@@ -185,13 +179,5 @@ ColdPageFilter::ColdPageFilter(IoStats* io, uint64_t heap, int width,
 ColdPageFilter::~ColdPageFilter() {
   if (repeats_ > 0) io_->touches_ += repeats_;
 }
-
-IoStats* CurrentIo() { return t_current_io; }
-
-IoScope::IoScope(IoStats* stats) : previous_(t_current_io) {
-  t_current_io = stats;
-}
-
-IoScope::~IoScope() { t_current_io = previous_; }
 
 }  // namespace moaflat::storage

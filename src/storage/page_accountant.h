@@ -36,7 +36,7 @@ enum class Access { kSequential, kRandom };
 /// The paper measures real virtual-memory page faults of cold memory-mapped
 /// BATs on a 128 MB SPARCstation. We reproduce the measurement by modelling
 /// each heap as a cold memory-mapped file of 4 KB pages: the first touch of
-/// any page in the lifetime of an IoStats scope is a fault, later touches
+/// any page in the lifetime of an IoStats is a fault, later touches
 /// are hits. This is precisely the assumption under which the Section
 /// 5.2.2 formulas E_rel / E_dv are derived.
 ///
@@ -73,8 +73,10 @@ class IoStats {
 
   /// Accountant for one block of a parallel kernel phase: unlimited
   /// capacity (blocks start cold, so the fault set *is* the touched page
-  /// set) and an ordered fault log that MergeFrom replays. Install it via
-  /// IoScope inside the block, then merge the shards in block order.
+  /// set) and an ordered fault log that MergeFrom replays. The block passes
+  /// it to its touches; the owner merges the shards in block order. A
+  /// shard draws no kIo fault-injection events: its faults draw theirs
+  /// when MergeFrom replays them into the owner.
   static IoStats ForShard() {
     IoStats s;
     s.log_faults_ = true;
@@ -216,8 +218,11 @@ class IoStats {
     } else {
       ++rand_faults_;
     }
-    if (log_faults_) fault_log_.emplace_back(key, acc);
     memo_key_ = key;
+    if (log_faults_) {
+      fault_log_.emplace_back(key, acc);
+      return;
+    }
     // Simulated IO errors fire per *fault* (not per touch), on the thread
     // that owns this accountant — serial kernels directly, parallel ones
     // at the block-ordered shard merge, keeping the decision sequence
@@ -337,25 +342,6 @@ class ColdPageFilter {
   uint64_t pages_ = 0;
   uint64_t pages_seen_ = 0;
   uint64_t repeats_ = 0;
-};
-
-/// The IoStats currently collecting for this thread, or nullptr when IO
-/// accounting is off (the common case for unit tests of pure logic).
-IoStats* CurrentIo();
-
-/// RAII scope that installs an IoStats as the thread's collector. Scopes
-/// nest; the innermost wins. Kernel operators call CurrentIo() on their hot
-/// paths, so accounting costs one thread-local load when disabled.
-class IoScope {
- public:
-  explicit IoScope(IoStats* stats);
-  ~IoScope();
-
-  IoScope(const IoScope&) = delete;
-  IoScope& operator=(const IoScope&) = delete;
-
- private:
-  IoStats* previous_;
 };
 
 }  // namespace moaflat::storage

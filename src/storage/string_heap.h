@@ -35,18 +35,6 @@ class StringHeap {
     return std::string_view(base);  // entries are NUL-terminated
   }
 
-  /// Reads the string at `offset`, reporting the page touch to the current
-  /// IO scope (strings cost IO in the tail heap, not only the BUN heap).
-  std::string_view ViewCounted(int32_t offset) const {
-    if (IoStats* io = CurrentIo()) {
-      std::string_view v = View(offset);
-      io->TouchBytes(heap_id_, static_cast<uint64_t>(offset), v.size() + 1,
-                     Access::kRandom);
-      return v;
-    }
-    return View(offset);
-  }
-
   uint64_t heap_id() const { return heap_id_; }
   size_t byte_size() const { return bytes_.size(); }
 

@@ -16,8 +16,8 @@ namespace moaflat::tpcd {
 /// listing.
 class MilRun {
  public:
-  explicit MilRun(const moa::Database& db,
-                  const kernel::ExecContext* ctx = nullptr)
+  /// Statements run under `*ctx`, which must outlive the run.
+  MilRun(const moa::Database& db, const kernel::ExecContext* ctx)
       : env_(db.env()), ctx_(ctx) {}
 
   /// Executes `op(args...)` into a fresh temp; returns the temp name.
@@ -29,12 +29,6 @@ class MilRun {
     MF_RETURN_NOT_OK(one.Exec(stmt));
     for (const auto& t : one.traces()) traces_.push_back(t);
     return var;
-  }
-
-  /// The context statements run under (a thread-local snapshot when the
-  /// run was built without one).
-  kernel::ExecContext context() const {
-    return ctx_ != nullptr ? *ctx_ : kernel::ExecContext::FromThreadLocals();
   }
 
   Result<bat::Bat> GetBat(const std::string& var) const {
@@ -53,7 +47,7 @@ class MilRun {
   Result<double> SumTail(const std::string& var) const {
     MF_ASSIGN_OR_RETURN(bat::Bat b, env_.GetBat(var));
     MF_ASSIGN_OR_RETURN(
-        Value v, kernel::ScalarAggregate(context(), kernel::AggKind::kSum, b));
+        Value v, kernel::ScalarAggregate(*ctx_, kernel::AggKind::kSum, b));
     return v.AsDbl();
   }
 

@@ -49,17 +49,9 @@ class QuerySuite {
   /// context, so concurrent runs with separate contexts are isolated.
   Result<EngineRun> RunMonet(int q, const kernel::ExecContext& ctx);
 
-  /// Runs query `q` on the row-store baseline under `ctx` (the context's
-  /// IoStats is bound for the duration of the run).
+  /// Runs query `q` on the row-store baseline, charging its page faults to
+  /// the context's accountant (the baseline records no trace).
   Result<EngineRun> RunBaseline(int q, const kernel::ExecContext& ctx);
-
-  /// Compatibility overloads: snapshot the legacy thread-local scopes.
-  Result<EngineRun> RunMonet(int q) {
-    return RunMonet(q, kernel::ExecContext::FromThreadLocals());
-  }
-  Result<EngineRun> RunBaseline(int q) {
-    return RunBaseline(q, kernel::ExecContext::FromThreadLocals());
-  }
 
   const TpcdInstance& instance() const { return *inst_; }
 

@@ -277,11 +277,11 @@ TEST(DatavectorTest, FindPositionBinarySearches) {
   auto extent = Column::MakeOid({10, 20, 30, 40});
   auto values = Column::MakeInt({1, 2, 3, 4});
   Datavector dv(extent, values);
-  EXPECT_EQ(dv.FindPosition(30), 2);
-  EXPECT_EQ(dv.FindPosition(10), 0);
-  EXPECT_EQ(dv.FindPosition(40), 3);
-  EXPECT_EQ(dv.FindPosition(25), -1);
-  EXPECT_EQ(dv.FindPosition(99), -1);
+  EXPECT_EQ(dv.FindPosition(30, nullptr), 2);
+  EXPECT_EQ(dv.FindPosition(10, nullptr), 0);
+  EXPECT_EQ(dv.FindPosition(40, nullptr), 3);
+  EXPECT_EQ(dv.FindPosition(25, nullptr), -1);
+  EXPECT_EQ(dv.FindPosition(99, nullptr), -1);
 }
 
 TEST(DatavectorTest, LookupCacheRoundTrip) {
@@ -296,27 +296,25 @@ TEST(DatavectorTest, LookupCacheRoundTrip) {
 
 TEST(PageAccountingTest, ColdTouchesFaultOncePerPage) {
   storage::IoStats io;
-  storage::IoScope scope(&io);
   ColumnPtr c = Column::MakeInt(std::vector<int32_t>(4096, 7));  // 16 KB
-  c->TouchAll();
+  c->TouchAll(&io);
   EXPECT_EQ(io.faults(), 4u);  // 16KB / 4KB pages
-  c->TouchAll();               // warm now
+  c->TouchAll(&io);            // warm now
   EXPECT_EQ(io.faults(), 4u);
   io.Reset();
-  c->TouchAt(0);
+  c->TouchAt(&io, 0);
   EXPECT_EQ(io.faults(), 1u);
 }
 
 TEST(PageAccountingTest, VoidColumnsCostNoIo) {
   storage::IoStats io;
-  storage::IoScope scope(&io);
-  Column::MakeVoid(0, 1 << 20)->TouchAll();
+  Column::MakeVoid(0, 1 << 20)->TouchAll(&io);
   EXPECT_EQ(io.faults(), 0u);
 }
 
-TEST(PageAccountingTest, NoScopeMeansNoAccounting) {
+TEST(PageAccountingTest, NullAccountantMeansNoAccounting) {
   ColumnPtr c = Column::MakeInt({1, 2, 3});
-  c->TouchAll();  // must not crash without an IoScope
+  c->TouchAll(nullptr);  // must not crash without an accountant
   SUCCEED();
 }
 

@@ -9,7 +9,6 @@
 
 #include "common/rng.h"
 #include "kernel/cost_model.h"
-#include "tpcd/cost_model.h"  // the thin alias must keep compiling
 
 namespace moaflat::kernel {
 namespace {
@@ -141,12 +140,6 @@ TEST(PageGeometryTest, BinarySearchPagesIsLogarithmic) {
   EXPECT_GE(big, 12.0);
   EXPECT_LE(big, 13.0);
   EXPECT_LT(big, HeapPages(1 << 22, 4));
-}
-
-TEST(CostModelAliasTest, TpcdSpellingStillWorks) {
-  tpcd::CostModel m(tpcd::CostModelParams{});
-  EXPECT_EQ(m.CRel(), 60);  // floor(4096 / (17*4))
-  EXPECT_EQ(m.CDv(), 1024);
 }
 
 }  // namespace

@@ -42,7 +42,6 @@ using kernel::ExecContext;
 using kernel::ExecTracer;
 using kernel::KernelRegistry;
 using kernel::OpRecorder;
-using storage::IoScope;
 using storage::IoStats;
 
 constexpr size_t kExtentRows = 20000;  // ~40 extent pages of 8-byte oids
@@ -118,14 +117,13 @@ void ExpectSameIo(const IoStats& want, const IoStats& got,
   }
 }
 
-/// The reference: one FindPosition per probe, under an IO scope.
+/// The reference: one FindPosition per probe, reporting to `io`.
 std::vector<uint32_t> ReferencePositions(const Datavector& dv,
                                          const Column& probe, size_t begin,
                                          size_t end, IoStats* io) {
-  IoScope scope(io);
   std::vector<uint32_t> out;
   for (size_t i = begin; i < end; ++i) {
-    const int64_t pos = dv.FindPosition(probe.OidAt(i));
+    const int64_t pos = dv.FindPosition(probe.OidAt(i), io);
     if (pos >= 0) out.push_back(static_cast<uint32_t>(pos));
   }
   return out;
@@ -221,8 +219,7 @@ TEST(DenseExtentTest, DensityAndPathLengths) {
     const Datavector dv(extent, extent);
     for (size_t t = 0; t <= n; ++t) {
       IoStats io;
-      IoScope scope(&io);
-      (void)dv.FindPosition(50 + t);
+      (void)dv.FindPosition(50 + t, &io);
       EXPECT_EQ(dense->path_len[t], io.logical_touches())
           << "n=" << n << " t=" << t;
     }
@@ -307,23 +304,18 @@ Bat ReferenceSemijoin(const Datavector& dv, const Bat& cd, IoStats* io,
   const Column& extent = *dv.extent();
   const Column& values = *dv.values();
   std::vector<uint32_t> pos;
-  {
-    IoScope scope(io);
-    if (!cached) cd.head().TouchAll();
-  }
+  if (!cached) cd.head().TouchAll(io);
   IoStats shard = IoStats::ForShard();
   for (size_t i = 0; i < cd.size(); ++i) {
-    IoScope scope(&shard);
-    const int64_t p = dv.FindPosition(cd.head().OidAt(i));
+    const int64_t p = dv.FindPosition(cd.head().OidAt(i), &shard);
     if (p >= 0) pos.push_back(static_cast<uint32_t>(p));
   }
   if (!cached) io->MergeFrom(shard);
-  IoScope scope(io);
   std::vector<Oid> heads;
   std::vector<int32_t> tails;
   for (uint32_t p : pos) {
-    extent.TouchAt(p);
-    values.TouchAt(p);
+    extent.TouchAt(io, p);
+    values.TouchAt(io, p);
     heads.push_back(extent.OidAt(p));
     tails.push_back(values.Data<int32_t>()[p]);
   }

@@ -6,7 +6,7 @@
 
 #include "common/rng.h"
 #include "common/types.h"
-#include "tpcd/cost_model.h"
+#include "kernel/cost_model.h"
 
 namespace moaflat {
 namespace {
@@ -85,9 +85,9 @@ class CostModelSweep
 
 TEST_P(CostModelSweep, ModelIsMonotoneInSelectivity) {
   const auto [n, p] = GetParam();
-  tpcd::CostModelParams params;
+  kernel::CostModelParams params;
   params.n = n;
-  tpcd::CostModel m(params);
+  kernel::CostModel m(params);
   double prev_rel = -1, prev_dv = -1;
   for (double s = 0.0005; s <= 0.05; s *= 1.5) {
     const double rel = m.ERel(s);
@@ -101,9 +101,9 @@ TEST_P(CostModelSweep, ModelIsMonotoneInSelectivity) {
 
 TEST_P(CostModelSweep, DecomposedWinsAtHighSelectivityWhenPSmall) {
   const auto [n, p] = GetParam();
-  tpcd::CostModelParams params;
+  kernel::CostModelParams params;
   params.n = n;
-  tpcd::CostModel m(params);
+  kernel::CostModel m(params);
   // When projecting fewer attributes than the table holds, the thin
   // tables must win for large enough selectivity.
   if (p + 1 < n) {

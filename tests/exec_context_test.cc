@@ -61,25 +61,6 @@ TEST(ExecContextTest, TracerAndIoFlowThroughContext) {
   EXPECT_EQ(tracer.TotalFaults(), io.faults());
 }
 
-TEST(ExecContextTest, ExplicitContextIgnoresThreadLocalScopes) {
-  // An explicit context is authoritative: operators under it must not
-  // leak records or faults into an active legacy scope.
-  ExecTracer ambient_tracer;
-  storage::IoStats ambient_io;
-  kernel::TraceScope ts(&ambient_tracer);
-  storage::IoScope is(&ambient_io);
-
-  ExecContext ctx;  // no tracer, no io
-  ASSERT_TRUE(kernel::Select(ctx, SmallBat(4096), Value::Int(3)).ok());
-  EXPECT_TRUE(ambient_tracer.records.empty());
-  EXPECT_EQ(ambient_io.faults(), 0u);
-
-  // The legacy wrappers snapshot the scopes, as before.
-  ASSERT_TRUE(kernel::Select(SmallBat(4096), Value::Int(3)).ok());
-  EXPECT_EQ(ambient_tracer.records.size(), 1u);
-  EXPECT_GT(ambient_io.faults(), 0u);
-}
-
 TEST(ExecContextTest, MemoryBudgetVetoesLargeMaterializations) {
   Bat ab = SmallBat(10000);
 

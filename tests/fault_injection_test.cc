@@ -15,6 +15,7 @@
 
 #include "bat/bat.h"
 #include "common/fault_injector.h"
+#include "common/parallel.h"
 #include "kernel/exec_context.h"
 #include "kernel/operators.h"
 #include "mil/interpreter.h"
@@ -110,6 +111,38 @@ TEST(FaultInjectionTest, InjectedIoErrorSurfacesAndClears) {
   io.Reset();
   auto again = kernel::Select(ctx, ab, Value::Int(7));
   EXPECT_TRUE(again.ok()) << again.status().ToString();
+}
+
+TEST(FaultInjectionTest, OnlyTheOwningAccountantDrawsIoEvents) {
+  // A kIo event is drawn once per fault of the context's accountant. The
+  // shard accountants of a parallel phase draw none: their faults are
+  // drawn when the owner replays them at the block-ordered merge, so the
+  // draw count is the fault count at any degree, whichever thread runs a
+  // block.
+  constexpr size_t kRows = 400000;
+  std::vector<Oid> heads(kRows);
+  std::vector<int32_t> tails(kRows);
+  for (size_t i = 0; i < kRows; ++i) {
+    heads[i] = Oid{7} + i;
+    tails[i] = static_cast<int32_t>(i * 2654435761u % 9973);
+  }
+  const Bat ab(Column::MakeOid(heads), Column::MakeInt(tails));
+  const auto draws = [&](int degree) {
+    FaultInjector fi(/*seed=*/1, /*rate=*/0.0);
+    storage::IoStats io;
+    ExecContext ctx;
+    ctx.WithIo(&io).WithFaultInjector(&fi).WithParallelDegree(degree);
+    auto res =
+        kernel::SelectRange(ctx, ab, Value::Int(100), Value::Int(5000));
+    EXPECT_TRUE(res.ok()) << res.status().ToString();
+    EXPECT_EQ(fi.calls(FaultInjector::Site::kIo), io.faults());
+    return fi.calls(FaultInjector::Site::kIo);
+  };
+  SetParallelBlockCap(4);
+  const uint64_t serial = draws(1);
+  EXPECT_GT(serial, 0u);
+  for (int rep = 0; rep < 10; ++rep) EXPECT_EQ(draws(4), serial);
+  SetParallelBlockCap(0);
 }
 
 TEST(FaultInjectionTest, InjectedAllocFailureUnwindsAtStatementBoundary) {

@@ -19,6 +19,7 @@ namespace moaflat {
 namespace {
 
 TEST(Fig10ConsistencyTest, HandWrittenMilMatchesRewriterOutput) {
+  kernel::ExecContext ctx;
   auto inst = tpcd::MakeInstance(0.004).ValueOrDie();
   const std::string clerk = inst->probe_clerk;
 
@@ -42,7 +43,7 @@ TEST(Fig10ConsistencyTest, HandWrittenMilMatchesRewriterOutput) {
       "LOSS := {sum}(losses)\n";
   mil::MilEnv env = inst->db.env();
   auto program = mil::ParseMil(fig10).ValueOrDie();
-  mil::MilInterpreter interp(&env);
+  mil::MilInterpreter interp(&env, &ctx);
   ASSERT_TRUE(interp.Run(program).ok()) << interp.TraceString();
 
   std::map<int, double> by_mil;
@@ -67,7 +68,7 @@ TEST(Fig10ConsistencyTest, HandWrittenMilMatchesRewriterOutput) {
       "*(extendedprice, -(1.0, discount)) : revenue>]("
       "select[=(order.clerk, \"" + clerk + "\"), =(returnflag, 'R')]"
       "(Item))))";
-  auto qr = moa::RunMoa(inst->db, moa_text).ValueOrDie();
+  auto qr = moa::RunMoa(ctx, inst->db, moa_text).ValueOrDie();
   moa::ResultView view(&qr.env);
   const moa::StructExpr& root = *qr.translation.result;
   auto year_f = view.Field(*root.elem, "year").ValueOrDie();

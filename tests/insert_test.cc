@@ -19,7 +19,8 @@ Bat SortedKeyedBat() {
 }
 
 TEST(InsertTest, AppendsValues) {
-  Bat out = InsertBuns(SortedKeyedBat(), {Value::MakeOid(4)},
+  ExecContext ctx;
+  Bat out = InsertBuns(ctx, SortedKeyedBat(), {Value::MakeOid(4)},
                        {Value::Int(40)})
                 .ValueOrDie();
   ASSERT_EQ(out.size(), 4u);
@@ -28,7 +29,8 @@ TEST(InsertTest, AppendsValues) {
 }
 
 TEST(InsertTest, OrderPreservingInsertKeepsSortedness) {
-  Bat out = InsertBuns(SortedKeyedBat(), {Value::MakeOid(4)},
+  ExecContext ctx;
+  Bat out = InsertBuns(ctx, SortedKeyedBat(), {Value::MakeOid(4)},
                        {Value::Int(35)})
                 .ValueOrDie();
   EXPECT_TRUE(out.props().hsorted);
@@ -37,7 +39,8 @@ TEST(InsertTest, OrderPreservingInsertKeepsSortedness) {
 }
 
 TEST(InsertTest, OutOfOrderInsertSwitchesSortednessOff) {
-  Bat out = InsertBuns(SortedKeyedBat(), {Value::MakeOid(9)},
+  ExecContext ctx;
+  Bat out = InsertBuns(ctx, SortedKeyedBat(), {Value::MakeOid(9)},
                        {Value::Int(5)})
                 .ValueOrDie();
   EXPECT_TRUE(out.props().hsorted);   // 9 continues the head order
@@ -46,7 +49,8 @@ TEST(InsertTest, OutOfOrderInsertSwitchesSortednessOff) {
 }
 
 TEST(InsertTest, DuplicateHeadSwitchesKeyOff) {
-  Bat out = InsertBuns(SortedKeyedBat(), {Value::MakeOid(2)},
+  ExecContext ctx;
+  Bat out = InsertBuns(ctx, SortedKeyedBat(), {Value::MakeOid(2)},
                        {Value::Int(99)})
                 .ValueOrDie();
   EXPECT_FALSE(out.props().hkey);
@@ -55,7 +59,8 @@ TEST(InsertTest, DuplicateHeadSwitchesKeyOff) {
 }
 
 TEST(InsertTest, DuplicateWithinInsertedRunDetected) {
-  Bat out = InsertBuns(SortedKeyedBat(),
+  ExecContext ctx;
+  Bat out = InsertBuns(ctx, SortedKeyedBat(),
                        {Value::MakeOid(7), Value::MakeOid(7)},
                        {Value::Int(70), Value::Int(80)})
                 .ValueOrDie();
@@ -64,8 +69,9 @@ TEST(InsertTest, DuplicateWithinInsertedRunDetected) {
 }
 
 TEST(InsertTest, OriginalBatUntouched) {
+  ExecContext ctx;
   Bat original = SortedKeyedBat();
-  Bat out = InsertBuns(original, {Value::MakeOid(4)}, {Value::Int(1)})
+  Bat out = InsertBuns(ctx, original, {Value::MakeOid(4)}, {Value::Int(1)})
                 .ValueOrDie();
   EXPECT_EQ(original.size(), 3u);
   EXPECT_EQ(out.size(), 4u);
@@ -73,14 +79,16 @@ TEST(InsertTest, OriginalBatUntouched) {
 }
 
 TEST(InsertTest, MismatchedCountsRejected) {
+  ExecContext ctx;
   EXPECT_FALSE(
-      InsertBuns(SortedKeyedBat(), {Value::MakeOid(4)}, {}).ok());
+      InsertBuns(ctx, SortedKeyedBat(), {Value::MakeOid(4)}, {}).ok());
 }
 
 TEST(InsertTest, WorksOnStringTails) {
+  ExecContext ctx;
   Bat names(Column::MakeOid({1, 2}), Column::MakeStr({"ann", "bob"}),
             Properties{true, true, true, true});
-  Bat out = InsertBuns(names, {Value::MakeOid(3)}, {Value::Str("ann")})
+  Bat out = InsertBuns(ctx, names, {Value::MakeOid(3)}, {Value::Str("ann")})
                 .ValueOrDie();
   EXPECT_FALSE(out.props().tkey);    // duplicate string detected
   EXPECT_FALSE(out.props().tsorted); // "ann" < "bob"
@@ -88,7 +96,8 @@ TEST(InsertTest, WorksOnStringTails) {
 }
 
 TEST(InsertTest, EmptyInsertIsIdentityOnProperties) {
-  Bat out = InsertBuns(SortedKeyedBat(), {}, {}).ValueOrDie();
+  ExecContext ctx;
+  Bat out = InsertBuns(ctx, SortedKeyedBat(), {}, {}).ValueOrDie();
   EXPECT_EQ(out.size(), 3u);
   EXPECT_TRUE(out.props().hkey);
   EXPECT_TRUE(out.props().tsorted);

@@ -190,6 +190,7 @@ TEST_F(MilAnalyzerTest, InfersTypesAndCardinalities) {
 }
 
 TEST_F(MilAnalyzerTest, TwoProbeNarrowingIsExactOnSortedTails) {
+  kernel::ExecContext ctx;
   // A point select on a sorted catalog tail narrows to the true count:
   // the interval contains exactly the runtime cardinality.
   AnalysisReport r = Analyze("r := select(vals, 20)\n");
@@ -197,7 +198,7 @@ TEST_F(MilAnalyzerTest, TwoProbeNarrowingIsExactOnSortedTails) {
   const CardInterval c = r.bindings.at("r").card;
 
   MilEnv env = env_;
-  MilInterpreter interp(&env);
+  MilInterpreter interp(&env, &ctx);
   ASSERT_TRUE(interp.Run(*ParseMil("r := select(vals, 20)\n")).ok());
   const double measured =
       static_cast<double>(env.GetBat("r").ValueOrDie().size());
@@ -209,8 +210,9 @@ TEST_F(MilAnalyzerTest, TwoProbeNarrowingIsExactOnSortedTails) {
 // ------------------------------------------------------- zero execution
 
 TEST_F(MilAnalyzerTest, InterpreterGateRejectsWithoutExecuting) {
+  kernel::ExecContext ctx;
   MilEnv env = env_;
-  MilInterpreter interp(&env);
+  MilInterpreter interp(&env, &ctx);
   // Statement 1 is valid; statement 2 is not. Nothing may run — the gate
   // must reject the whole program before the first statement executes.
   Status run = interp.Run(*ParseMil(

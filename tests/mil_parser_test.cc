@@ -92,6 +92,7 @@ TEST(MilParserTest, Errors) {
 }
 
 TEST(MilParserTest, ParsedProgramExecutes) {
+  kernel::ExecContext ctx;
   MilEnv env;
   env.BindBat("Order_clerk",
               Bat(Column::MakeOid({1, 2, 3}),
@@ -102,12 +103,13 @@ TEST(MilParserTest, ParsedProgramExecutes) {
                     "totals := semijoin(Order_total, orders)\n"
                     "s := sum(totals)\n")
                .ValueOrDie();
-  MilInterpreter interp(&env);
+  MilInterpreter interp(&env, &ctx);
   ASSERT_TRUE(interp.Run(p).ok());
   EXPECT_DOUBLE_EQ(env.GetValue("s").ValueOrDie().AsDbl(), 40.0);
 }
 
 TEST(MilParserTest, ThePaperFig10ScriptShapeExecutes) {
+  kernel::ExecContext ctx;
   // The Fig. 10 listing with this repo's BAT names, nested calls and
   // postfix ops included.
   MilEnv env;
@@ -143,7 +145,7 @@ TEST(MilParserTest, ThePaperFig10ScriptShapeExecutes) {
       "losses := join(class.mirror, rlprices)\n"
       "LOSS := {sum}(losses)\n";
   auto p = ParseMil(script).ValueOrDie();
-  MilInterpreter interp(&env);
+  MilInterpreter interp(&env, &ctx);
   ASSERT_TRUE(interp.Run(p).ok()) << interp.TraceString();
   Bat loss = env.GetBat("LOSS").ValueOrDie();
   ASSERT_EQ(loss.size(), 1u);  // C1's returned item is in one year

@@ -22,12 +22,13 @@ class MilTest : public ::testing::Test {
 
   Result<Bat> Run1(const std::string& var, const std::string& op,
                    std::vector<MilArg> args) {
-    MilInterpreter interp(&env_);
+    MilInterpreter interp(&env_, &ctx_);
     MF_RETURN_NOT_OK(interp.Exec(MilStmt{var, op, std::move(args)}));
     return env_.GetBat(var);
   }
 
   MilEnv env_;
+  kernel::ExecContext ctx_;
 };
 
 TEST_F(MilTest, SelectPointAndRange) {
@@ -60,7 +61,7 @@ TEST_F(MilTest, SelectComparatorFamily) {
 }
 
 TEST_F(MilTest, JoinSemijoinMirror) {
-  MilInterpreter interp(&env_);
+  MilInterpreter interp(&env_, &ctx_);
   ASSERT_TRUE(interp
                   .Exec(MilStmt{"sel", "select",
                                 {V("names"), L(Value::Str("a"))}})
@@ -75,7 +76,7 @@ TEST_F(MilTest, JoinSemijoinMirror) {
 }
 
 TEST_F(MilTest, GroupAndSetAggregate) {
-  MilInterpreter interp(&env_);
+  MilInterpreter interp(&env_, &ctx_);
   ASSERT_TRUE(interp.Exec(MilStmt{"g", "group", {V("names")}}).ok());
   ASSERT_TRUE(interp.Exec(MilStmt{"gm", "mirror", {V("g")}}).ok());
   ASSERT_TRUE(
@@ -88,7 +89,7 @@ TEST_F(MilTest, GroupAndSetAggregate) {
 }
 
 TEST_F(MilTest, ScalarAggregatesBindValues) {
-  MilInterpreter interp(&env_);
+  MilInterpreter interp(&env_, &ctx_);
   ASSERT_TRUE(interp.Exec(MilStmt{"total", "sum", {V("vals")}}).ok());
   EXPECT_DOUBLE_EQ(env_.GetValue("total").ValueOrDie().AsDbl(), 100.0);
   ASSERT_TRUE(interp.Exec(MilStmt{"n", "count", {V("vals")}}).ok());
@@ -98,7 +99,7 @@ TEST_F(MilTest, ScalarAggregatesBindValues) {
 }
 
 TEST_F(MilTest, ScalarCalcOps) {
-  MilInterpreter interp(&env_);
+  MilInterpreter interp(&env_, &ctx_);
   ASSERT_TRUE(interp.Exec(MilStmt{"total", "sum", {V("vals")}}).ok());
   ASSERT_TRUE(interp
                   .Exec(MilStmt{"half", "calc.*",
@@ -112,7 +113,7 @@ TEST_F(MilTest, ScalarCalcOps) {
 }
 
 TEST_F(MilTest, MultiplexWithScalarVariable) {
-  MilInterpreter interp(&env_);
+  MilInterpreter interp(&env_, &ctx_);
   ASSERT_TRUE(interp.Exec(MilStmt{"avg_v", "avg", {V("vals")}}).ok());
   ASSERT_TRUE(interp
                   .Exec(MilStmt{"dev", "[-]", {V("vals"), V("avg_v")}})
@@ -122,7 +123,7 @@ TEST_F(MilTest, MultiplexWithScalarVariable) {
 }
 
 TEST_F(MilTest, ReshapeOps) {
-  MilInterpreter interp(&env_);
+  MilInterpreter interp(&env_, &ctx_);
   ASSERT_TRUE(
       interp.Exec(MilStmt{"mk", "mark", {V("vals"), L(Value::Int(100))}})
           .ok());
@@ -149,7 +150,7 @@ TEST_F(MilTest, ReshapeOps) {
 }
 
 TEST_F(MilTest, ErrorsAreCleanNotFatal) {
-  MilInterpreter interp(&env_);
+  MilInterpreter interp(&env_, &ctx_);
   EXPECT_EQ(interp.Exec(MilStmt{"x", "select", {V("nosuch")}}).code(),
             StatusCode::kKeyError);
   EXPECT_EQ(interp.Exec(MilStmt{"x", "frobnicate", {V("vals")}}).code(),
@@ -158,7 +159,7 @@ TEST_F(MilTest, ErrorsAreCleanNotFatal) {
 }
 
 TEST_F(MilTest, TracesRecordEveryStatement) {
-  MilInterpreter interp(&env_);
+  MilInterpreter interp(&env_, &ctx_);
   ASSERT_TRUE(interp
                   .Exec(MilStmt{"s", "select",
                                 {V("names"), L(Value::Str("a"))}})
@@ -194,6 +195,7 @@ TEST(MilProgramTest, BuilderGeneratesFreshTemps) {
 }
 
 TEST(MilProgramTest, RunExecutesWholeProgram) {
+  kernel::ExecContext ctx;
   MilEnv env;
   env.BindBat("base", bat::Bat(Column::MakeOid({1, 2, 3}),
                                Column::MakeInt({5, 6, 7})));
@@ -201,7 +203,7 @@ TEST(MilProgramTest, RunExecutesWholeProgram) {
   b.Let("sel", "select.>", {V("base"), L(Value::Int(5))});
   b.Let("n", "count", {V("sel")});
   MilProgram p = b.Finish({"n"});
-  MilInterpreter interp(&env);
+  MilInterpreter interp(&env, &ctx);
   ASSERT_TRUE(interp.Run(p).ok());
   EXPECT_EQ(env.GetValue("n").ValueOrDie().AsLng(), 2);
 }

@@ -154,8 +154,9 @@ TEST_F(MoaEndToEndTest, PathSelectJoinsBackwards) {
 }
 
 TEST_F(MoaEndToEndTest, SelectCountMatchesGenerator) {
-  auto qr =
-      RunMoa(instance_->db, "select[=(returnflag, 'R')](Item)").ValueOrDie();
+  kernel::ExecContext ctx;
+  auto qr = RunMoa(ctx, instance_->db, "select[=(returnflag, 'R')](Item)")
+                .ValueOrDie();
   ResultView view(&qr.env);
   auto ids = view.SetIds(*qr.translation.result).ValueOrDie();
 
@@ -168,7 +169,8 @@ TEST_F(MoaEndToEndTest, SelectCountMatchesGenerator) {
 }
 
 TEST_F(MoaEndToEndTest, ConjunctivePredicatesIntersect) {
-  auto qr = RunMoa(instance_->db,
+  kernel::ExecContext ctx;
+  auto qr = RunMoa(ctx, instance_->db,
                    "select[=(returnflag, 'R'), <(discount, 0.05)](Item)")
                 .ValueOrDie();
   ResultView view(&qr.env);
@@ -181,7 +183,8 @@ TEST_F(MoaEndToEndTest, ConjunctivePredicatesIntersect) {
 }
 
 TEST_F(MoaEndToEndTest, ProjectComputesArithmetic) {
-  auto qr = RunMoa(instance_->db,
+  kernel::ExecContext ctx;
+  auto qr = RunMoa(ctx, instance_->db,
                    "project[<*(extendedprice, -(1.0, discount)) : revenue>]("
                    "select[=(returnflag, 'R')](Item))")
                 .ValueOrDie();
@@ -198,6 +201,7 @@ TEST_F(MoaEndToEndTest, ProjectComputesArithmetic) {
 }
 
 TEST_F(MoaEndToEndTest, ThePaperQ13EndToEnd) {
+  kernel::ExecContext ctx;
   const std::string q13 =
       "project[<date : year, sum(project[revenue](%2)) : loss>]("
       "  nest[date]("
@@ -207,7 +211,7 @@ TEST_F(MoaEndToEndTest, ThePaperQ13EndToEnd) {
       instance_->probe_clerk +
       "\"),"
       "             =(returnflag, 'R')](Item))))";
-  auto qr = RunMoa(instance_->db, q13).ValueOrDie();
+  auto qr = RunMoa(ctx, instance_->db, q13).ValueOrDie();
 
   // Expected loss per year, computed straight off the generated rows.
   std::map<int, double> expected;
@@ -241,13 +245,14 @@ TEST_F(MoaEndToEndTest, ThePaperQ13EndToEnd) {
 }
 
 TEST_F(MoaEndToEndTest, Q13UsesDatavectorSemijoins) {
+  kernel::ExecContext ctx;
   const std::string q13 =
       "project[<date : year, sum(project[revenue](%2)) : loss>]("
       "nest[date](project[<year(order.orderdate) : date,"
       "*(extendedprice, -(1.0, discount)) : revenue>]("
       "select[=(order.clerk, \"" +
       instance_->probe_clerk + "\"), =(returnflag, 'R')](Item))))";
-  auto qr = RunMoa(instance_->db, q13).ValueOrDie();
+  auto qr = RunMoa(ctx, instance_->db, q13).ValueOrDie();
   // The returnflag / extendedprice / discount accesses must have gone
   // through the datavector semijoin (Fig. 10 commentary).
   std::string all_impls;
@@ -257,8 +262,9 @@ TEST_F(MoaEndToEndTest, Q13UsesDatavectorSemijoins) {
 }
 
 TEST_F(MoaEndToEndTest, NestedSetSelectionOfSection432) {
+  kernel::ExecContext ctx;
   // "for each supplier, the set of parts that are out of stock"
-  auto qr = RunMoa(instance_->db,
+  auto qr = RunMoa(ctx, instance_->db,
                    "project[<%name : name, "
                    "select[=(%available, 0)](%supplies) : oos>](Supplier)")
                 .ValueOrDie();
@@ -288,7 +294,8 @@ TEST_F(MoaEndToEndTest, NestedSetSelectionOfSection432) {
 }
 
 TEST_F(MoaEndToEndTest, StructureExpressionShape) {
-  auto qr = RunMoa(instance_->db,
+  kernel::ExecContext ctx;
+  auto qr = RunMoa(ctx, instance_->db,
                    "project[<year(order.orderdate) : date>]("
                    "select[=(returnflag, 'R')](Item))")
                 .ValueOrDie();
@@ -298,7 +305,8 @@ TEST_F(MoaEndToEndTest, StructureExpressionShape) {
 }
 
 TEST_F(MoaEndToEndTest, RenderProducesReadableOutput) {
-  auto qr = RunMoa(instance_->db,
+  kernel::ExecContext ctx;
+  auto qr = RunMoa(ctx, instance_->db,
                    "project[<year(order.orderdate) : date>]("
                    "select[=(returnflag, 'R')](Item))")
                 .ValueOrDie();
@@ -307,13 +315,15 @@ TEST_F(MoaEndToEndTest, RenderProducesReadableOutput) {
 }
 
 TEST_F(MoaEndToEndTest, UnknownAttributeFailsCleanly) {
-  auto r = RunMoa(instance_->db, "select[=(bogus, 1)](Item)");
+  kernel::ExecContext ctx;
+  auto r = RunMoa(ctx, instance_->db, "select[=(bogus, 1)](Item)");
   EXPECT_FALSE(r.ok());
   EXPECT_EQ(r.status().code(), StatusCode::kKeyError);
 }
 
 TEST_F(MoaEndToEndTest, UnknownClassFailsCleanly) {
-  auto r = RunMoa(instance_->db, "select[=(a, 1)](Nonexistent)");
+  kernel::ExecContext ctx;
+  auto r = RunMoa(ctx, instance_->db, "select[=(a, 1)](Nonexistent)");
   EXPECT_FALSE(r.ok());
 }
 

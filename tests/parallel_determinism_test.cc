@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <numeric>
 #include <string>
 #include <vector>
@@ -18,6 +19,8 @@
 #include "kernel/exec_context.h"
 #include "kernel/operators.h"
 #include "storage/page_accountant.h"
+#include "tpcd/loader.h"
+#include "tpcd/queries.h"
 
 namespace moaflat {
 namespace {
@@ -110,10 +113,13 @@ Measured RunAt(int degree, const char* op, Body&& body) {
 
 /// The hardware block cap would fold a degree-8 plan down to the machine's
 /// core count (a single block on 1-core CI), silently skipping the
-/// shard-merge paths this suite exists to test; force full fan-out for the
-/// duration of a run.
+/// shard-merge paths this suite exists to test; force full fan-out (or a
+/// fixed `cap`, making plans machine-independent) for the duration of a
+/// run.
 struct ForceFanout {
-  ForceFanout() { SetParallelBlockCap(kMaxParallelDegree); }
+  explicit ForceFanout(int cap = kMaxParallelDegree) {
+    SetParallelBlockCap(cap);
+  }
   ~ForceFanout() { SetParallelBlockCap(0); }
 };
 
@@ -431,6 +437,120 @@ TEST(ParallelDeterminismTest, ContextDegreeOverridesProcessDegree) {
       kernel::SelectRange(fanout, q, Value::Int(10), Value::Int(20)).ok());
   EXPECT_GT(TaskPool::Global().jobs_run(), jobs_before);
   SetParallelDegree(0);
+}
+
+// ------------------------------------------------- whole-query IO ledger
+
+/// One run of one TPC-D query (SF 0.01, default seed) in the IO ledger:
+/// faults, their sequential/random split, logical touches, and the
+/// Monet implementation sequence as its length plus an FNV-1a hash over
+/// the space-terminated implementation names (the row store records no
+/// implementations).
+struct LedgerRow {
+  int q;
+  char engine;  // 'm' = Monet, 'r' = row store
+  int degree;
+  uint64_t faults, seq, rnd, touches;
+  size_t ops;
+  uint64_t impl_hash;
+};
+
+/// Monet runs at degrees 1 and 4 (block cap 4), the row store at degree 1.
+/// The committed fault baseline gates faults only; this table also pins
+/// every touch, so a dropped touch of an already-resident page shows here.
+/// Re-record an entry only for an intended change of a query's access
+/// pattern.
+constexpr LedgerRow kLedger[] = {
+    {1, 'm', 1, 5035, 3184, 1851, 3443719, 41, 0x903da646aeda89b9ULL},
+    {1, 'm', 4, 5035, 3184, 1851, 3443719, 41, 0x903da646aeda89b9ULL},
+    {1, 'r', 1, 1331, 111, 1220, 60519, 0, 0xcbf29ce484222325ULL},
+    {2, 'm', 1, 102, 36, 66, 27535, 13, 0x7bd83bce81145398ULL},
+    {2, 'm', 4, 102, 36, 66, 27535, 13, 0x7bd83bce81145398ULL},
+    {2, 'r', 1, 99, 99, 0, 9848, 0, 0xcbf29ce484222325ULL},
+    {3, 'm', 1, 983, 251, 732, 458521, 23, 0x576ea68d0d4334d5ULL},
+    {3, 'm', 4, 966, 324, 642, 122537, 23, 0x9812029d4fe77c4dULL},
+    {3, 'r', 1, 1495, 91, 1404, 40719, 0, 0xcbf29ce484222325ULL},
+    {4, 'm', 1, 683, 150, 533, 101240, 12, 0xfadd64f4b1d06aa9ULL},
+    {4, 'm', 4, 573, 380, 193, 29189, 12, 0x08344b7c6581e13fULL},
+    {4, 'r', 1, 1394, 1212, 182, 78535, 0, 0xcbf29ce484222325ULL},
+    {5, 'm', 1, 1033, 276, 757, 323007, 22, 0x13d4360a4af059a7ULL},
+    {5, 'm', 4, 992, 374, 618, 148996, 22, 0xae2098fb770a9346ULL},
+    {5, 'r', 1, 1421, 1235, 186, 2486, 0, 0xcbf29ce484222325ULL},
+    {6, 'm', 1, 869, 331, 538, 1121538, 13, 0xfe8b26e966c1d05aULL},
+    {6, 'm', 4, 1115, 647, 468, 794557, 13, 0xa9623b3993ac2c74ULL},
+    {6, 'r', 1, 1146, 14, 1132, 9745, 0, 0xcbf29ce484222325ULL},
+    {7, 'm', 1, 1071, 309, 762, 580250, 27, 0x56c12e21c64c32eaULL},
+    {7, 'm', 4, 1239, 535, 704, 227424, 27, 0xf92bf387d9ad2f51ULL},
+    {7, 'r', 1, 1449, 235, 1214, 19728, 0, 0xcbf29ce484222325ULL},
+    {8, 'm', 1, 565, 148, 417, 10452, 30, 0xd708427b9df78653ULL},
+    {8, 'm', 4, 565, 148, 417, 10452, 30, 0xd708427b9df78653ULL},
+    {8, 'r', 1, 1438, 1438, 0, 34, 0, 0xcbf29ce484222325ULL},
+    {9, 'm', 1, 1473, 372, 1101, 292199, 31, 0xd07a949022a1d843ULL},
+    {9, 'm', 4, 1865, 1019, 846, 204428, 31, 0x5d205dc208f51f00ULL},
+    {9, 'r', 1, 1489, 1489, 0, 5, 0, 0xcbf29ce484222325ULL},
+    {10, 'm', 1, 855, 184, 671, 527167, 23, 0xc84bb49811a0d61fULL},
+    {10, 'm', 4, 1048, 489, 559, 116028, 23, 0xf52d711fac658cc8ULL},
+    {10, 'r', 1, 1392, 1392, 0, 2, 0, 0xcbf29ce484222325ULL},
+    {11, 'm', 1, 59, 26, 33, 8299, 12, 0x459f1893b7320c68ULL},
+    {11, 'm', 4, 59, 26, 33, 8299, 12, 0x459f1893b7320c68ULL},
+    {11, 'r', 1, 74, 74, 0, 3, 0, 0xcbf29ce484222325ULL},
+    {12, 'm', 1, 755, 170, 585, 389956, 27, 0xa8dd1193bcc8fb9aULL},
+    {12, 'm', 4, 940, 477, 463, 51288, 27, 0xaec3ae6c5bc82a22ULL},
+    {12, 'r', 1, 1392, 1392, 0, 2, 0, 0xcbf29ce484222325ULL},
+    {13, 'm', 1, 858, 191, 667, 174330, 19, 0x02ebd1753f7d763cULL},
+    {13, 'm', 4, 954, 529, 425, 37364, 19, 0x93f7ba814fa9b6feULL},
+    {13, 'r', 1, 1402, 1213, 189, 1582, 0, 0xcbf29ce484222325ULL},
+    {14, 'm', 1, 501, 20, 481, 18917, 11, 0xd89066a693643207ULL},
+    {14, 'm', 4, 501, 20, 481, 18917, 11, 0xd89066a693643207ULL},
+    {14, 'r', 1, 482, 24, 458, 856, 0, 0xcbf29ce484222325ULL},
+    {15, 'm', 1, 523, 38, 485, 51226, 10, 0xd590b99d940f7404ULL},
+    {15, 'm', 4, 775, 395, 380, 16392, 10, 0xf2f057aed399a82eULL},
+    {15, 'r', 1, 719, 3, 716, 2368, 0, 0xcbf29ce484222325ULL},
+};
+
+uint64_t Fnv1a(const std::string& s) {
+  uint64_t h = 14695981039346656037ULL;
+  for (const unsigned char c : s) {
+    h ^= c;
+    h *= 1099511628211ULL;
+  }
+  return h;
+}
+
+/// The row as it is spelled in kLedger, so a mismatch prints the entry.
+std::string LedgerString(const LedgerRow& r) {
+  using ull = unsigned long long;
+  char buf[160];
+  std::snprintf(buf, sizeof(buf),
+                "{%d, '%c', %d, %llu, %llu, %llu, %llu, %zu, 0x%016llxULL}",
+                r.q, r.engine, r.degree, static_cast<ull>(r.faults),
+                static_cast<ull>(r.seq), static_cast<ull>(r.rnd),
+                static_cast<ull>(r.touches), r.ops,
+                static_cast<ull>(r.impl_hash));
+  return buf;
+}
+
+TEST(ParallelDeterminismTest, WholeQueryIoLedgerIsPinned) {
+  ForceFanout cap(4);
+  auto inst = tpcd::MakeInstance(0.01).ValueOrDie();
+  tpcd::QuerySuite suite(inst);
+  for (const LedgerRow& want : kLedger) {
+    storage::IoStats io;
+    ExecTracer tracer;
+    ExecContext ctx;
+    ctx.WithIo(&io).WithTracer(&tracer).WithParallelDegree(want.degree);
+    auto run = want.engine == 'm' ? suite.RunMonet(want.q, ctx)
+                                  : suite.RunBaseline(want.q, ctx);
+    ASSERT_TRUE(run.ok()) << "Q" << want.q << ": "
+                          << run.status().ToString();
+    std::string impls;
+    for (const kernel::TraceRecord& r : tracer.records) impls += r.impl + " ";
+    const LedgerRow got{want.q, want.engine, want.degree,
+                        io.faults(), io.sequential_faults(),
+                        io.random_faults(), io.logical_touches(),
+                        tracer.records.size(), Fnv1a(impls)};
+    EXPECT_EQ(LedgerString(got), LedgerString(want)) << impls;
+  }
 }
 
 }  // namespace

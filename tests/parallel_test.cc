@@ -109,13 +109,16 @@ Bat BigRandomAttr(size_t n) {
 }
 
 TEST(ParallelTest, ParallelScanSelectMatchesSerial) {
+  kernel::ExecContext ctx;
   Bat ab = BigRandomAttr(200000);
   SetParallelDegree(1);
   Bat serial =
-      kernel::SelectRange(ab, Value::Int(100), Value::Int(300)).ValueOrDie();
+      kernel::SelectRange(ctx, ab, Value::Int(100), Value::Int(300))
+          .ValueOrDie();
   SetParallelDegree(6);
   Bat parallel =
-      kernel::SelectRange(ab, Value::Int(100), Value::Int(300)).ValueOrDie();
+      kernel::SelectRange(ctx, ab, Value::Int(100), Value::Int(300))
+          .ValueOrDie();
   SetParallelDegree(0);
   ASSERT_EQ(serial.size(), parallel.size());
   for (size_t i = 0; i < serial.size(); ++i) {
@@ -125,12 +128,13 @@ TEST(ParallelTest, ParallelScanSelectMatchesSerial) {
 }
 
 TEST(ParallelTest, ParallelMultiplexMatchesSerial) {
+  kernel::ExecContext ctx;
   Bat a = BigRandomAttr(150000);
   Bat b = Bat(a.head_col(), BigRandomAttr(150000).tail_col());
   SetParallelDegree(1);
-  Bat serial = kernel::Multiplex("*", {a, b}).ValueOrDie();
+  Bat serial = kernel::Multiplex(ctx, "*", {a, b}).ValueOrDie();
   SetParallelDegree(6);
-  Bat parallel = kernel::Multiplex("*", {a, b}).ValueOrDie();
+  Bat parallel = kernel::Multiplex(ctx, "*", {a, b}).ValueOrDie();
   SetParallelDegree(0);
   ASSERT_EQ(serial.size(), parallel.size());
   for (size_t i = 0; i < serial.size(); i += 97) {
@@ -238,18 +242,15 @@ TEST(ParallelTest, ShardMergeReproducesSerialFaults) {
 }
 
 TEST(ParallelTest, IoAccountingUnaffectedByDegree) {
+  kernel::ExecContext ctx;
   Bat ab = BigRandomAttr(100000);
   storage::IoStats io1, io6;
   SetParallelDegree(1);
-  {
-    storage::IoScope scope(&io1);
-    (void)kernel::SelectRange(ab, Value::Int(0), Value::Int(50));
-  }
+  ctx.WithIo(&io1);
+  (void)kernel::SelectRange(ctx, ab, Value::Int(0), Value::Int(50));
   SetParallelDegree(6);
-  {
-    storage::IoScope scope(&io6);
-    (void)kernel::SelectRange(ab, Value::Int(0), Value::Int(50));
-  }
+  ctx.WithIo(&io6);
+  (void)kernel::SelectRange(ctx, ab, Value::Int(0), Value::Int(50));
   SetParallelDegree(0);
   EXPECT_EQ(io1.faults(), io6.faults());
 }

@@ -63,12 +63,13 @@ std::multiset<std::pair<Oid, int32_t>> AsPairs(const Bat& b) {
 class KernelProperty : public ::testing::TestWithParam<Config> {};
 
 TEST_P(KernelProperty, SelectMatchesBruteForce) {
+  ExecContext ctx;
   const Config cfg = GetParam();
   Bat ab = MakeRandomAttr(cfg, 1);
   const int32_t lo = static_cast<int32_t>(cfg.value_range / 4);
   const int32_t hi = static_cast<int32_t>(3 * cfg.value_range / 4);
 
-  Bat out = SelectRange(ab, Value::Int(lo), Value::Int(hi)).ValueOrDie();
+  Bat out = SelectRange(ctx, ab, Value::Int(lo), Value::Int(hi)).ValueOrDie();
   std::multiset<std::pair<Oid, int32_t>> expected;
   for (size_t i = 0; i < ab.size(); ++i) {
     const int32_t v = static_cast<int32_t>(ab.tail().NumAt(i));
@@ -79,18 +80,20 @@ TEST_P(KernelProperty, SelectMatchesBruteForce) {
 }
 
 TEST_P(KernelProperty, SelectCmpPartitionsTheBat) {
+  ExecContext ctx;
   const Config cfg = GetParam();
   Bat ab = MakeRandomAttr(cfg, 2);
   const Value pivot = Value::Int(static_cast<int32_t>(cfg.value_range / 2));
-  const size_t lt = SelectCmp(ab, CmpOp::kLt, pivot).ValueOrDie().size();
-  const size_t eq = Select(ab, pivot).ValueOrDie().size();
-  const size_t gt = SelectCmp(ab, CmpOp::kGt, pivot).ValueOrDie().size();
-  const size_t ne = SelectCmp(ab, CmpOp::kNe, pivot).ValueOrDie().size();
+  const size_t lt = SelectCmp(ctx, ab, CmpOp::kLt, pivot).ValueOrDie().size();
+  const size_t eq = Select(ctx, ab, pivot).ValueOrDie().size();
+  const size_t gt = SelectCmp(ctx, ab, CmpOp::kGt, pivot).ValueOrDie().size();
+  const size_t ne = SelectCmp(ctx, ab, CmpOp::kNe, pivot).ValueOrDie().size();
   EXPECT_EQ(lt + eq + gt, ab.size());
   EXPECT_EQ(ne + eq, ab.size());
 }
 
 TEST_P(KernelProperty, JoinMatchesNestedLoop) {
+  ExecContext ctx;
   const Config cfg = GetParam();
   Bat ab = MakeRandomAttr(cfg, 3);
   // CD: [int-key, payload] derived from a second random BAT, mirrored so
@@ -98,7 +101,7 @@ TEST_P(KernelProperty, JoinMatchesNestedLoop) {
   Bat cd_src = MakeRandomAttr(cfg, 4);
   Bat cd = cd_src.Mirror();
 
-  Bat out = Join(ab, cd).ValueOrDie();
+  Bat out = Join(ctx, ab, cd).ValueOrDie();
   std::multiset<std::pair<Oid, int32_t>> expected;
   for (size_t i = 0; i < ab.size(); ++i) {
     for (size_t j = 0; j < cd.size(); ++j) {
@@ -118,6 +121,7 @@ TEST_P(KernelProperty, JoinMatchesNestedLoop) {
 }
 
 TEST_P(KernelProperty, SemijoinMatchesBruteForce) {
+  ExecContext ctx;
   const Config cfg = GetParam();
   Bat ab = MakeRandomAttr(cfg, 5);
   // Right operand: every third head of ab plus some misses.
@@ -126,7 +130,7 @@ TEST_P(KernelProperty, SemijoinMatchesBruteForce) {
   keys.push_back(999999999);
   Bat cd(Column::MakeOid(keys), Column::MakeVoid(0, keys.size()));
 
-  Bat out = Semijoin(ab, cd).ValueOrDie();
+  Bat out = Semijoin(ctx, ab, cd).ValueOrDie();
   std::set<Oid> right;
   for (Oid k : keys) right.insert(k);
   std::multiset<std::pair<Oid, int32_t>> expected;
@@ -140,11 +144,12 @@ TEST_P(KernelProperty, SemijoinMatchesBruteForce) {
   EXPECT_TRUE(out.Validate().ok());
 
   // Diff is the exact complement.
-  Bat anti = Diff(ab, cd).ValueOrDie();
+  Bat anti = Diff(ctx, ab, cd).ValueOrDie();
   EXPECT_EQ(out.size() + anti.size(), ab.size());
 }
 
 TEST_P(KernelProperty, DatavectorSemijoinAgreesWithHashSemijoin) {
+  ExecContext ctx;
   const Config cfg = GetParam();
   // Build an attribute family: oid-ordered values + tail-sorted BAT with
   // a datavector, exactly as the loader does.
@@ -158,7 +163,7 @@ TEST_P(KernelProperty, DatavectorSemijoinAgreesWithHashSemijoin) {
   auto extent = Column::MakeOid(oids);
   auto values = Column::MakeInt(vals);
   Bat oid_ordered(extent, values, bat::Properties{true, false, true, false});
-  Bat sorted = SortTail(oid_ordered).ValueOrDie();
+  Bat sorted = SortTail(ctx, oid_ordered).ValueOrDie();
   Bat with_dv = sorted;
   with_dv.SetDatavector(std::make_shared<bat::Datavector>(extent, values));
 
@@ -167,16 +172,17 @@ TEST_P(KernelProperty, DatavectorSemijoinAgreesWithHashSemijoin) {
   Bat right(Column::MakeOid(sel), Column::MakeVoid(0, sel.size()),
             bat::Properties{true, false, true, false});
 
-  Bat via_dv = Semijoin(with_dv, right).ValueOrDie();
-  Bat via_hash = Semijoin(sorted, right).ValueOrDie();
+  Bat via_dv = Semijoin(ctx, with_dv, right).ValueOrDie();
+  Bat via_hash = Semijoin(ctx, sorted, right).ValueOrDie();
   EXPECT_EQ(AsPairs(via_dv), AsPairs(via_hash));
   EXPECT_TRUE(via_dv.Validate().ok());
 }
 
 TEST_P(KernelProperty, SortIsPermutationAndSorted) {
+  ExecContext ctx;
   const Config cfg = GetParam();
   Bat ab = MakeRandomAttr(cfg, 6);
-  Bat out = SortTail(ab).ValueOrDie();
+  Bat out = SortTail(ctx, ab).ValueOrDie();
   EXPECT_EQ(out.size(), ab.size());
   EXPECT_EQ(AsPairs(out), AsPairs(ab));
   EXPECT_TRUE(out.tail().ComputeSorted());
@@ -184,12 +190,13 @@ TEST_P(KernelProperty, SortIsPermutationAndSorted) {
 }
 
 TEST_P(KernelProperty, TopNAgreesWithSortSlice) {
+  ExecContext ctx;
   const Config cfg = GetParam();
   Bat ab = MakeRandomAttr(cfg, 7);
   const size_t n = std::min<size_t>(5, ab.size());
-  Bat top = TopN(ab, n, /*descending=*/false).ValueOrDie();
-  Bat sorted = SortTail(ab).ValueOrDie();
-  Bat sliced = Slice(sorted, 0, n).ValueOrDie();
+  Bat top = TopN(ctx, ab, n, /*descending=*/false).ValueOrDie();
+  Bat sorted = SortTail(ctx, ab).ValueOrDie();
+  Bat sliced = Slice(ctx, sorted, 0, n).ValueOrDie();
   // Tail values must agree (head ties may be ordered differently).
   for (size_t i = 0; i < n; ++i) {
     EXPECT_EQ(top.tail().NumAt(i), sliced.tail().NumAt(i)) << i;
@@ -197,9 +204,10 @@ TEST_P(KernelProperty, TopNAgreesWithSortSlice) {
 }
 
 TEST_P(KernelProperty, GroupIsEquivalenceRelation) {
+  ExecContext ctx;
   const Config cfg = GetParam();
   Bat ab = MakeRandomAttr(cfg, 8);
-  Bat g = Group(ab).ValueOrDie();
+  Bat g = Group(ctx, ab).ValueOrDie();
   ASSERT_EQ(g.size(), ab.size());
   for (size_t i = 0; i < ab.size(); ++i) {
     for (size_t j = 0; j < std::min(ab.size(), i + 20); ++j) {
@@ -211,11 +219,12 @@ TEST_P(KernelProperty, GroupIsEquivalenceRelation) {
 }
 
 TEST_P(KernelProperty, SetAggregateSumMatchesBruteForce) {
+  ExecContext ctx;
   const Config cfg = GetParam();
   Bat ab = MakeRandomAttr(cfg, 9);
-  Bat g = Group(ab).ValueOrDie();
+  Bat g = Group(ctx, ab).ValueOrDie();
   Bat grouped = Bat(g.tail_col(), ab.tail_col());  // [gid, value]
-  Bat sums = SetAggregate(AggKind::kSum, grouped).ValueOrDie();
+  Bat sums = SetAggregate(ctx, AggKind::kSum, grouped).ValueOrDie();
 
   std::map<Oid, double> expected;
   for (size_t i = 0; i < grouped.size(); ++i) {
@@ -232,17 +241,18 @@ TEST_P(KernelProperty, SetAggregateSumMatchesBruteForce) {
     total_groups += sums.tail().NumAt(i);
   }
   const double total =
-      ScalarAggregate(AggKind::kSum, ab).ValueOrDie().AsDbl();
+      ScalarAggregate(ctx, AggKind::kSum, ab).ValueOrDie().AsDbl();
   EXPECT_NEAR(total, total_groups, 1e-6 * std::max(1.0, std::fabs(total)));
 }
 
 TEST_P(KernelProperty, UniqueIsIdempotentSetSemantics) {
+  ExecContext ctx;
   const Config cfg = GetParam();
   Bat ab = MakeRandomAttr(cfg, 10);
   // Duplicate the BUNs to force dedup work.
-  Bat doubled = Append(ab, ab).ValueOrDie();
-  Bat u1 = Unique(doubled).ValueOrDie();
-  Bat u2 = Unique(u1).ValueOrDie();
+  Bat doubled = Append(ctx, ab, ab).ValueOrDie();
+  Bat u1 = Unique(ctx, doubled).ValueOrDie();
+  Bat u2 = Unique(ctx, u1).ValueOrDie();
   EXPECT_EQ(u1.size(), u2.size());
   std::set<std::pair<Oid, int32_t>> distinct;
   for (size_t i = 0; i < ab.size(); ++i) {
@@ -263,11 +273,12 @@ TEST_P(KernelProperty, MirrorIsAnInvolution) {
 }
 
 TEST_P(KernelProperty, MultiplexArithMatchesRowAtATime) {
+  ExecContext ctx;
   const Config cfg = GetParam();
   Bat a = MakeRandomAttr(cfg, 12);
   Bat b = Bat(a.head_col(),
               MakeRandomAttr(cfg, 13).tail_col());  // synced with a
-  Bat out = Multiplex("+", {a, b}).ValueOrDie();
+  Bat out = Multiplex(ctx, "+", {a, b}).ValueOrDie();
   ASSERT_EQ(out.size(), a.size());
   for (size_t i = 0; i < out.size(); ++i) {
     EXPECT_DOUBLE_EQ(out.tail().NumAt(i),
@@ -277,14 +288,15 @@ TEST_P(KernelProperty, MultiplexArithMatchesRowAtATime) {
 }
 
 TEST_P(KernelProperty, UnionDiffIntersectAlgebra) {
+  ExecContext ctx;
   const Config cfg = GetParam();
   Bat ab = MakeRandomAttr(cfg, 14);
   const size_t half = ab.size() / 2;
-  Bat left = Slice(ab, 0, half + half / 2).ValueOrDie();   // overlaps right
-  Bat right = Slice(ab, half, ab.size()).ValueOrDie();
-  Bat uni = Union(left, right).ValueOrDie();
-  Bat inter = Intersect(left, right).ValueOrDie();
-  Bat diff = Diff(left, right).ValueOrDie();
+  Bat left = Slice(ctx, ab, 0, half + half / 2).ValueOrDie();  // overlaps right
+  Bat right = Slice(ctx, ab, half, ab.size()).ValueOrDie();
+  Bat uni = Union(ctx, left, right).ValueOrDie();
+  Bat inter = Intersect(ctx, left, right).ValueOrDie();
+  Bat diff = Diff(ctx, left, right).ValueOrDie();
   // |A u B| = |A| + |B| - |A n B| for keyed heads.
   EXPECT_EQ(uni.size(), left.size() + right.size() - inter.size());
   EXPECT_EQ(diff.size() + inter.size(), left.size());

@@ -55,27 +55,29 @@ TEST(RowStoreTest, InvertedIndexRangeSelect) {
   auto t = MakePeople();
   const InvertedIndex* idx = t->EnsureIndex(t->ColIndex("age"));
   EXPECT_EQ(idx->size(), 5u);
-  auto rows = idx->RangeSelect(Value::Int(30), Value::Int(50));
+  auto rows = idx->RangeSelect(nullptr, Value::Int(30), Value::Int(50));
   EXPECT_EQ(rows.size(), 3u);
   // In value order: ages 30, 40, 50 -> rows 1, 2, 3.
   EXPECT_EQ(rows[0], 1u);
   EXPECT_EQ(rows[2], 3u);
-  auto open = idx->RangeSelect(Value(), Value::Int(25));
+  auto open = idx->RangeSelect(nullptr, Value(), Value::Int(25));
   EXPECT_EQ(open.size(), 1u);
 }
 
 TEST(ExecutorTest, FullScanAndFilter) {
   auto t = MakePeople();
-  RowSet all = FullScan(*t);
+  RowSet all = FullScan(nullptr, *t);
   EXPECT_EQ(all.size(), 5u);
-  RowSet adults = FullScan(*t, [&](RowId r) { return t->NumAt(r, 2) >= 40; });
+  RowSet adults =
+      FullScan(nullptr, *t, [&](RowId r) { return t->NumAt(r, 2) >= 40; });
   EXPECT_EQ(adults.size(), 3u);
 }
 
 TEST(ExecutorTest, IndexRangePlusFetchFilter) {
   auto t = MakePeople();
-  RowSet sel = IndexRange(*t, "age", Value::Int(30), Value());
-  RowSet rich = FetchFilter(sel, [&](RowId r) { return t->NumAt(r, 3) > 3.0; });
+  RowSet sel = IndexRange(nullptr, *t, "age", Value::Int(30), Value());
+  RowSet rich =
+      FetchFilter(nullptr, sel, [&](RowId r) { return t->NumAt(r, 3) > 3.0; });
   EXPECT_EQ(rich.size(), 2u);  // dan (4.5), eve (6.0)
 }
 
@@ -88,11 +90,12 @@ TEST(ExecutorTest, HashJoinAndSemijoin) {
   ASSERT_TRUE(orders.AppendRow({Value::MakeOid(3), Value::MakeOid(103)}).ok());
   orders.Finalize();
 
-  auto pairs = HashJoin(FullScan(orders), "owner", FullScan(*people), "id");
+  auto pairs = HashJoin(nullptr, FullScan(nullptr, orders), "owner",
+                        FullScan(nullptr, *people), "id");
   EXPECT_EQ(pairs.size(), 3u);
 
-  RowSet owners = HashSemijoin(FullScan(*people), "id", FullScan(orders),
-                               "owner");
+  RowSet owners = HashSemijoin(nullptr, FullScan(nullptr, *people), "id",
+                               FullScan(nullptr, orders), "owner");
   EXPECT_EQ(owners.size(), 2u);  // ann, dan
 }
 
@@ -102,7 +105,8 @@ TEST(ExecutorTest, HashJoinOnStrings) {
   ASSERT_TRUE(tags.AppendRow({Value::Str("cat")}).ok());
   ASSERT_TRUE(tags.AppendRow({Value::Str("zed")}).ok());
   tags.Finalize();
-  auto pairs = HashJoin(FullScan(tags), "who", FullScan(*people), "name");
+  auto pairs = HashJoin(nullptr, FullScan(nullptr, tags), "who",
+                        FullScan(nullptr, *people), "name");
   EXPECT_EQ(pairs.size(), 1u);
 }
 
@@ -113,7 +117,7 @@ TEST(ExecutorTest, GroupByAccumulates) {
     int n = 0;
   };
   auto groups = GroupBy<Acc>(
-      FullScan(*t),
+      nullptr, FullScan(nullptr, *t),
       [&](RowId r) { return t->NumAt(r, 2) >= 40 ? "old" : "young"; },
       [&](Acc* a, RowId r) {
         a->total += t->NumAt(r, 3);
@@ -126,11 +130,12 @@ TEST(ExecutorTest, GroupByAccumulates) {
 
 TEST(ExecutorTest, TopNByRank) {
   auto t = MakePeople();
-  RowSet top = TopNBy(FullScan(*t), 2, [&](RowId r) { return t->NumAt(r, 3); });
+  RowSet top =
+      TopNBy(FullScan(nullptr, *t), 2, [&](RowId r) { return t->NumAt(r, 3); });
   ASSERT_EQ(top.size(), 2u);
   EXPECT_EQ(top.rows[0], 4u);  // eve, highest balance
   EXPECT_EQ(top.rows[1], 3u);
-  RowSet bottom = TopNBy(FullScan(*t), 2,
+  RowSet bottom = TopNBy(FullScan(nullptr, *t), 2,
                          [&](RowId r) { return t->NumAt(r, 3); }, false);
   EXPECT_EQ(bottom.rows[0], 0u);
 }
@@ -151,16 +156,10 @@ TEST(ExecutorTest, RowStorePaysFullTupleIo) {
   }
   wide->Finalize();
   storage::IoStats row_io;
-  {
-    storage::IoScope scope(&row_io);
-    FullScan(*wide);
-  }
+  FullScan(&row_io, *wide);
   bat::ColumnPtr col = bat::Column::MakeInt(std::vector<int32_t>(8192, 1));
   storage::IoStats col_io;
-  {
-    storage::IoScope scope(&col_io);
-    col->TouchAll();
-  }
+  col->TouchAll(&col_io);
   EXPECT_GT(row_io.faults(), 4 * col_io.faults());
 }
 

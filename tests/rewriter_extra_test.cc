@@ -33,7 +33,8 @@ tpcd::TpcdData* RewriterExtraTest::data_ = nullptr;
 std::shared_ptr<tpcd::TpcdInstance> RewriterExtraTest::instance_ = nullptr;
 
 TEST_F(RewriterExtraTest, UnionOfSelections) {
-  auto qr = RunMoa(instance_->db,
+  kernel::ExecContext ctx;
+  auto qr = RunMoa(ctx, instance_->db,
                    "union(select[=(returnflag, 'R')](Item),"
                    "      select[=(returnflag, 'A')](Item))")
                 .ValueOrDie();
@@ -47,7 +48,8 @@ TEST_F(RewriterExtraTest, UnionOfSelections) {
 }
 
 TEST_F(RewriterExtraTest, DifferenceOfSelections) {
-  auto qr = RunMoa(instance_->db,
+  kernel::ExecContext ctx;
+  auto qr = RunMoa(ctx, instance_->db,
                    "difference(select[=(returnflag, 'R')](Item),"
                    "           select[<(discount, 0.05)](Item))")
                 .ValueOrDie();
@@ -61,7 +63,8 @@ TEST_F(RewriterExtraTest, DifferenceOfSelections) {
 }
 
 TEST_F(RewriterExtraTest, IntersectionOfSelections) {
-  auto qr = RunMoa(instance_->db,
+  kernel::ExecContext ctx;
+  auto qr = RunMoa(ctx, instance_->db,
                    "intersection(select[=(returnflag, 'R')](Item),"
                    "             select[<(discount, 0.05)](Item))")
                 .ValueOrDie();
@@ -75,9 +78,10 @@ TEST_F(RewriterExtraTest, IntersectionOfSelections) {
 }
 
 TEST_F(RewriterExtraTest, UnnestFlattensSetTuples) {
+  kernel::ExecContext ctx;
   // unnest[supplies](Supplier): one element per supplies entry.
   auto qr =
-      RunMoa(instance_->db, "unnest[supplies](Supplier)").ValueOrDie();
+      RunMoa(ctx, instance_->db, "unnest[supplies](Supplier)").ValueOrDie();
   ResultView view(&qr.env);
   auto ids = view.SetIds(*qr.translation.result).ValueOrDie();
   EXPECT_EQ(ids.size(), data_->partsupps.size());
@@ -88,7 +92,8 @@ TEST_F(RewriterExtraTest, UnnestFlattensSetTuples) {
 }
 
 TEST_F(RewriterExtraTest, UnnestAfterProjectKeepsOwnerFields) {
-  auto qr = RunMoa(instance_->db,
+  kernel::ExecContext ctx;
+  auto qr = RunMoa(ctx, instance_->db,
                    "unnest[oos](project[<%name : sname, "
                    "select[=(%available, 0)](%supplies) : oos>](Supplier))")
                 .ValueOrDie();
@@ -108,8 +113,9 @@ TEST_F(RewriterExtraTest, UnnestAfterProjectKeepsOwnerFields) {
 }
 
 TEST_F(RewriterExtraTest, TopLevelAggregates) {
+  kernel::ExecContext ctx;
   auto qr =
-      RunMoa(instance_->db,
+      RunMoa(ctx, instance_->db,
              "count(project[quantity](select[=(returnflag, 'R')](Item)))")
           .ValueOrDie();
   ASSERT_EQ(qr.translation.result->kind, StructExpr::Kind::kAtom);
@@ -122,7 +128,8 @@ TEST_F(RewriterExtraTest, TopLevelAggregates) {
 }
 
 TEST_F(RewriterExtraTest, AvgAndMinMaxTopLevel) {
-  auto avg = RunMoa(instance_->db, "avg(project[quantity](Item))")
+  kernel::ExecContext ctx;
+  auto avg = RunMoa(ctx, instance_->db, "avg(project[quantity](Item))")
                  .ValueOrDie();
   const double a =
       avg.env.GetValue(avg.translation.result->var).ValueOrDie().AsDbl();
@@ -131,7 +138,7 @@ TEST_F(RewriterExtraTest, AvgAndMinMaxTopLevel) {
   EXPECT_NEAR(a, sum / data_->items.size(), 1e-9);
 
   auto mx =
-      RunMoa(instance_->db, "max(project[discount](Item))").ValueOrDie();
+      RunMoa(ctx, instance_->db, "max(project[discount](Item))").ValueOrDie();
   const double m =
       mx.env.GetValue(mx.translation.result->var).ValueOrDie().AsDbl();
   double expected = 0;

@@ -41,17 +41,6 @@ TEST(StringHeapTest, ByteSizeGrowsWithDistinctContent) {
   EXPECT_EQ(heap.byte_size(), after_one + 5);  // 4 chars + NUL
 }
 
-TEST(StringHeapTest, ViewCountedChargesTailHeapPages) {
-  StringHeap heap;
-  const int32_t off = heap.Intern("hello");
-  IoStats io;
-  IoScope scope(&io);
-  EXPECT_EQ(heap.ViewCounted(off), "hello");
-  EXPECT_EQ(io.faults(), 1u);
-  heap.ViewCounted(off);  // warm
-  EXPECT_EQ(io.faults(), 1u);
-}
-
 TEST(PageAccountantTest, FaultPerDistinctPage) {
   IoStats io;
   const uint64_t h = NewHeapId();
@@ -89,23 +78,6 @@ TEST(PageAccountantTest, ResetForgetResidency) {
   EXPECT_EQ(io.faults(), 0u);
   io.TouchBytes(h, 0, 8, Access::kRandom);
   EXPECT_EQ(io.faults(), 1u);
-}
-
-TEST(PageAccountantTest, ScopesNest) {
-  IoStats outer_stats, inner_stats;
-  const uint64_t h = NewHeapId();
-  {
-    IoScope outer(&outer_stats);
-    CurrentIo()->TouchBytes(h, 0, 8, Access::kRandom);
-    {
-      IoScope inner(&inner_stats);
-      CurrentIo()->TouchBytes(h, 0, 8, Access::kRandom);
-    }
-    CurrentIo()->TouchBytes(h, kPageSize, 8, Access::kRandom);
-  }
-  EXPECT_EQ(CurrentIo(), nullptr);
-  EXPECT_EQ(outer_stats.faults(), 2u);
-  EXPECT_EQ(inner_stats.faults(), 1u);
 }
 
 TEST(LruPagerTest, UnlimitedCapacityNeverEvicts) {

@@ -2,13 +2,16 @@
 
 #include <cmath>
 
-#include "tpcd/cost_model.h"
+#include "kernel/cost_model.h"
 #include "tpcd/generator.h"
 #include "tpcd/loader.h"
 #include "tpcd/queries.h"
 
 namespace moaflat::tpcd {
 namespace {
+
+using kernel::CostModel;
+using kernel::CostModelParams;
 
 // ------------------------------------------------------------- generator
 
@@ -142,11 +145,12 @@ class QueryCrossCheck : public TpcdSuiteTest,
                         public ::testing::WithParamInterface<int> {};
 
 TEST_P(QueryCrossCheck, MonetMatchesBaseline) {
+  kernel::ExecContext ctx;
   const int q = GetParam();
-  auto monet = suite_->RunMonet(q);
+  auto monet = suite_->RunMonet(q, ctx);
   ASSERT_TRUE(monet.ok()) << "monet Q" << q << ": "
                           << monet.status().ToString();
-  auto base = suite_->RunBaseline(q);
+  auto base = suite_->RunBaseline(q, ctx);
   ASSERT_TRUE(base.ok()) << "baseline Q" << q << ": "
                          << base.status().ToString();
   EXPECT_EQ(monet->rows, base->rows) << "Q" << q << " row count";

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include "bat/bat.h"
+#include "kernel/exec_context.h"
 #include "kernel/exec_tracer.h"
 #include "kernel/operators.h"
 #include "moa/result_view.h"
@@ -106,12 +107,11 @@ TEST(StructExprTest, ToStringMatchesPaperNotation) {
 
 TEST(ExecTracerTest, RecordsChosenImplementations) {
   kernel::ExecTracer tracer;
-  {
-    kernel::TraceScope scope(&tracer);
-    Bat ab(Column::MakeOid({1, 2}), Column::MakeInt({5, 6}));
-    (void)kernel::Select(ab, Value::Int(5));
-    (void)kernel::SortTail(ab);
-  }
+  kernel::ExecContext ctx;
+  ctx.WithTracer(&tracer);
+  Bat ab(Column::MakeOid({1, 2}), Column::MakeInt({5, 6}));
+  (void)kernel::Select(ctx, ab, Value::Int(5));
+  (void)kernel::SortTail(ctx, ab);
   ASSERT_EQ(tracer.records.size(), 2u);
   EXPECT_EQ(tracer.records[0].op, "select");
   EXPECT_EQ(tracer.records[0].impl, "scan_select");
@@ -120,32 +120,14 @@ TEST(ExecTracerTest, RecordsChosenImplementations) {
   EXPECT_EQ(tracer.LastImplOf("join"), "");
 }
 
-TEST(ExecTracerTest, NoTracingOutsideScope) {
-  kernel::ExecTracer tracer;
-  Bat ab(Column::MakeOid({1}), Column::MakeInt({5}));
-  (void)kernel::Select(ab, Value::Int(5));
-  EXPECT_TRUE(tracer.records.empty());
-  EXPECT_EQ(kernel::ExecTracer::Current(), nullptr);
-}
-
-TEST(ExecTracerTest, ScopesNestAndRestore) {
-  kernel::ExecTracer outer, inner;
-  kernel::TraceScope a(&outer);
-  {
-    kernel::TraceScope b(&inner);
-    EXPECT_EQ(kernel::ExecTracer::Current(), &inner);
-  }
-  EXPECT_EQ(kernel::ExecTracer::Current(), &outer);
-}
-
 TEST(ExecTracerTest, FaultAccountingDeltasPerOp) {
   storage::IoStats io;
-  storage::IoScope io_scope(&io);
   kernel::ExecTracer tracer;
-  kernel::TraceScope scope(&tracer);
+  kernel::ExecContext ctx;
+  ctx.WithIo(&io).WithTracer(&tracer);
   Bat ab(Column::MakeOid(std::vector<Oid>(4096, 1)),
          Column::MakeInt(std::vector<int32_t>(4096, 7)));
-  (void)kernel::Select(ab, Value::Int(7));
+  (void)kernel::Select(ctx, ab, Value::Int(7));
   ASSERT_FALSE(tracer.records.empty());
   EXPECT_GT(tracer.records[0].faults, 0u);
   EXPECT_EQ(tracer.TotalFaults(), io.faults());

@@ -58,6 +58,16 @@ naked-mutex
     are out of scope on purpose.) Escapes carry
     `// lint:allow(naked-mutex)` with a reason.
 
+thread-local
+    A `thread_local` variable. Execution state (the page-fault accountant,
+    the tracer) travels as an explicit argument — an ExecContext, or an
+    IoStats* at a touch site — never through an ambient per-thread slot:
+    such a slot silently reads as "off" on any thread that did not install
+    it (a worker running a block, a caller outside any scope), which is how
+    faults went uncounted. The few per-thread slots that are genuinely
+    per-thread carry `// lint:allow(thread-local)` and, on the same comment
+    line, the reason; an allow with no reason text does not count.
+
 An allow comment counts when it appears inside the flagged statement or on
 one of the two lines above it.
 
@@ -96,13 +106,17 @@ class Finding:
         return f"{self.path}:{self.line}: [{self.rule}] {self.message}"
 
 
-def allowed(lines, start_idx, end_idx, rule):
+def allowed(lines, start_idx, end_idx, rule, need_reason=False):
     """True if a lint:allow(rule) comment covers statement lines
-    [start_idx, end_idx] (0-based, inclusive) or the two lines above."""
+    [start_idx, end_idx] (0-based, inclusive) or the two lines above. With
+    `need_reason`, the allow's line must also carry text besides the tag."""
     lo = max(0, start_idx - 2)
     for i in range(lo, min(end_idx + 1, len(lines))):
         for m in ALLOW_RE.finditer(lines[i]):
-            if m.group(1) == rule:
+            if m.group(1) != rule:
+                continue
+            rest = lines[i][:m.start()] + lines[i][m.end():]
+            if not need_reason or re.search(r"[A-Za-z]", rest):
                 return True
     return False
 
@@ -319,8 +333,27 @@ def check_naked_mutex(path, lines):
     return findings
 
 
+THREAD_LOCAL_RE = re.compile(r"\bthread_local\b")
+
+
+def check_thread_local(path, lines):
+    findings = []
+    for i, line in enumerate(lines):
+        if not THREAD_LOCAL_RE.search(strip_comments(line)):
+            continue
+        if allowed(lines, i, i, "thread-local", need_reason=True):
+            continue
+        findings.append(Finding(
+            path, i + 1, "thread-local",
+            "thread_local state: pass execution state explicitly (an "
+            "ExecContext, an IoStats* at touch sites) instead of through an "
+            "ambient per-thread slot, or annotate "
+            "// lint:allow(thread-local) with the reason on the same line"))
+    return findings
+
+
 CHECKS = [check_sync_head_only, check_uncharged_kernel, check_unpolled_plan,
-          check_unsynced_rename, check_naked_mutex]
+          check_unsynced_rename, check_naked_mutex, check_thread_local]
 
 
 def lint_file(path, text=None):
@@ -534,6 +567,25 @@ class ResultView {
   mutable size_t pos_cache_ = 0;
 };
 """, {"naked-mutex": 0}),
+    # Ambient per-thread execution state: the channel explicit contexts
+    # replaced.
+    ("broken_thread_local.cc", """
+namespace {
+thread_local IoStats* t_current_io = nullptr;
+}  // namespace
+""", {"thread-local": 1}),
+    # A genuinely per-thread slot that says why.
+    ("allowed_thread_local.cc", """
+namespace {
+// lint:allow(thread-local) the rank checker tracks this thread's locks
+thread_local int g_held_n = 0;
+}  // namespace
+""", {"thread-local": 0}),
+    # An allow without a reason does not count.
+    ("bare_allow_thread_local.cc", """
+// lint:allow(thread-local)
+thread_local int g_depth = 0;
+""", {"thread-local": 1}),
     # A justified exception near the Plan call.
     ("allowed_plan.cc", """
 Result<Bat> TouchOnly(const ExecContext& ctx, const Bat& ab) {
