@@ -42,6 +42,9 @@ Result<Value> Value::CastTo(MonetType target) const {
     }
     case MonetType::kOidT: {
       MF_ASSIGN_OR_RETURN(double d, ToDouble());
+      if (d < 0) {
+        return Status::TypeError("cannot cast " + ToString() + " to oid");
+      }
       return Value::MakeOid(static_cast<Oid>(d));
     }
     case MonetType::kFlt: {

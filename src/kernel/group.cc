@@ -367,6 +367,13 @@ Result<Bat> Group(const ExecContext& ctx, const Bat& ab) {
 }
 
 Result<Bat> GroupRefine(const ExecContext& ctx, const Bat& ab, const Bat& cd) {
+  // The refinement extends AB's group oids (ParallelRefine reads OidAt).
+  const MonetType prev = ab.tail().type();
+  if (prev != MonetType::kOidT && prev != MonetType::kVoid) {
+    return Status::TypeError(std::string("group refinement needs an oid or "
+                                         "void tail to refine, got ") +
+                             TypeName(prev));
+  }
   OpRecorder rec(ctx, "group");
   return KernelRegistry::Global().Dispatch<BinaryImplSig>(
       "group_refine", MakeInput(ctx, ab, cd), ctx, ab, cd, rec);

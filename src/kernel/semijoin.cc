@@ -436,6 +436,14 @@ Result<Bat> Diff(const ExecContext& ctx, const Bat& ab, const Bat& cd) {
 }
 
 Result<Bat> Union(const ExecContext& ctx, const Bat& ab, const Bat& cd) {
+  // The result concatenates both operands' columns (void stores as oid).
+  auto stored = [](const Column& c) {
+    return c.is_void() ? MonetType::kOidT : c.type();
+  };
+  if (stored(ab.head()) != stored(cd.head()) ||
+      stored(ab.tail()) != stored(cd.tail())) {
+    return Status::TypeError("kunion requires matching column types");
+  }
   OpRecorder rec(ctx, "kunion");
   return KernelRegistry::Global().Dispatch<BinaryImplSig>(
       "kunion", MakeInput(ctx, ab, cd), ctx, ab, cd, rec);

@@ -1,36 +1,38 @@
 #include "mil/interpreter.h"
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <new>
 #include <sstream>
 
 #include "kernel/exec_tracer.h"
-#include "kernel/scalar_fn.h"
 #include "mil/analyzer.h"
+#include "mil/ops.h"
 
 namespace moaflat::mil {
-namespace {
 
 using bat::Bat;
-using kernel::AggKind;
-using kernel::CmpOp;
 
-Result<AggKind> ParseAgg(const std::string& name) {
-  if (name == "sum") return AggKind::kSum;
-  if (name == "count") return AggKind::kCount;
-  if (name == "avg") return AggKind::kAvg;
-  if (name == "min") return AggKind::kMin;
-  if (name == "max") return AggKind::kMax;
-  return Status::ParseError("unknown aggregate '" + name + "'");
-}
+namespace {
 
-bool IsSetAggOp(const std::string& op) {
-  return op.size() > 2 && op.front() == '{' && op.back() == '}';
-}
-
-bool IsMultiplexOp(const std::string& op) {
-  return op.size() > 2 && op.front() == '[' && op.back() == ']';
+/// Operand `i` of `stmt` as the kind its position takes.
+Result<MilEnv::Binding> Fetch(const MilEnv& env, const MilStmt& stmt,
+                              size_t i, ArgKind kind) {
+  const MilArg& a = stmt.args[i];
+  if (a.kind == MilArg::Kind::kLit) {
+    if (kind != ArgKind::kBat) return MilEnv::Binding(a.lit);
+    return Status::Invalid("argument " + std::to_string(i) + " of " +
+                           stmt.op + " must be a BAT variable");
+  }
+  if (kind == ArgKind::kBat) return AsBinding(env.GetBat(a.var));
+  if (kind == ArgKind::kScalar) return AsBinding(env.GetValue(a.var));
+  // A variable may hold a BAT or a scalar aggregate result.
+  auto it = env.bindings().find(a.var);
+  if (it == env.bindings().end()) {
+    return Status::KeyError("undefined MIL variable '" + a.var + "'");
+  }
+  return it->second;
 }
 
 }  // namespace
@@ -99,21 +101,20 @@ Status MilInterpreter::Exec(const MilStmt& stmt) {
   // so the session's balance is exactly what it was before the statement
   // and the next query runs bit-identically.
   auto run_stmt = [&]() -> Status {
-    auto agg = ParseAgg(stmt.op);
-    if (stmt.op.rfind("calc.", 0) == 0) {
-      MF_RETURN_NOT_OK(ExecScalarCalc(stmt));
-      out_size = 1;
-    } else if (agg.ok() && stmt.args.size() == 1) {
-      MF_ASSIGN_OR_RETURN(Bat in, env_->GetBat(stmt.args[0].var));
-      MF_ASSIGN_OR_RETURN(Value v,
-                          kernel::ScalarAggregate(stmt_ctx, *agg, in));
-      env_->BindValue(stmt.var, v);
-      out_size = 1;
-    } else {
-      MF_ASSIGN_OR_RETURN(Bat out, EvalBatOp(stmt_ctx, stmt));
-      out_size = out.size();
-      env_->BindBat(stmt.var, std::move(out));
+    const ResolvedOp op = ResolveOp(stmt.op);
+    if (op.decl == nullptr) return UnknownOp(stmt.op);
+    // Operands are fetched in argument order, so the first bad one is the
+    // error; a missing one is an arity error.
+    ExecArgs args{stmt_ctx, stmt, op, {}};
+    for (size_t i = 0; i < std::min(stmt.args.size(), kMaxArgs); ++i) {
+      MF_ASSIGN_OR_RETURN(args.arg[i],
+                          Fetch(*env_, stmt, i, op.decl->kinds[i]));
     }
+    MF_RETURN_NOT_OK(CheckArity(op, stmt.op, stmt.args.size()));
+    MF_ASSIGN_OR_RETURN(MilEnv::Binding out, op.decl->exec(args));
+    const Bat* b = std::get_if<Bat>(&out);
+    out_size = b != nullptr ? b->size() : 1;
+    env_->Bind(stmt.var, std::move(out));
     return Status::OK();
   };
   Status stmt_status;
@@ -148,222 +149,6 @@ Status MilInterpreter::Exec(const MilStmt& stmt) {
       stmt.ToString(),
       std::chrono::duration_cast<std::chrono::microseconds>(elapsed).count(),
       (io ? io->faults() : 0) - faults_before, out_size, impls});
-  return Status::OK();
-}
-
-Result<Bat> MilInterpreter::EvalBatOp(const kernel::ExecContext& ctx,
-                                      const MilStmt& stmt) {
-  const std::string& op = stmt.op;
-  auto arg_bat = [&](size_t i) -> Result<Bat> {
-    if (i >= stmt.args.size()) {
-      return Status::Invalid("missing argument " + std::to_string(i) +
-                             " of " + op);
-    }
-    if (stmt.args[i].kind != MilArg::Kind::kVar) {
-      return Status::Invalid("argument " + std::to_string(i) + " of " + op +
-                             " must be a BAT variable");
-    }
-    return env_->GetBat(stmt.args[i].var);
-  };
-  auto arg_val = [&](size_t i) -> Result<Value> {
-    if (i >= stmt.args.size()) {
-      return Status::Invalid("missing argument " + std::to_string(i) +
-                             " of " + op);
-    }
-    if (stmt.args[i].kind == MilArg::Kind::kLit) return stmt.args[i].lit;
-    return env_->GetValue(stmt.args[i].var);
-  };
-
-  if (IsMultiplexOp(op)) {
-    const std::string fn = op.substr(1, op.size() - 2);
-    std::vector<kernel::MxArg> margs;
-    for (const MilArg& a : stmt.args) {
-      if (a.kind == MilArg::Kind::kLit) {
-        margs.emplace_back(a.lit);
-      } else if (env_->Has(a.var)) {
-        // A variable may hold a BAT or a scalar aggregate result.
-        auto as_bat = env_->GetBat(a.var);
-        if (as_bat.ok()) {
-          margs.emplace_back(*as_bat);
-        } else {
-          MF_ASSIGN_OR_RETURN(Value v, env_->GetValue(a.var));
-          margs.emplace_back(std::move(v));
-        }
-      } else {
-        return Status::KeyError("undefined MIL variable '" + a.var + "'");
-      }
-    }
-    return kernel::Multiplex(ctx, fn, margs);
-  }
-
-  if (IsSetAggOp(op)) {
-    MF_ASSIGN_OR_RETURN(AggKind kind, ParseAgg(op.substr(1, op.size() - 2)));
-    MF_ASSIGN_OR_RETURN(Bat in, arg_bat(0));
-    return kernel::SetAggregate(ctx, kind, in);
-  }
-
-  if (op == "select") {
-    MF_ASSIGN_OR_RETURN(Bat in, arg_bat(0));
-    if (stmt.args.size() == 2) {
-      MF_ASSIGN_OR_RETURN(Value v, arg_val(1));
-      return kernel::Select(ctx, in, v);
-    }
-    MF_ASSIGN_OR_RETURN(Value lo, arg_val(1));
-    MF_ASSIGN_OR_RETURN(Value hi, arg_val(2));
-    return kernel::SelectRange(ctx, in, lo, hi);
-  }
-  if (op.rfind("select.", 0) == 0) {
-    const std::string cmp = op.substr(7);
-    MF_ASSIGN_OR_RETURN(Bat in, arg_bat(0));
-    if (cmp == "like") {
-      MF_ASSIGN_OR_RETURN(Value v, arg_val(1));
-      if (v.type() != MonetType::kStr) {
-        return Status::TypeError("select.like needs a string pattern");
-      }
-      return kernel::SelectLike(ctx, in, v.AsStr());
-    }
-    CmpOp c;
-    if (cmp == "!=") {
-      c = CmpOp::kNe;
-    } else if (cmp == "<") {
-      c = CmpOp::kLt;
-    } else if (cmp == "<=") {
-      c = CmpOp::kLe;
-    } else if (cmp == ">") {
-      c = CmpOp::kGt;
-    } else if (cmp == ">=") {
-      c = CmpOp::kGe;
-    } else {
-      return Status::ParseError("unknown select comparator '" + cmp + "'");
-    }
-    MF_ASSIGN_OR_RETURN(Value v, arg_val(1));
-    return kernel::SelectCmp(ctx, in, c, v);
-  }
-
-  if (op == "join" || op == "semijoin" || op == "kdiff" || op == "kunion" ||
-      op == "kintersect") {
-    MF_ASSIGN_OR_RETURN(Bat left, arg_bat(0));
-    MF_ASSIGN_OR_RETURN(Bat right, arg_bat(1));
-    if (op == "join") return kernel::Join(ctx, left, right);
-    if (op == "semijoin") return kernel::Semijoin(ctx, left, right);
-    if (op == "kdiff") return kernel::Diff(ctx, left, right);
-    if (op == "kunion") return kernel::Union(ctx, left, right);
-    return kernel::Intersect(ctx, left, right);
-  }
-
-  if (op.rfind("thetajoin.", 0) == 0) {
-    const std::string cmp = op.substr(10);
-    MF_ASSIGN_OR_RETURN(Bat left, arg_bat(0));
-    MF_ASSIGN_OR_RETURN(Bat right, arg_bat(1));
-    CmpOp c;
-    if (cmp == "<") {
-      c = CmpOp::kLt;
-    } else if (cmp == "<=") {
-      c = CmpOp::kLe;
-    } else if (cmp == ">") {
-      c = CmpOp::kGt;
-    } else if (cmp == ">=") {
-      c = CmpOp::kGe;
-    } else if (cmp == "!=") {
-      c = CmpOp::kNe;
-    } else {
-      return Status::ParseError("unknown theta comparator '" + cmp + "'");
-    }
-    return kernel::ThetaJoin(ctx, left, right, c);
-  }
-  if (op == "fetch") {
-    MF_ASSIGN_OR_RETURN(Bat in, arg_bat(0));
-    MF_ASSIGN_OR_RETURN(Bat pos, arg_bat(1));
-    return kernel::Fetch(ctx, in, pos);
-  }
-  if (op == "insert") {
-    // insert(b, h, t): a new BAT = b plus the BUN [h, t] (columns are
-    // immutable, so the "mutation" materializes a fresh binding — which is
-    // exactly what the WAL logs when a durable session commits one).
-    MF_ASSIGN_OR_RETURN(Bat in, arg_bat(0));
-    MF_ASSIGN_OR_RETURN(Value h, arg_val(1));
-    MF_ASSIGN_OR_RETURN(Value t, arg_val(2));
-    return kernel::InsertBuns(ctx, in, {std::move(h)}, {std::move(t)});
-  }
-  if (op == "histogram") {
-    MF_ASSIGN_OR_RETURN(Bat in, arg_bat(0));
-    return kernel::Histogram(ctx, in);
-  }
-  if (op == "mirror") {
-    MF_ASSIGN_OR_RETURN(Bat in, arg_bat(0));
-    return in.Mirror();
-  }
-  if (op == "unique") {
-    MF_ASSIGN_OR_RETURN(Bat in, arg_bat(0));
-    return kernel::Unique(ctx, in);
-  }
-  if (op == "hunique") {
-    MF_ASSIGN_OR_RETURN(Bat in, arg_bat(0));
-    return kernel::HeadUnique(ctx, in);
-  }
-  if (op == "group") {
-    MF_ASSIGN_OR_RETURN(Bat in, arg_bat(0));
-    if (stmt.args.size() == 1) return kernel::Group(ctx, in);
-    MF_ASSIGN_OR_RETURN(Bat refine, arg_bat(1));
-    return kernel::GroupRefine(ctx, in, refine);
-  }
-  if (op == "mark") {
-    MF_ASSIGN_OR_RETURN(Bat in, arg_bat(0));
-    MF_ASSIGN_OR_RETURN(Value base, arg_val(1));
-    MF_ASSIGN_OR_RETURN(Value oid_base, base.CastTo(MonetType::kOidT));
-    return kernel::Mark(ctx, in, oid_base.AsOid());
-  }
-  if (op == "extent") {
-    MF_ASSIGN_OR_RETURN(Bat in, arg_bat(0));
-    return kernel::VoidTail(ctx, in);
-  }
-  if (op == "slice") {
-    MF_ASSIGN_OR_RETURN(Bat in, arg_bat(0));
-    MF_ASSIGN_OR_RETURN(Value lo, arg_val(1));
-    MF_ASSIGN_OR_RETURN(Value hi, arg_val(2));
-    MF_ASSIGN_OR_RETURN(Value lo_i, lo.CastTo(MonetType::kLng));
-    MF_ASSIGN_OR_RETURN(Value hi_i, hi.CastTo(MonetType::kLng));
-    return kernel::Slice(ctx, in, static_cast<size_t>(lo_i.AsLng()),
-                         static_cast<size_t>(hi_i.AsLng()));
-  }
-  if (op == "sort") {
-    MF_ASSIGN_OR_RETURN(Bat in, arg_bat(0));
-    return kernel::SortTail(ctx, in);
-  }
-  if (op == "topn_max" || op == "topn_min") {
-    MF_ASSIGN_OR_RETURN(Bat in, arg_bat(0));
-    MF_ASSIGN_OR_RETURN(Value n, arg_val(1));
-    MF_ASSIGN_OR_RETURN(Value n_i, n.CastTo(MonetType::kLng));
-    return kernel::TopN(ctx, in, static_cast<size_t>(n_i.AsLng()),
-                        op == "topn_max");
-  }
-  if (op == "project") {
-    MF_ASSIGN_OR_RETURN(Bat in, arg_bat(0));
-    MF_ASSIGN_OR_RETURN(Value v, arg_val(1));
-    return kernel::ProjectConst(ctx, in, v);
-  }
-  if (op == "append") {
-    MF_ASSIGN_OR_RETURN(Bat left, arg_bat(0));
-    MF_ASSIGN_OR_RETURN(Bat right, arg_bat(1));
-    return kernel::Append(ctx, left, right);
-  }
-
-  return Status::NotImplemented("unknown MIL operator '" + op + "'");
-}
-
-Status MilInterpreter::ExecScalarCalc(const MilStmt& stmt) {
-  const std::string fn = stmt.op.substr(5);
-  std::vector<Value> args;
-  for (const MilArg& a : stmt.args) {
-    if (a.kind == MilArg::Kind::kLit) {
-      args.push_back(a.lit);
-    } else {
-      MF_ASSIGN_OR_RETURN(Value v, env_->GetValue(a.var));
-      args.push_back(std::move(v));
-    }
-  }
-  MF_ASSIGN_OR_RETURN(Value out, kernel::ScalarApply(fn, args));
-  env_->BindValue(stmt.var, std::move(out));
   return Status::OK();
 }
 

@@ -89,10 +89,6 @@ class MilInterpreter {
   std::string TraceString() const;
 
  private:
-  Result<bat::Bat> EvalBatOp(const kernel::ExecContext& ctx,
-                             const MilStmt& stmt);
-  Status ExecScalarCalc(const MilStmt& stmt);
-
   MilEnv* env_;
   const kernel::ExecContext* ctx_;
   StmtHook hook_;

@@ -2,7 +2,11 @@
 
 #include <cctype>
 #include <cstdlib>
+#include <cstring>
+#include <string_view>
 #include <vector>
+
+#include "mil/ops.h"
 
 namespace moaflat::mil {
 namespace {
@@ -76,8 +80,14 @@ class Lexer {
                 src_[i_] == '<' || src_[i_] == '>' || src_[i_] == '=' ||
                 src_[i_] == '!')) {
           // Identifiers may embed '.' for select.<= style operator names;
-          // postfix '.' is disambiguated below: a '.' followed by a known
-          // postfix op splits the identifier.
+          // postfix '.' is disambiguated below: a '.' followed by an
+          // operator spelling splits the identifier.
+          id += src_[i_++];
+        }
+        // The arithmetic symbols are no identifier characters, but after
+        // a dot they end an operator name: `calc.*`.
+        if (id.back() == '.' && i_ < src_.size() &&
+            std::strchr("+-*/", src_[i_]) != nullptr) {
           id += src_[i_++];
         }
         EmitIdentWithPostfix(id, start, &out);
@@ -149,29 +159,24 @@ class Lexer {
   }
 
  private:
-  /// Splits trailing `.postfix` chains off an identifier. `a.mirror` must
-  /// lex as IDENT(a) DOT IDENT(mirror), but `select.<=` stays whole.
-  void EmitIdentWithPostfix(const std::string& id, size_t start,
+  /// Splits `.postfix` chains off an identifier: `a.mirror` lexes as
+  /// IDENT(a) DOT IDENT(mirror), `x.select.<=(5)` as IDENT(x) DOT
+  /// IDENT(select.<=), but `select.<=` stays whole. The split is at the
+  /// first dot whose suffix spells an operator.
+  void EmitIdentWithPostfix(std::string_view id, size_t start,
                             std::vector<Token>* out) {
-    static const char* kPostfix[] = {"mirror", "unique", "hunique",
-                                     "semijoin", "join", "select", "kdiff",
-                                     "kunion", "kintersect", "sort",
-                                     "extent", "mark", "group"};
-    // Operator names like select.<= contain '.' but end in symbols; only
-    // split when the suffix after the *last* dot is a known postfix word.
-    const size_t dot = id.rfind('.');
-    if (dot != std::string::npos) {
-      const std::string suffix = id.substr(dot + 1);
-      for (const char* p : kPostfix) {
-        if (suffix == p && dot > 0) {
-          EmitIdentWithPostfix(id.substr(0, dot), start, out);
-          out->push_back({Tok::kDot, ".", start + dot, line_});
-          out->push_back({Tok::kIdent, suffix, start + dot + 1, line_});
-          return;
-        }
+    for (size_t dot = id.find('.'); dot != std::string_view::npos;
+         dot = id.find('.', dot + 1)) {
+      const std::string_view suffix = id.substr(dot + 1);
+      if (dot > 0 && ResolveOp(suffix).decl != nullptr) {
+        EmitIdentWithPostfix(id.substr(0, dot), start, out);
+        out->push_back({Tok::kDot, ".", start + dot, line_});
+        out->push_back(
+            {Tok::kIdent, std::string(suffix), start + dot + 1, line_});
+        return;
       }
     }
-    out->push_back({Tok::kIdent, id, start, line_});
+    out->push_back({Tok::kIdent, std::string(id), start, line_});
   }
 
   const std::string& src_;
@@ -209,9 +214,16 @@ class Parser {
       var = Next().text;
       Next();  // :=
     }
+    const size_t bound_before = builder_.program().stmts.size();
     MF_ASSIGN_OR_RETURN(MilArg value, ParseExpr(var));
     if (value.kind != MilArg::Kind::kVar) {
       return Status::ParseError("a statement must produce a variable");
+    }
+    if (builder_.program().stmts.size() == bound_before) {
+      // `r := x` would bind nothing: r stays undefined.
+      return Status::ParseError("statement on line " +
+                                std::to_string(stmt_line_) +
+                                " calls no operator ('" + value.var + "')");
     }
     if (Peek().kind != Tok::kNewline && Peek().kind != Tok::kEnd) {
       return Status::ParseError("trailing tokens after statement near '" +

@@ -37,18 +37,8 @@ struct MilArg {
 inline MilArg V(std::string name) { return MilArg::Var(std::move(name)); }
 inline MilArg L(Value v) { return MilArg::Lit(std::move(v)); }
 
-/// One MIL statement `var := op(args...)`. Operator vocabulary (Fig. 4):
-///
-///   select            point (1 lit) or range (2 lits) selection on tail
-///   select.!= .< .<= .> .>=      comparison selections
-///   select.like       SQL-pattern selection on str tails
-///   join semijoin kdiff kunion kintersect    binary table ops
-///   mirror unique group mark extent slice sort    reshaping
-///   topn_max topn_min             top-k by tail value
-///   project           constant tail: project(v, lit)
-///   [f]               multiplex (any scalar f; args are BATs/literals)
-///   {sum} {count} {avg} {min} {max}   set-aggregates (grouped by head)
-///   sum count avg min max             scalar aggregates (whole tail)
+/// One MIL statement `var := op(args...)`. The operator vocabulary (Fig. 4)
+/// is the table of mil/ops.h: `op` is any spelling ResolveOp accepts.
 struct MilStmt {
   std::string var;
   std::string op;

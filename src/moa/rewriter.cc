@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cctype>
 
+#include "mil/ops.h"
 #include "moa/parser.h"
 
 namespace moaflat::moa {
@@ -11,16 +12,6 @@ namespace {
 using mil::L;
 using mil::MilArg;
 using mil::V;
-
-bool IsCmpName(const std::string& n) {
-  return n == "=" || n == "!=" || n == "<" || n == "<=" || n == ">" ||
-         n == ">=";
-}
-
-bool IsAggName(const std::string& n) {
-  return n == "sum" || n == "count" || n == "avg" || n == "min" ||
-         n == "max";
-}
 
 /// MIL select operator implementing comparison `cmp` against a literal.
 std::string SelectOpFor(const std::string& cmp) {
@@ -52,7 +43,7 @@ Result<Translation> Rewriter::Translate(const Expr& query) {
   // Top-level scalar aggregate, e.g. Q6-style
   // sum(project[*(extendedprice, discount)](select[...](Item))):
   // translate the collection, then one whole-column aggregate.
-  if (query.kind == Expr::Kind::kCall && IsAggName(query.name) &&
+  if (query.kind == Expr::Kind::kCall && mil::AggOf(query.name) &&
       query.args.size() == 1) {
     MF_ASSIGN_OR_RETURN(Rel rel, TransCollection(*query.args[0], nullptr));
     if (rel.value->kind != StructExpr::Kind::kAtom) {
@@ -384,7 +375,7 @@ Status Rewriter::ApplySelect(Rel* rel, const Expr& pred) {
     return Status::OK();
   };
 
-  const bool is_cmp = IsCmpName(pred.name);
+  const bool is_cmp = mil::CmpOf(pred.name).has_value();
   const bool is_like = pred.name == "like";
 
   if ((is_cmp || is_like) && pred.args.size() == 2 &&
@@ -526,7 +517,7 @@ Result<std::string> Rewriter::ValueOf(const Rel& rel, const Expr& e) {
     }
 
     case Expr::Kind::kCall: {
-      if (IsAggName(e.name)) return AggregateOverSet(rel, e);
+      if (mil::AggOf(e.name)) return AggregateOverSet(rel, e);
       // Vectorized scalar computation (multiplex).
       std::vector<MilArg> margs;
       for (const ExprPtr& a : e.args) {

@@ -5,6 +5,7 @@
 
 #include "kernel/exec_tracer.h"
 #include "mil/analyzer.h"
+#include "mil/ops.h"
 #include "mil/parser.h"
 #include "storage/checkpoint.h"
 
@@ -140,7 +141,8 @@ std::string QueryService::read_only_reason() const {
 
 bool QueryService::ProgramMutates(const mil::MilProgram& program) const {
   for (const mil::MilStmt& s : program.stmts) {
-    if (s.op == "insert") return true;
+    const mil::OpDecl* op = mil::ResolveOp(s.op).decl;
+    if (op != nullptr && op->mutates) return true;
     if (catalog_.Has(s.var)) return true;  // rebinds a catalog name
   }
   return false;

@@ -295,7 +295,30 @@ TEST(GroupTest, RefineSplitsGroups) {
   EXPECT_NE(gids[0], gids[3]);  // (1995,'A')
 }
 
+TEST(GroupTest, RefiningANonOidTailIsATypeError) {
+  // The refinement extends the group oids of its first operand's tail; any
+  // other tail type used to throw std::bad_variant_access.
+  ExecContext ctx;
+  Bat names(Column::MakeOid({1, 2}), Column::MakeStr({"a", "b"}));
+  Bat vals = AttrBat({1, 2}, {10, 20});
+  EXPECT_EQ(GroupRefine(ctx, names, vals).status().code(),
+            StatusCode::kTypeError);
+  EXPECT_EQ(GroupRefine(ctx, vals, names).status().code(),
+            StatusCode::kTypeError);
+  // A void tail is a dense oid sequence: it refines.
+  EXPECT_TRUE(GroupRefine(ctx, VoidTail(ctx, vals).ValueOrDie(), names).ok());
+}
+
 // ---------------------------------------------------------------- multiplex
+
+TEST(MultiplexTest, VoidTailUnderAStringFunctionIsATypeError) {
+  ExecContext ctx;
+  Bat ext = VoidTail(ctx, AttrBat({1, 2}, {10, 20})).ValueOrDie();
+  EXPECT_EQ(Multiplex(ctx, "concat", {ext, Value::Str("x")}).status().code(),
+            StatusCode::kTypeError);
+  EXPECT_EQ(Multiplex(ctx, "not", {ext}).status().code(),
+            StatusCode::kTypeError);
+}
 
 TEST(MultiplexTest, SyncedNumericFastPath) {
   ExecContext ctx;
@@ -496,6 +519,27 @@ TEST(ScalarFnTest, ArithmeticAndDivisionByZero) {
       ScalarApply("+", {Value::Int(2), Value::Dbl(0.5)}).ValueOrDie().AsDbl(),
       2.5);
   EXPECT_FALSE(ScalarApply("/", {Value::Int(1), Value::Int(0)}).ok());
+}
+
+TEST(ScalarFnTest, WronglyTypedArgumentsAreTypeErrors) {
+  // A void column yields oid values; none of these may reach AsStr/AsBit.
+  const Value oid = Value::MakeOid(3);
+  const std::pair<const char*, std::vector<Value>> calls[] = {
+      {"concat", {oid, Value::Str("x")}},
+      {"and", {oid, Value::Bit(true)}},
+      {"not", {oid}},
+      {"ifthen", {oid, Value::Int(1), Value::Int(2)}},
+      {"like", {oid, Value::Str("%")}},
+      {"length", {oid}},
+      {"year", {Value::Int(1994)}},
+      {"+", {Value::Str("x"), Value::Int(1)}},
+  };
+  for (const auto& [fn, args] : calls) {
+    EXPECT_EQ(ScalarApply(fn, args).status().code(), StatusCode::kTypeError)
+        << fn;
+  }
+  EXPECT_EQ(ScalarApply("not", {}).status().code(),
+            StatusCode::kInvalidArgument);
 }
 
 TEST(ScalarFnTest, ResultTypes) {

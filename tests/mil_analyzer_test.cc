@@ -103,6 +103,25 @@ TEST_F(MilAnalyzerTest, GoldenBadProgramCorpus) {
       {"error-on-line-3",
        "a := select(vals, 15, 35)\nb := mirror(a)\nr := join(b, zilch)\n", 3,
        "unknown MIL variable 'zilch'"},
+      // Programs the analyzer once admitted and the kernel then crashed on:
+      // a refinement of a str tail, scalar functions over a void tail.
+      {"group-refines-str", "r := group(names, vals)\n", 1,
+       "group refinement needs an oid (or void) tail on argument 1"},
+      {"concat-over-void", "r := [concat](extent(names), \"x\")\n", 1,
+       "'concat' needs str operands, argument 1 is oid"},
+      {"and-over-void", "r := [and](extent(vals), true)\n", 1,
+       "'and' needs bit operands, argument 1 is oid"},
+      {"not-over-void", "r := [not](extent(vals))\n", 1,
+       "'not' needs bit operands, argument 1 is oid"},
+      {"ifthen-over-void", "r := [ifthen](extent(vals), 1, 2)\n", 1,
+       "'ifthen' needs bit operands, argument 1 is oid"},
+      {"year-over-void", "r := [year](extent(vals))\n", 1,
+       "'year' needs date operands, argument 1 is oid"},
+      // A negative count or bound wraps when the kernel takes it as size_t.
+      {"negative-topn", "r := topn_max(vals, -1)\n", 1,
+       "topn count must not be negative, got -1"},
+      {"negative-slice", "r := slice(vals, -1, 2)\n", 1,
+       "slice bounds must not be negative, got -1"},
   };
   for (const Case& c : corpus) {
     AnalysisReport r = Analyze(c.mil);

@@ -91,6 +91,59 @@ TEST(MilParserTest, Errors) {
   EXPECT_FALSE(ParseMil("x := [year(oops)").ok());
 }
 
+/// The statements of `mil`, rendered one per line.
+std::string Rendered(const std::string& mil) {
+  auto p = ParseMil(mil);
+  EXPECT_TRUE(p.ok()) << mil << ": " << p.status().ToString();
+  return p.ok() ? p->ToString() : "";
+}
+
+TEST(MilParserTest, EveryPostfixFormParsesLikeItsPrefixForm) {
+  const std::pair<const char*, const char*> forms[] = {
+      {"r := x.fetch(p)", "r := fetch(x, p)"},
+      {"r := x.slice(0, 9)", "r := slice(x, 0, 9)"},
+      {"r := x.topn_max(3)", "r := topn_max(x, 3)"},
+      {"r := x.project(1)", "r := project(x, 1)"},
+      {"r := x.append(y)", "r := append(x, y)"},
+      {"r := x.insert(1, 2)", "r := insert(x, 1, 2)"},
+      {"r := x.thetajoin.<(y)", "r := thetajoin.<(x, y)"},
+      {"r := x.select.<=(5)", "r := select.<=(x, 5)"},
+      {"r := x.histogram", "r := histogram(x)"},
+      {"r := x.count", "r := count(x)"},
+      {"r := x.mirror.unique", "_t1 := mirror(x)\nr := unique(_t1)"},
+  };
+  for (const auto& [postfix, prefix] : forms) {
+    EXPECT_EQ(Rendered(postfix), Rendered(prefix)) << postfix;
+  }
+}
+
+TEST(MilParserTest, ScalarCalcRoundTripsThroughToString) {
+  // The Q11 and Q14 scalar statements, as MilStmt::ToString prints them.
+  const MilStmt stmts[] = {
+      {"t1", "calc.*", {V("total"), L(Value::Dbl(0.001))}},
+      {"t2", "calc./", {V("psum"), V("total")}},
+      {"t3", "calc.*", {V("frac"), L(Value::Dbl(100.0))}},
+      {"t4", "calc.+", {V("a"), L(Value::Int(1))}},
+      {"t5", "calc.-", {V("a"), V("b")}},
+      {"t6", "calc.<=", {V("a"), V("b")}},
+  };
+  for (const MilStmt& s : stmts) {
+    auto p = ParseMil(s.ToString());
+    ASSERT_TRUE(p.ok()) << s.ToString() << ": " << p.status().ToString();
+    ASSERT_EQ(p->stmts.size(), 1u) << s.ToString();
+    EXPECT_EQ(p->stmts[0].op, s.op);
+    EXPECT_EQ(p->stmts[0].ToString(), s.ToString());
+  }
+}
+
+TEST(MilParserTest, StatementWithoutACallIsAnError) {
+  // `r := x` used to parse to no statement at all, leaving r unbound.
+  EXPECT_FALSE(ParseMil("r := x").ok());
+  EXPECT_FALSE(ParseMil("x").ok());
+  EXPECT_FALSE(ParseMil("r := 5").ok());
+  EXPECT_TRUE(ParseMil("r := mirror(x)").ok());
+}
+
 TEST(MilParserTest, ParsedProgramExecutes) {
   kernel::ExecContext ctx;
   MilEnv env;

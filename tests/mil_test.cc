@@ -158,6 +158,27 @@ TEST_F(MilTest, ErrorsAreCleanNotFatal) {
   EXPECT_FALSE(interp.Exec(MilStmt{"x", "join", {V("vals")}}).ok());
 }
 
+TEST_F(MilTest, NegativeCountsAreInvalidNotWrapped) {
+  // Cast to size_t, -1 used to return every row from topn and none from
+  // slice.
+  MilInterpreter interp(&env_, &ctx_);
+  EXPECT_EQ(
+      interp.Exec(MilStmt{"t", "topn_max", {V("vals"), L(Value::Int(-1))}})
+          .code(),
+      StatusCode::kInvalidArgument);
+  EXPECT_EQ(interp
+                .Exec(MilStmt{"s", "slice",
+                              {V("vals"), L(Value::Int(-1)), L(Value::Int(2))}})
+                .code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_FALSE(env_.Has("t"));
+  EXPECT_FALSE(env_.Has("s"));
+  EXPECT_EQ(Run1("z", "topn_min", {V("vals"), L(Value::Int(0))})
+                .ValueOrDie()
+                .size(),
+            0u);
+}
+
 TEST_F(MilTest, TracesRecordEveryStatement) {
   MilInterpreter interp(&env_, &ctx_);
   ASSERT_TRUE(interp

@@ -192,6 +192,36 @@ TEST(QueryServiceTest, VetoReportsPredictedCostAndSessionStaysUsable) {
   EXPECT_EQ(stats.completed, 1u);
 }
 
+TEST(QueryServiceTest, ProgramsThatOnceCrashedTheExecutorAreVetoed) {
+  // Each of these passed the analyzer and then threw inside a kernel on an
+  // executor thread, which terminated the whole process.
+  mil::MilEnv catalog;
+  catalog.BindBat("names", Bat(Column::MakeOid({1, 2, 3}),
+                               Column::MakeStr({"a", "b", "a"})));
+  catalog.BindBat("vals", Bat(Column::MakeOid({1, 2, 3}),
+                              Column::MakeInt({10, 20, 30})));
+  QueryService svc;
+  svc.SetCatalog(catalog);
+  const uint64_t sid = svc.OpenSession().ValueOrDie();
+  const char* programs[] = {
+      "r := group(names, vals)\n",
+      "r := [concat](extent(names), \"x\")\n",
+      "r := [and](extent(vals), true)\n",
+      "r := [not](extent(vals))\n",
+      "r := [ifthen](extent(vals), 1, 2)\n",
+  };
+  for (const char* mil : programs) {
+    const uint64_t qid = svc.Submit(sid, mil).ValueOrDie();
+    const service::QueryResult r = svc.Wait(qid).ValueOrDie();
+    EXPECT_EQ(r.state, QueryState::kVetoed) << mil;
+    EXPECT_NE(r.admission.reason.find("line 1"), std::string::npos)
+        << mil << ": " << r.admission.reason;
+  }
+  const uint64_t ok = svc.Submit(sid, "g := group(names)\n").ValueOrDie();
+  EXPECT_EQ(svc.Wait(ok).ValueOrDie().state, QueryState::kDone);
+  EXPECT_EQ(svc.stats().vetoed, 5u);
+}
+
 TEST(QueryServiceTest, CapacityQueuesAndDrainsFifo) {
   // A service whose in-flight predicted-fault capacity fits one scan
   // program at a time: while the first runs (a multi-scan of a 4M-row

@@ -68,6 +68,16 @@ thread-local
     per-thread carry `// lint:allow(thread-local)` and, on the same comment
     line, the reason; an allow with no reason text does not count.
 
+op-dispatch
+    A comparison of a MIL operator spelling outside the operator table
+    (src/mil/ops.cc): `op` or `.op` compared with a string literal, or a
+    prefix test such as `.rfind("select.", 0)` (also "thetajoin." and
+    "calc."). Every consumer of the vocabulary (interpreter, analyzer,
+    lexer, query service) resolves a spelling through mil::ResolveOp and
+    reads its OpDecl; a hand-written if-chain is a second copy of the
+    vocabulary that drifts from the table. Escapes carry
+    `// lint:allow(op-dispatch)` and, on the same comment line, the reason.
+
 An allow comment counts when it appears inside the flagged statement or on
 one of the two lines above it.
 
@@ -352,8 +362,33 @@ def check_thread_local(path, lines):
     return findings
 
 
+OP_DISPATCH_EXEMPT = "src/mil/ops.cc"
+OP_COMPARE_RE = re.compile(
+    r'\bop\s*[!=]=\s*"|"\s*[!=]=\s*(?:[A-Za-z_]\w*(?:\.|->))?op\b')
+OP_PREFIX_RE = re.compile(r'\.rfind\(\s*"(?:select|thetajoin|calc)\."\s*,\s*0\s*\)')
+
+
+def check_op_dispatch(path, lines):
+    if path.replace(os.sep, "/").endswith(OP_DISPATCH_EXEMPT):
+        return []
+    findings = []
+    for i, line in enumerate(lines):
+        code = strip_comments(line)
+        if not (OP_COMPARE_RE.search(code) or OP_PREFIX_RE.search(code)):
+            continue
+        if allowed(lines, i, i, "op-dispatch", need_reason=True):
+            continue
+        findings.append(Finding(
+            path, i + 1, "op-dispatch",
+            "MIL operator spelling compared outside the operator table: "
+            "resolve it with mil::ResolveOp and read the OpDecl, or annotate "
+            "// lint:allow(op-dispatch) with the reason on the same line"))
+    return findings
+
+
 CHECKS = [check_sync_head_only, check_uncharged_kernel, check_unpolled_plan,
-          check_unsynced_rename, check_naked_mutex, check_thread_local]
+          check_unsynced_rename, check_naked_mutex, check_thread_local,
+          check_op_dispatch]
 
 
 def lint_file(path, text=None):
@@ -586,6 +621,26 @@ thread_local int g_held_n = 0;
 // lint:allow(thread-local)
 thread_local int g_depth = 0;
 """, {"thread-local": 1}),
+    # Operator dispatch by hand: a spelling compare and a family prefix
+    # test, each a second copy of the operator table.
+    ("broken_op_dispatch.cc", """
+bool Mutates(const MilStmt& s) { return s.op == "insert"; }
+AbstractBinding Analyze(const MilStmt& stmt) {
+  const std::string& op = stmt.op;
+  if (op.rfind("select.", 0) == 0) return AnalyzeSelect(stmt);
+  return Unknown();
+}
+""", {"op-dispatch": 2}),
+    # A site that names a spelling for another reason, and says why.
+    ("allowed_op_dispatch.cc", """
+// lint:allow(op-dispatch) plan-shape report: counts grouping statements
+if (s.op == "group") ++groups;
+""", {"op-dispatch": 0}),
+    # Scalar-function names are not operator spellings (multiplex.cc's
+    # typed loops are out of scope).
+    ("scalar_fn_compare.cc", """
+if (fn == "+") return Add(x, y);
+""", {"op-dispatch": 0}),
     # A justified exception near the Plan call.
     ("allowed_plan.cc", """
 Result<Bat> TouchOnly(const ExecContext& ctx, const Bat& ab) {
