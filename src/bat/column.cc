@@ -197,6 +197,15 @@ int Column::CompareValue(size_t i, const Value& v) const {
   return 0;
 }
 
+void Column::TouchGather(storage::IoStats* io, const uint32_t* idx,
+                         size_t n) const {
+  storage::ColdPageFilter pages = PageFilter(io);
+  if (!pages.active()) return;
+  size_t k = 0;
+  for (; k < n && !pages.saturated(); ++k) pages.Touch(idx[k]);
+  if (k < n) pages.AddRepeats(n - k);
+}
+
 bool Column::ComputeSorted() const { return RangeSorted(0, size_); }
 
 bool Column::RangeSorted(size_t lo, size_t hi) const {

@@ -285,7 +285,8 @@ class Column {
 
   // --- IO accounting (no-ops when `io` is null) ---------------------
 
-  /// Reports a random touch of element i to `io`.
+  /// Reports a random touch of element i to `io`. For binary searches
+  /// only: a loop of per-element touches goes through PageFilter.
   void TouchAt(storage::IoStats* io, size_t i) const {
     if (io != nullptr) {
       io->TouchElement(heap_id_, i, width(), storage::Access::kRandom);
@@ -300,12 +301,18 @@ class Column {
   /// Reports a sequential touch of the whole column to `io`.
   void TouchAll(storage::IoStats* io) const { TouchRange(io, 0, size_); }
 
-  /// Reports one random touch per gathered element — the batch equivalent
-  /// of a TouchAt loop, with the accountant's heap lookup hoisted out.
-  void TouchGather(storage::IoStats* io, const uint32_t* idx,
-                   size_t n) const {
-    if (io != nullptr) io->TouchGather(heap_id_, idx, n, width());
+  /// A page filter for a loop of random touches of this column's elements
+  /// (storage::ColdPageFilter): `io` sees each page's first touch, in
+  /// order, and the repeats in bulk when the filter dies.
+  storage::ColdPageFilter PageFilter(storage::IoStats* io) const {
+    return storage::ColdPageFilter(io, heap_id_, width(), size_);
   }
+
+  /// Reports one random touch per gathered element — the batch equivalent
+  /// of a TouchAt loop, through a page filter that stops looking at the
+  /// indices once every page of the column has been touched.
+  void TouchGather(storage::IoStats* io, const uint32_t* idx,
+                   size_t n) const;
 
   /// Storage representation; exposed for the builder machinery only.
   struct VoidTag {};

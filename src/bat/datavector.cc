@@ -53,6 +53,7 @@ int64_t Datavector::FindPosition(Oid oid, storage::IoStats* io) const {
   size_t hi = extent_->size();
   while (lo < hi) {
     const size_t mid = lo + (hi - lo) / 2;
+    // lint:allow(unfiltered-touch) binary search: one touch per probe step
     extent_->TouchAt(io, mid);
     const Oid at = extent_->OidAt(mid);
     if (at < oid) {

@@ -240,9 +240,10 @@ Result<Bat> FinishRefine(const Bat& ab, std::vector<Oid> gids) {
   return Bat::Make(ab.head_col(), gid_col, props);
 }
 
-/// Shared refinement machinery of the two variants: `dpos_of(i, io)`
+/// Shared refinement machinery of the two variants: `dpos_of(i, d_pages)`
 /// yields the position in CD whose tail refines row i (or a negative value
-/// for "missing", an error), reporting its touches to `io`. Runs
+/// for "missing", an error), reporting its touches of `d` through the
+/// block's page filter `d_pages`. Runs
 /// block-local RefineTables in parallel and merges them into the serial
 /// first-appearance numbering exactly as HashGroup does for its
 /// GroupTable.
@@ -259,10 +260,11 @@ Result<std::vector<Oid>> ParallelRefine(const ExecContext& ctx, const Bat& ab,
   };
   if (plan.blocks <= 1) {
     RefineTable table(d);
+    storage::ColdPageFilter d_pages = d.PageFilter(ctx.io());
     bool miss = false;
     WithRowOps(d, [&](auto dhash, auto deq) {
       for (size_t i = 0; i < ab.size(); ++i) {
-        const int64_t pos = dpos_of(i, ctx.io());
+        const int64_t pos = dpos_of(i, d_pages);
         if (pos < 0) {
           miss = true;
           return;
@@ -284,9 +286,11 @@ Result<std::vector<Oid>> ParallelRefine(const ExecContext& ctx, const Bat& ab,
   RunBlocks(plan, [&](int block, size_t begin, size_t end) {
     Shard& mine = shards[block];
     mine.table = std::make_unique<RefineTable>(d);
+    storage::ColdPageFilter d_pages =
+        d.PageFilter(internal::ShardIo(ctx, mine.io));
     WithRowOps(d, [&](auto dhash, auto deq) {
       for (size_t i = begin; i < end; ++i) {
-        const int64_t pos = dpos_of(i, &mine.io);
+        const int64_t pos = dpos_of(i, d_pages);
         if (pos < 0) {
           mine.missing = true;
           return;
@@ -330,7 +334,7 @@ Result<Bat> SyncGroupRefine(const ExecContext& ctx, const Bat& ab,
   d.TouchAll(ctx.io());
   MF_ASSIGN_OR_RETURN(
       std::vector<Oid> gids,
-      ParallelRefine(ctx, ab, d, [](size_t i, storage::IoStats*) {
+      ParallelRefine(ctx, ab, d, [](size_t i, storage::ColdPageFilter&) {
         return static_cast<int64_t>(i);
       }));
   MF_ASSIGN_OR_RETURN(Bat res, FinishRefine(ab, std::move(gids)));
@@ -345,13 +349,13 @@ Result<Bat> HashGroupRefine(const ExecContext& ctx, const Bat& ab,
   const Column& d = cd.tail();
   auto hash = cd.EnsureHeadHash(ctx.parallel_degree());
   ab.tail().TouchAll(ctx.io());
-  MF_ASSIGN_OR_RETURN(
-      std::vector<Oid> gids,
-      ParallelRefine(ctx, ab, d, [&](size_t i, storage::IoStats* io) {
-        const int64_t pos = hash->FindFirst(ab.head(), i);
-        if (pos >= 0) d.TouchAt(io, static_cast<size_t>(pos));
-        return pos;
-      }));
+  const auto dpos_of = [&](size_t i, storage::ColdPageFilter& d_pages) {
+    const int64_t pos = hash->FindFirst(ab.head(), i);
+    if (pos >= 0) d_pages.Touch(static_cast<uint64_t>(pos));
+    return pos;
+  };
+  MF_ASSIGN_OR_RETURN(std::vector<Oid> gids,
+                      ParallelRefine(ctx, ab, d, dpos_of));
   MF_ASSIGN_OR_RETURN(Bat res, FinishRefine(ab, std::move(gids)));
   rec.Finish("hash_group_refine", res.size());
   return res;

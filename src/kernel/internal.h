@@ -112,6 +112,22 @@ class TransientCharge {
   uint64_t bytes_ = 0;
 };
 
+/// The accountant a parallel block reports its touches to when the merge
+/// replays shards: the block's `shard`, or none when the context keeps no
+/// accountant (a kernel without one does no accounting work).
+inline storage::IoStats* ShardIo(const ExecContext& ctx,
+                                 storage::IoStats& shard) {
+  return ctx.io() != nullptr ? &shard : nullptr;
+}
+
+/// Like ShardIo, but a serial plan touches the caller's accountant
+/// directly: a capacity-limited (LRU) pager needs the true touch sequence,
+/// and shard replay carries first-touch faults only.
+inline storage::IoStats* BlockIo(const ExecContext& ctx, const BlockPlan& plan,
+                                 storage::IoStats& shard) {
+  return plan.blocks > 1 ? ShardIo(ctx, shard) : ctx.io();
+}
+
 /// Deterministic combination of sync keys: operators derive the sync key of
 /// a result head column from the operand keys so that structurally
 /// identical dataflows yield identical keys (the basis of synced-property

@@ -79,6 +79,8 @@ Result<Bat> MergeJoin(const ExecContext& ctx, const Bat& ab, const Bat& cd,
   ChargeGate gate(ctx, a, d);
   b.TouchAll(ctx.io());
   c.TouchAll(ctx.io());
+  storage::ColdPageFilter a_pages = a.PageFilter(ctx.io());
+  storage::ColdPageFilter d_pages = d.PageFilter(ctx.io());
   size_t i = 0, j = 0;
   const size_t n = ab.size(), m = cd.size();
   while (i < n && j < m) {
@@ -91,8 +93,8 @@ Result<Bat> MergeJoin(const ExecContext& ctx, const Bat& ab, const Bat& cd,
       // Emit the full run of equal keys on the right for this left BUN.
       size_t j2 = j;
       while (j2 < m && c.EqualAt(j2, c, j)) {
-        a.TouchAt(ctx.io(), i);
-        d.TouchAt(ctx.io(), j2);
+        a_pages.Touch(i);
+        d_pages.Touch(j2);
         out.heads.AppendFrom(a, i);
         out.tails.AppendFrom(d, j2);
         MF_RETURN_NOT_OK(gate.Add(1));
@@ -115,7 +117,8 @@ Result<Bat> MergeJoin(const ExecContext& ctx, const Bat& ab, const Bat& cd,
 /// shards' counts are prefix-summed and every block then scatters its
 /// matches straight into the pre-sized result heaps, concurrently — the
 /// emitted BUN sequence and the merged fault counts stay identical to a
-/// serial probe at any degree.
+/// serial probe at any degree. Each block reports its c/a/d touches
+/// through one page filter per heap.
 Result<Bat> HashJoin(const ExecContext& ctx, const Bat& ab, const Bat& cd,
                      OpRecorder& rec) {
   const Column& a = ab.head();
@@ -141,6 +144,10 @@ Result<Bat> HashJoin(const ExecContext& ctx, const Bat& ab, const Bat& cd,
     // the budget by more than the gate's charge chunk) and probing stops
     // at the next chunk boundary once it trips.
     ChargeGate gate(ctx, a, d);
+    storage::IoStats* io = internal::ShardIo(ctx, mine.io);
+    storage::ColdPageFilter c_pages = c.PageFilter(io);
+    storage::ColdPageFilter a_pages = a.PageFilter(io);
+    storage::ColdPageFilter d_pages = d.PageFilter(io);
     size_t pending = 0;
     constexpr size_t kProbeChunk = 16 * 1024;
     for (size_t lo = begin; lo < end && mine.status.ok();
@@ -148,9 +155,9 @@ Result<Bat> HashJoin(const ExecContext& ctx, const Bat& ab, const Bat& cd,
       const size_t hi = std::min(end, lo + kProbeChunk);
       hash->ForEachMatchRange(b, lo, hi, [&](size_t i, uint32_t pos) {
         if (!mine.status.ok()) return;
-        c.TouchAt(&mine.io, pos);
-        a.TouchAt(&mine.io, i);
-        d.TouchAt(&mine.io, pos);
+        c_pages.Touch(pos);
+        a_pages.Touch(i);
+        d_pages.Touch(pos);
         mine.lefts.push_back(static_cast<uint32_t>(i));
         mine.rights.push_back(pos);
         if (++pending >= internal::ChargeGate::kChunkRows) {

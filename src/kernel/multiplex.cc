@@ -120,7 +120,9 @@ NumOp NumOpOf(const std::string& fn) {
 /// Unboxed fast path: binary arithmetic over synced numeric operands,
 /// parallel-block executed (Section 2). The operator and both operand
 /// types are resolved once; the inner loop is a zero-dispatch typed pass
-/// writing disjoint slices of the pre-sized output vector.
+/// writing disjoint slices of the pre-sized output vector. A block that
+/// meets a zero divisor flags it, and the call then fails with the
+/// "division by zero" error ScalarApply reports for the boxed variants.
 Result<Bat> SyncedNumericMultiplex(const ExecContext& ctx,
                                    const std::string& fn,
                                    const std::vector<MxArg>& args,
@@ -133,9 +135,10 @@ Result<Bat> SyncedNumericMultiplex(const ExecContext& ctx,
   std::vector<double> out(n);
   const NumOp op = NumOpOf(fn);
   const BlockPlan plan = ctx.Plan(n);
+  std::vector<uint8_t> zero_divisor(plan.blocks, 0);
   WithNumAccessor(args[0], [&](auto ax) {
     WithNumAccessor(args[1], [&](auto ay) {
-      RunBlocks(plan, [&](int, size_t begin, size_t end) {
+      RunBlocks(plan, [&](int block, size_t begin, size_t end) {
         double* o = out.data();
         switch (op) {
           case NumOp::kAdd:
@@ -147,18 +150,25 @@ Result<Bat> SyncedNumericMultiplex(const ExecContext& ctx,
           case NumOp::kMul:
             for (size_t i = begin; i < end; ++i) o[i] = ax(i) * ay(i);
             break;
-          case NumOp::kDiv:
+          case NumOp::kDiv: {
+            bool zero = false;
             for (size_t i = begin; i < end; ++i) {
               const double y = ay(i);
+              zero |= y == 0;
               o[i] = y == 0 ? 0 : ax(i) / y;
             }
+            zero_divisor[block] = zero;
             break;
+          }
           case NumOp::kNone:  // unreachable: the variant predicate gates
             break;
         }
       });
     });
   });
+  for (const uint8_t zero : zero_divisor) {
+    if (zero != 0) return Status::ExecutionError("division by zero");
+  }
   MF_RETURN_NOT_OK(ctx.CheckInterrupt());
   MF_ASSIGN_OR_RETURN(
       Bat res, Bat::Make(driver->head_col(), Column::MakeDbl(std::move(out)),
@@ -529,17 +539,14 @@ Result<Bat> HeadJoinMultiplex(const ExecContext& ctx, const std::string& fn,
                                 ArgIndexer{&sh}, &probe);
   RunBlocks(plan, [&](int block, size_t begin, size_t end) {
     Shard& mine = shards[block];
-    // Serial plans touch the caller's accountant directly: a capacity-
-    // limited (LRU) pager needs the true touch sequence, and shard
-    // replay only carries first-touch faults (see select.cc).
-    storage::IoStats* io = plan.blocks > 1 ? &mine.io : ctx.io();
+    storage::IoStats* io = internal::BlockIo(ctx, plan, mine.io);
     internal::ChargeGate gate(ctx, row_bytes);
     for (size_t k = 0; k < nb; ++k) {
       if (sh.bats[k] == driver) continue;
-      const Column& tail = sh.bats[k]->tail();
+      storage::ColdPageFilter tail_pages = sh.bats[k]->tail().PageFilter(io);
       hashes[k]->ForEachFirstMatch(driver->head(), begin, end,
                                    [&](size_t j, uint32_t p) {
-                                     tail.TouchAt(io, p);
+                                     tail_pages.Touch(p);
                                      pos[k][j] = p;
                                    });
     }

@@ -34,6 +34,7 @@ size_t LowerPos(const Column& col, const Value& v, bool after_equal,
   size_t hi = col.size();
   while (lo < hi) {
     const size_t mid = lo + (hi - lo) / 2;
+    // lint:allow(unfiltered-touch) binary search: one touch per probe step
     col.TouchAt(io, mid);
     const int c = col.CompareValue(mid, v);
     const bool go_right = after_equal ? (c <= 0) : (c < 0);
@@ -122,7 +123,8 @@ Result<std::pair<ColumnPtr, ColumnPtr>> GatherMatches(
   std::vector<IoShard> shards(plan.blocks);
   RunBlocks(plan, [&](int block, size_t, size_t) {
     const std::vector<uint32_t>& idx = matches[block].idx;
-    head.TouchGather(&shards[block].io, idx.data(), idx.size());
+    head.TouchGather(internal::ShardIo(ctx, shards[block].io), idx.data(),
+                     idx.size());
     hs.Gather(idx.data(), idx.size(), offset[block]);
     ts.Gather(idx.data(), idx.size(), offset[block]);
   });

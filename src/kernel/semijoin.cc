@@ -99,10 +99,8 @@ Result<Bat> DatavectorSemijoin(const ExecContext& ctx, const Bat& ab,
     // page filters forward each page's first touch in that order (every
     // touch, under an LRU pager) and add the repeats in bulk.
     {
-      storage::ColdPageFilter extent_pages(ctx.io(), extent.heap_id(),
-                                           extent.width(), extent.size());
-      storage::ColdPageFilter vector_pages(ctx.io(), vector.heap_id(),
-                                           vector.width(), vector.size());
+      storage::ColdPageFilter extent_pages = extent.PageFilter(ctx.io());
+      storage::ColdPageFilter vector_pages = vector.PageFilter(ctx.io());
       for (size_t k = 0; k < hits; ++k) {
         extent_pages.Touch(pos_data[k]);
         vector_pages.Touch(pos_data[k]);
@@ -120,8 +118,9 @@ Result<Bat> DatavectorSemijoin(const ExecContext& ctx, const Bat& ab,
     std::vector<InsertShard> ishards(iplan.blocks);
     RunBlocks(iplan, [&](int block, size_t begin, size_t end) {
       InsertShard& mine = ishards[block];
-      extent.TouchGather(&mine.io, pos_data + begin, end - begin);
-      vector.TouchGather(&mine.io, pos_data + begin, end - begin);
+      storage::IoStats* io = internal::ShardIo(ctx, mine.io);
+      extent.TouchGather(io, pos_data + begin, end - begin);
+      vector.TouchGather(io, pos_data + begin, end - begin);
       hs.Gather(pos_data + begin, end - begin, begin);
       ts.Gather(pos_data + begin, end - begin, begin);
       for (size_t k = begin + 1; k < end; ++k) {
@@ -187,6 +186,7 @@ Result<Bat> MergeSemijoin(const ExecContext& ctx, const Bat& ab,
   internal::ChargeGate gate(ctx, a, b);
   a.TouchAll(ctx.io());
   c.TouchAll(ctx.io());
+  storage::ColdPageFilter b_pages = b.PageFilter(ctx.io());
   size_t i = 0, j = 0;
   const size_t n = ab.size(), m = cd.size();
   while (i < n && j < m) {
@@ -196,7 +196,7 @@ Result<Bat> MergeSemijoin(const ExecContext& ctx, const Bat& ab,
     } else if (cmp > 0) {
       ++j;
     } else {
-      b.TouchAt(ctx.io(), i);
+      b_pages.Touch(i);
       hb.AppendFrom(a, i);
       tb.AppendFrom(b, i);
       MF_RETURN_NOT_OK(gate.Add(1));
@@ -233,13 +233,15 @@ Result<Bat> HashSemijoin(const ExecContext& ctx, const Bat& ab, const Bat& cd,
   RunBlocks(plan, [&](int block, size_t begin, size_t end) {
     Shard& mine = shards[block];
     internal::ChargeGate gate(ctx, a, b);
+    storage::ColdPageFilter b_pages =
+        b.PageFilter(internal::ShardIo(ctx, mine.io));
     size_t gated = 0;
     constexpr size_t kProbeChunk = 16 * 1024;
     for (size_t lo = begin; lo < end && mine.status.ok();
          lo += kProbeChunk) {
       const size_t hi = std::min(end, lo + kProbeChunk);
       hash->ForEachContained(a, lo, hi, [&](size_t i) {
-        b.TouchAt(&mine.io, i);
+        b_pages.Touch(i);
         mine.matches.push_back(static_cast<uint32_t>(i));
       });
       mine.status = gate.Add(mine.matches.size() - gated);
@@ -292,19 +294,17 @@ struct alignas(64) MissShard {
 /// Morsel-parallel anti-probe: for every probe row in [0, probe.size())
 /// with no match in `hash`, records the position into a per-block shard
 /// (typed bulk ForEachMissing, shard-local IoStats, `touch` reported per
-/// miss) and charges `gate_bytes_per_row` against the budget. Shards merge
-/// in block order, reproducing the serial probe's misses and fault
-/// sequence exactly.
+/// miss through a page filter) and charges `gate_bytes_per_row` against
+/// the budget. Shards merge in block order, reproducing the serial
+/// probe's misses and fault sequence exactly.
 Result<std::vector<MissShard>> ParallelMisses(
     const ExecContext& ctx, const bat::HashIndex& hash, const Column& probe,
     const Column& touch, uint64_t gate_bytes_per_row, const BlockPlan& plan) {
   std::vector<MissShard> shards(plan.blocks);
   RunBlocks(plan, [&](int block, size_t begin, size_t end) {
     MissShard& mine = shards[block];
-    // Serial plans touch the caller's accountant directly: a capacity-
-    // limited (LRU) pager needs the true touch sequence, and shard
-    // replay only carries first-touch faults (see select.cc).
-    storage::IoStats* io = plan.blocks > 1 ? &mine.io : ctx.io();
+    storage::ColdPageFilter pages =
+        touch.PageFilter(internal::BlockIo(ctx, plan, mine.io));
     internal::ChargeGate gate(ctx, gate_bytes_per_row);
     constexpr size_t kProbeChunk = 16 * 1024;
     size_t gated = 0;
@@ -312,7 +312,7 @@ Result<std::vector<MissShard>> ParallelMisses(
          lo += kProbeChunk) {
       const size_t hi = std::min(end, lo + kProbeChunk);
       hash.ForEachMissing(probe, lo, hi, [&](size_t i) {
-        touch.TouchAt(io, i);
+        pages.Touch(i);
         mine.misses.push_back(static_cast<uint32_t>(i));
       });
       mine.status = gate.Add(mine.misses.size() - gated);

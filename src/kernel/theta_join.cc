@@ -159,15 +159,14 @@ Result<Bat> BandThetaJoin(const ExecContext& ctx, const Bat& ab,
   std::vector<ThetaShard> shards(plan.blocks);
   RunBlocks(plan, [&](int block, size_t begin, size_t end) {
     ThetaShard& mine = shards[block];
-    // Serial plans touch the caller's accountant directly: a capacity-
-    // limited (LRU) pager needs the true touch sequence, and shard
-    // replay only carries first-touch faults (see select.cc).
-    storage::IoStats* io = plan.blocks > 1 ? &mine.io : ctx.io();
+    storage::IoStats* io = internal::BlockIo(ctx, plan, mine.io);
     internal::ChargeGate gate(ctx, a, d);
+    storage::ColdPageFilter a_pages = a.PageFilter(io);
+    storage::ColdPageFilter d_pages = d.PageFilter(io);
     auto emit = [&](size_t i, size_t j) {
       const uint32_t pos = order[j];
-      a.TouchAt(io, i);
-      d.TouchAt(io, pos);
+      a_pages.Touch(i);
+      d_pages.Touch(pos);
       mine.lefts.push_back(static_cast<uint32_t>(i));
       mine.rights.push_back(pos);
       mine.status = gate.Add(1);
@@ -276,12 +275,13 @@ Result<Bat> NestedThetaJoin(const ExecContext& ctx, const Bat& ab,
   std::vector<ThetaShard> shards(plan.blocks);
   RunBlocks(plan, [&](int block, size_t begin, size_t end) {
     ThetaShard& mine = shards[block];
-    // Serial: the caller's accountant.
-    storage::IoStats* io = plan.blocks > 1 ? &mine.io : ctx.io();
+    storage::IoStats* io = internal::BlockIo(ctx, plan, mine.io);
     internal::ChargeGate gate(ctx, a, d);
+    storage::ColdPageFilter a_pages = a.PageFilter(io);
+    storage::ColdPageFilter d_pages = d.PageFilter(io);
     auto emit = [&](size_t i, size_t j) {
-      a.TouchAt(io, i);
-      d.TouchAt(io, j);
+      a_pages.Touch(i);
+      d_pages.Touch(j);
       mine.lefts.push_back(static_cast<uint32_t>(i));
       mine.rights.push_back(static_cast<uint32_t>(j));
       mine.status = gate.Add(1);

@@ -26,36 +26,6 @@ void IoStats::TouchBytes(uint64_t heap, uint64_t offset, uint64_t len,
   for (uint64_t p = first; p <= last; ++p) TouchPageCold(heap, p, acc);
 }
 
-void IoStats::TouchGather(uint64_t heap, const uint32_t* idx, size_t n,
-                          int width) {
-  if (width <= 0 || n == 0) return;
-  if (capacity_ > 0) {
-    for (size_t k = 0; k < n; ++k) {
-      TouchElement(heap, idx[k], width, Access::kRandom);
-    }
-    return;
-  }
-  touches_ += n;
-  const uint64_t w = static_cast<uint64_t>(width);
-  if (kPageSize % w == 0) {
-    // Fixed widths divide the page size, so an element never straddles a
-    // page boundary: one page per index.
-    const uint64_t per_page = kPageSize / w;
-    for (size_t k = 0; k < n; ++k) {
-      TouchPageCold(heap, idx[k] / per_page, Access::kRandom);
-    }
-    return;
-  }
-  for (size_t k = 0; k < n; ++k) {
-    const uint64_t off = idx[k] * w;
-    const uint64_t first = off / kPageSize;
-    const uint64_t last = (off + w - 1) / kPageSize;
-    for (uint64_t p = first; p <= last; ++p) {
-      TouchPageCold(heap, p, Access::kRandom);
-    }
-  }
-}
-
 void IoStats::TouchPageColdSlow(uint64_t heap, uint64_t page, Access acc) {
   PageBitmap& bm = touched_[heap];
   cache_heap_[cache_next_] = heap;

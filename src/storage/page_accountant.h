@@ -46,12 +46,13 @@ enum class Access { kSequential, kRandom };
 /// paper observes on Q1 when the hot-set outgrows main memory (Section
 /// 6.2). Unlimited capacity (the default) is the pure cold-run model.
 ///
-/// Cost: every kernel inner loop reports its touches here, so the
-/// unlimited-capacity mode (what all cold-run kernels execute under) is a
-/// per-heap touched-page *bitmap* behind two one-entry memos — the common
-/// repeat-page / repeat-heap touch costs one integer compare plus one bit
-/// test, never a hash probe. Only the LRU mode keeps the recency map, and
-/// only it pays for one.
+/// Cost: kernel scans and the first touch of each page in a kernel's
+/// per-element loops (see ColdPageFilter) report here, and the row store
+/// reports every touch, so the unlimited-capacity mode (what all cold-run
+/// kernels execute under) is a per-heap touched-page *bitmap* behind two
+/// one-entry memos — the common repeat-page / repeat-heap touch costs one
+/// integer compare plus one bit test, never a hash probe. Only the LRU
+/// mode keeps the recency map, and only it pays for one.
 class IoStats {
  public:
   IoStats() = default;
@@ -112,10 +113,6 @@ class IoStats {
     TouchBytes(heap, lo * static_cast<uint64_t>(width),
                (hi - lo) * static_cast<uint64_t>(width), Access::kSequential);
   }
-
-  /// Batch API for gather loops: equivalent to one random TouchElement per
-  /// index, in order, with the heap resolved once for the whole batch.
-  void TouchGather(uint64_t heap, const uint32_t* idx, size_t n, int width);
 
   uint64_t faults() const { return faults_; }
   uint64_t sequential_faults() const { return seq_faults_; }
@@ -273,9 +270,11 @@ class IoStats {
 };
 
 /// Page filter for loops that touch the elements of one heap many times
-/// (binary-search probes, positional gathers): it forwards only the first
-/// touch of each page to the accountant and adds the repeat touches in
-/// bulk when it goes out of scope.
+/// (hash-probe matches, positional gathers, replayed binary-search paths):
+/// it forwards only the first touch of each page to the accountant and
+/// adds the repeat touches in bulk when it goes out of scope. Kernels build
+/// one per touched heap in the block that touches it (Column::PageFilter),
+/// before the loop, and destroy it before the block's shard is merged.
 ///
 /// Exactness: under cold-run accounting a touched page stays resident, so
 /// a repeat touch of a page this filter already forwarded is a hit whose

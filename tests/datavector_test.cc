@@ -6,7 +6,9 @@
 // and the same accountant state — faults, sequential/random split, logical
 // touches, resident pages, evictions and the shard fault log — over dense,
 // void, gapped, single-element and empty extents, into cold and LRU
-// accountants and through ForShard shards merged at 1 and 4 blocks. The
+// accountants and through ForShard shards merged at 1 and 4 blocks. Page
+// filters that saturate, and Column::TouchGather built on them, must equal
+// touching every element. The
 // datavector semijoin kernel must match a FindPosition-plus-gather
 // reference (same BAT, same sync key, same faults) at degrees 1 and 4, and
 // the LOOKUP memo must drop the entries of dead right operands.
@@ -246,6 +248,79 @@ TEST(ColdPageFilterTest, InterleavedFiltersKeepFirstTouchOrder) {
       }
     }
     ExpectSameIo(want, got, "capacity " + std::to_string(capacity));
+  }
+}
+
+TEST(ColdPageFilterTest, SaturatedFilterAddsRepeatsExactly) {
+  // A loop that stops touching once every page has been forwarded
+  // (saturated) and adds the remaining touches through AddRepeats must
+  // leave the accountant as touching every element does: on a cold owner,
+  // on a shard (fault log included) and under an LRU pager, for which the
+  // filter forwards every touch and never saturates.
+  Rng rng(17);
+  std::vector<uint64_t> idx(20000);
+  for (uint64_t& i : idx) i = rng.Uniform(0, 4999);  // 10 pages of 8 B
+  for (const char* mode : {"cold", "shard", "lru"}) {
+    const auto make = [&] {
+      return mode[0] == 'c'   ? IoStats()
+             : mode[0] == 's' ? IoStats::ForShard()
+                              : IoStats(4);
+    };
+    IoStats want = make();
+    IoStats got = make();
+    for (uint64_t i : idx) {
+      want.TouchElement(903, i, 8, storage::Access::kRandom);
+    }
+    size_t forwarded = 0;
+    {
+      storage::ColdPageFilter pages(&got, 903, 8, 5000);
+      while (forwarded < idx.size() && !pages.saturated()) {
+        pages.Touch(idx[forwarded++]);
+      }
+      if (forwarded < idx.size()) pages.AddRepeats(idx.size() - forwarded);
+    }
+    EXPECT_EQ(forwarded < idx.size(), mode[0] != 'l') << mode;
+    ExpectSameIo(want, got, mode);
+  }
+}
+
+TEST(ColdPageFilterTest, ColumnTouchGatherEqualsTouchAtLoop) {
+  // Column::TouchGather filters its touches and stops reading indices once
+  // the filter saturates. It must equal one TouchAt per index for every
+  // element width and a storage-less void column, on seeded random index
+  // sets that cover every page (saturating) and that cover half of them.
+  constexpr size_t kRows = 200000;
+  const std::vector<ColumnPtr> columns = {
+      Column::MakeChr(std::vector<char>(kRows, 'x')),
+      Column::MakeSht(std::vector<int16_t>(kRows)),
+      Column::MakeInt(std::vector<int32_t>(kRows)),
+      Column::MakeLng(std::vector<int64_t>(kRows)),
+      Column::MakeVoid(0, kRows)};
+  Rng rng(29);
+  for (size_t span : {kRows, kRows / 2}) {
+    std::vector<uint32_t> idx(100000);
+    for (uint32_t& i : idx) {
+      i = static_cast<uint32_t>(rng.Uniform(0, span - 1));
+    }
+    for (const ColumnPtr& col : columns) {
+      for (size_t capacity : {size_t{0}, size_t{4}}) {
+        for (bool shard : {false, true}) {
+          if (capacity > 0 && shard) continue;
+          const auto make = [&] {
+            return shard ? IoStats::ForShard() : IoStats(capacity);
+          };
+          IoStats want = make();
+          IoStats got = make();
+          for (uint32_t i : idx) col->TouchAt(&want, i);
+          col->TouchGather(&got, idx.data(), idx.size());
+          ExpectSameIo(want, got,
+                       "width " + std::to_string(col->width()) + " span " +
+                           std::to_string(span) + " capacity " +
+                           std::to_string(capacity) +
+                           (shard ? " shard" : ""));
+        }
+      }
+    }
   }
 }
 

@@ -1,6 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <numeric>
+#include <string>
+#include <vector>
+
 #include "bat/bat.h"
+#include "common/parallel.h"
 #include "kernel/exec_tracer.h"
 #include "kernel/operators.h"
 #include "kernel/scalar_fn.h"
@@ -362,6 +367,50 @@ TEST(MultiplexTest, HeadJoinAlignmentWhenNotSynced) {
   EXPECT_EQ(Heads(out), (std::vector<Oid>{1, 3}));
   EXPECT_DOUBLE_EQ(out.tail().NumAt(0), 11.0);
   EXPECT_DOUBLE_EQ(out.tail().NumAt(1), 33.0);
+}
+
+TEST(MultiplexTest, DivisionByZeroFailsOnEveryVariant) {
+  // The synced typed loop, the head-join alignment and a constant divisor
+  // report a zero divisor as the same error, at degrees 1 and 4; 70000
+  // rows give the degree-4 plan four blocks, and the zero sits in the last.
+  SetParallelBlockCap(4);
+  constexpr size_t kRows = 70000;
+  std::vector<Oid> heads(kRows);
+  std::iota(heads.begin(), heads.end(), Oid{1});
+  const std::vector<double> threes(kRows, 3.0), twos(kRows, 2.0);
+  std::vector<double> zero_late = twos;
+  zero_late[kRows - 5] = 0.0;
+  const Bat x(Column::MakeOid(heads), Column::MakeDbl(threes));
+  const Bat synced_twos(x.head_col(), Column::MakeDbl(twos));
+  const Bat synced_zero(x.head_col(), Column::MakeDbl(zero_late));
+  const Bat joined_twos(Column::MakeOid(heads), Column::MakeDbl(twos));
+  const Bat joined_zero(Column::MakeOid(heads), Column::MakeDbl(zero_late));
+  struct Case {
+    const char* what;
+    MxArg ok, zero;  // a nonzero control divisor and the zero one
+    const char* impl;
+  };
+  const Case cases[] = {
+      {"synced", synced_twos, synced_zero, "multiplex_synced_numeric"},
+      {"head-join", joined_twos, joined_zero, "multiplex_headjoin"},
+      {"constant", Value::Dbl(2.0), Value::Dbl(0.0),
+       "multiplex_synced_numeric"},
+  };
+  for (int degree : {1, 4}) {
+    for (const Case& c : cases) {
+      const std::string what =
+          std::string(c.what) + " at degree " + std::to_string(degree);
+      ExecTracer tracer;
+      ExecContext ctx;
+      ctx.WithTracer(&tracer).WithParallelDegree(degree);
+      EXPECT_TRUE(Multiplex(ctx, "/", {x, c.ok}).ok()) << what;
+      EXPECT_EQ(tracer.LastImplOf("multiplex"), c.impl) << what;
+      const Status s = Multiplex(ctx, "/", {x, c.zero}).status();
+      EXPECT_EQ(s.code(), StatusCode::kExecutionError) << what;
+      EXPECT_EQ(s.message(), "division by zero") << what;
+    }
+  }
+  SetParallelBlockCap(0);
 }
 
 TEST(MultiplexTest, ComparisonYieldsBits) {

@@ -2,6 +2,7 @@
 
 #include "bat/bat.h"
 #include "mil/interpreter.h"
+#include "mil/parser.h"
 #include "mil/program.h"
 
 namespace moaflat::mil {
@@ -156,6 +157,22 @@ TEST_F(MilTest, ErrorsAreCleanNotFatal) {
   EXPECT_EQ(interp.Exec(MilStmt{"x", "frobnicate", {V("vals")}}).code(),
             StatusCode::kNotImplemented);
   EXPECT_FALSE(interp.Exec(MilStmt{"x", "join", {V("vals")}}).ok());
+}
+
+TEST_F(MilTest, DivisionByZeroFailsOnEveryMultiplexVariant) {
+  // A synced divisor, a head-joined one and a constant zero all fail the
+  // statement with the error calc./ reports on scalars.
+  env_.BindBat("zeros", Bat(Column::MakeOid({1, 2, 3, 4}),
+                            Column::MakeInt({1, 0, 1, 1})));
+  for (const char* text : {"d := [-](vals, vals)\nq := [/](vals, d)",
+                           "q := [/](vals, zeros)", "q := [/](vals, 0.0)",
+                           "q := calc./(1.0, 0.0)"}) {
+    MilProgram p = ParseMil(text).ValueOrDie();
+    MilInterpreter interp(&env_, &ctx_);
+    const Status s = interp.Run(p);
+    EXPECT_EQ(s.code(), StatusCode::kExecutionError) << text;
+    EXPECT_EQ(s.message(), "division by zero") << text;
+  }
 }
 
 TEST_F(MilTest, NegativeCountsAreInvalidNotWrapped) {

@@ -553,5 +553,91 @@ TEST(ParallelDeterminismTest, WholeQueryIoLedgerIsPinned) {
   }
 }
 
+/// One Monet run of one TPC-D query (SF 0.01, default seed) under a
+/// 256-page LRU pager: the ledger row plus the evictions, the only
+/// measure the cold ledger cannot show.
+struct LruLedgerRow {
+  int q;
+  int degree;
+  uint64_t faults, seq, rnd, touches, evictions;
+  size_t ops;
+  uint64_t impl_hash;
+};
+
+/// Monet runs at degrees 1 and 4 (block cap 4) under IoStats(256). An LRU
+/// pager sees every touch in order, so a kernel whose touch sequence
+/// changes moves faults or evictions here even when the cold ledger holds.
+constexpr LruLedgerRow kLruLedger[] = {
+    {1, 1, 7648, 4032, 3616, 3443719, 7392, 41, 0x903da646aeda89b9ULL},
+    {1, 4, 7487, 4032, 3455, 3443719, 7231, 41, 0x903da646aeda89b9ULL},
+    {2, 1, 102, 36, 66, 27535, 0, 13, 0x7bd83bce81145398ULL},
+    {2, 4, 102, 36, 66, 27535, 0, 13, 0x7bd83bce81145398ULL},
+    {3, 1, 1181, 252, 929, 458521, 925, 23, 0x576ea68d0d4334d5ULL},
+    {3, 4, 966, 324, 642, 122537, 710, 23, 0x9812029d4fe77c4dULL},
+    {4, 1, 683, 150, 533, 101240, 427, 12, 0xfadd64f4b1d06aa9ULL},
+    {4, 4, 806, 497, 309, 29189, 550, 12, 0x08344b7c6581e13fULL},
+    {5, 1, 1223, 276, 947, 323007, 967, 22, 0x13d4360a4af059a7ULL},
+    {5, 4, 992, 374, 618, 148996, 736, 22, 0xae2098fb770a9346ULL},
+    {6, 1, 1124, 331, 793, 1121538, 868, 13, 0xfe8b26e966c1d05aULL},
+    {6, 4, 1386, 885, 501, 794557, 1130, 13, 0xa9623b3993ac2c74ULL},
+    {7, 1, 1306, 348, 958, 580250, 1050, 27, 0x56c12e21c64c32eaULL},
+    {7, 4, 1263, 547, 716, 227424, 1007, 27, 0xf92bf387d9ad2f51ULL},
+    {8, 1, 606, 148, 458, 10452, 350, 30, 0xd708427b9df78653ULL},
+    {8, 4, 606, 148, 458, 10452, 350, 30, 0xd708427b9df78653ULL},
+    {9, 1, 1849, 379, 1470, 292199, 1593, 31, 0xd07a949022a1d843ULL},
+    {9, 4, 1907, 1026, 881, 204428, 1651, 31, 0x5d205dc208f51f00ULL},
+    {10, 1, 1393, 187, 1206, 527167, 1137, 23, 0xc84bb49811a0d61fULL},
+    {10, 4, 1536, 727, 809, 116028, 1280, 23, 0xf52d711fac658cc8ULL},
+    {11, 1, 59, 26, 33, 8299, 0, 12, 0x459f1893b7320c68ULL},
+    {11, 4, 59, 26, 33, 8299, 0, 12, 0x459f1893b7320c68ULL},
+    {12, 1, 852, 170, 682, 389956, 596, 27, 0xa8dd1193bcc8fb9aULL},
+    {12, 4, 1116, 596, 520, 51288, 860, 27, 0xaec3ae6c5bc82a22ULL},
+    {13, 1, 980, 195, 785, 174330, 724, 19, 0x02ebd1753f7d763cULL},
+    {13, 4, 1191, 648, 543, 37364, 935, 19, 0x93f7ba814fa9b6feULL},
+    {14, 1, 565, 20, 545, 18917, 309, 11, 0xd89066a693643207ULL},
+    {14, 4, 565, 20, 545, 18917, 309, 11, 0xd89066a693643207ULL},
+    {15, 1, 596, 38, 558, 51226, 340, 10, 0xd590b99d940f7404ULL},
+    {15, 4, 775, 395, 380, 16392, 519, 10, 0xf2f057aed399a82eULL},
+};
+
+std::string LruLedgerString(const LruLedgerRow& r) {
+  using ull = unsigned long long;
+  char buf[160];
+  std::snprintf(buf, sizeof(buf),
+                "{%d, %d, %llu, %llu, %llu, %llu, %llu, %zu, 0x%016llxULL}",
+                r.q, r.degree, static_cast<ull>(r.faults),
+                static_cast<ull>(r.seq), static_cast<ull>(r.rnd),
+                static_cast<ull>(r.touches), static_cast<ull>(r.evictions),
+                r.ops, static_cast<ull>(r.impl_hash));
+  return buf;
+}
+
+TEST(ParallelDeterminismTest, WholeQueryLruIoLedgerIsPinned) {
+  ForceFanout cap(4);
+  auto inst = tpcd::MakeInstance(0.01).ValueOrDie();
+  tpcd::QuerySuite suite(inst);
+  for (const LruLedgerRow& want : kLruLedger) {
+    storage::IoStats io(256);
+    ExecTracer tracer;
+    ExecContext ctx;
+    ctx.WithIo(&io).WithTracer(&tracer).WithParallelDegree(want.degree);
+    auto run = suite.RunMonet(want.q, ctx);
+    ASSERT_TRUE(run.ok()) << "Q" << want.q << ": "
+                          << run.status().ToString();
+    std::string impls;
+    for (const kernel::TraceRecord& r : tracer.records) impls += r.impl + " ";
+    const LruLedgerRow got{want.q,
+                           want.degree,
+                           io.faults(),
+                           io.sequential_faults(),
+                           io.random_faults(),
+                           io.logical_touches(),
+                           io.evictions(),
+                           tracer.records.size(),
+                           Fnv1a(impls)};
+    EXPECT_EQ(LruLedgerString(got), LruLedgerString(want)) << impls;
+  }
+}
+
 }  // namespace
 }  // namespace moaflat

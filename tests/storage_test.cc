@@ -229,10 +229,13 @@ void DriveRandomSequence(size_t capacity, uint64_t seed) {
         ref.TouchRange(heap, lo, hi, width);
         break;
       }
-      case 3: {  // batch gather
+      case 3: {  // batch gather, through a page filter
         std::vector<uint32_t> idx(rng.Uniform(0, 200));
         for (auto& v : idx) v = static_cast<uint32_t>(rng.Uniform(0, 100000));
-        io.TouchGather(heap, idx.data(), idx.size(), width);
+        {
+          ColdPageFilter pages(&io, heap, width, 100001);
+          for (uint32_t i : idx) pages.Touch(i);
+        }
         ref.TouchGather(heap, idx.data(), idx.size(), width);
         break;
       }
@@ -300,17 +303,20 @@ TEST(PageAccountantPropertyTest, ShardMergeReproducesSerialExactly) {
 }
 
 TEST(PageAccountantTest, TouchGatherEqualsElementLoop) {
-  const uint64_t h = NewHeapId();
+  const bat::ColumnPtr col =
+      bat::Column::MakeInt(std::vector<int32_t>(100000));
+  const uint64_t h = col->heap_id();
   std::vector<uint32_t> idx{5, 5, 1000, 5, 99999, 1000, 0};
   IoStats batch, loop;
-  batch.TouchGather(h, idx.data(), idx.size(), 4);
+  col->TouchGather(&batch, idx.data(), idx.size());
   for (uint32_t i : idx) loop.TouchElement(h, i, 4, Access::kRandom);
   EXPECT_EQ(batch.faults(), loop.faults());
   EXPECT_EQ(batch.random_faults(), loop.random_faults());
   EXPECT_EQ(batch.logical_touches(), loop.logical_touches());
   // Zero-width gathers are free, like zero-width element touches.
   IoStats zero;
-  zero.TouchGather(h, idx.data(), idx.size(), 0);
+  const bat::ColumnPtr void_col = bat::Column::MakeVoid(0, 100000);
+  void_col->TouchGather(&zero, idx.data(), idx.size());
   EXPECT_EQ(zero.faults(), 0u);
   EXPECT_EQ(zero.logical_touches(), 0u);
 }

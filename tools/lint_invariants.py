@@ -78,6 +78,17 @@ op-dispatch
     vocabulary that drifts from the table. Escapes carry
     `// lint:allow(op-dispatch)` and, on the same comment line, the reason.
 
+unfiltered-touch
+    A per-element `Column::TouchAt` call (`.TouchAt(` or `->TouchAt(`).
+    Each call is an out-of-line accountant touch plus a heap-cache scan,
+    which cost more than the hash probe in a join's match loop. A kernel
+    loop touches through a storage::ColdPageFilter per heap instead
+    (Column::PageFilter, Column::TouchGather): only each page's first
+    touch reaches the accountant, with bit-identical fault accounting.
+    Only a binary search, whose touch sequence is a few probes per lookup,
+    calls TouchAt; such a site carries `// lint:allow(unfiltered-touch)`
+    and, on the same comment line, the reason.
+
 An allow comment counts when it appears inside the flagged statement or on
 one of the two lines above it.
 
@@ -386,9 +397,28 @@ def check_op_dispatch(path, lines):
     return findings
 
 
+TOUCH_AT_RE = re.compile(r"(?:\.|->)TouchAt\(")
+
+
+def check_unfiltered_touch(path, lines):
+    findings = []
+    for i, line in enumerate(lines):
+        if not TOUCH_AT_RE.search(strip_comments(line)):
+            continue
+        if allowed(lines, i, i, "unfiltered-touch", need_reason=True):
+            continue
+        findings.append(Finding(
+            path, i + 1, "unfiltered-touch",
+            "per-element TouchAt: touch through a page filter "
+            "(Column::PageFilter / Column::TouchGather), or, for a binary "
+            "search, annotate // lint:allow(unfiltered-touch) with the "
+            "reason on the same line"))
+    return findings
+
+
 CHECKS = [check_sync_head_only, check_uncharged_kernel, check_unpolled_plan,
           check_unsynced_rename, check_naked_mutex, check_thread_local,
-          check_op_dispatch]
+          check_op_dispatch, check_unfiltered_touch]
 
 
 def lint_file(path, text=None):
@@ -641,6 +671,36 @@ if (s.op == "group") ++groups;
     ("scalar_fn_compare.cc", """
 if (fn == "+") return Add(x, y);
 """, {"op-dispatch": 0}),
+    # A per-match touch in a hash-probe lambda: the loop the page filter
+    # exists for.
+    ("broken_unfiltered_touch.cc", """
+hash->ForEachMatchRange(b, lo, hi, [&](size_t i, uint32_t pos) {
+  c.TouchAt(&mine.io, pos);
+  mine.lefts.push_back(static_cast<uint32_t>(i));
+});
+""", {"unfiltered-touch": 1}),
+    # A binary search's probe touch, with the reason.
+    ("allowed_unfiltered_touch.cc", """
+while (lo < hi) {
+  const size_t mid = lo + (hi - lo) / 2;
+  // lint:allow(unfiltered-touch) binary search: a few probes per lookup
+  col.TouchAt(io, mid);
+  lo = col.CompareValue(mid, v) < 0 ? mid + 1 : lo;
+}
+""", {"unfiltered-touch": 0}),
+    # An allow without a reason does not count.
+    ("bare_allow_unfiltered_touch.cc", """
+// lint:allow(unfiltered-touch)
+extent_->TouchAt(io, mid);
+""", {"unfiltered-touch": 1}),
+    # The definition of Column::TouchAt is not a call.
+    ("touch_at_definition.cc", """
+  void TouchAt(storage::IoStats* io, size_t i) const {
+    if (io != nullptr) {
+      io->TouchElement(heap_id_, i, width(), storage::Access::kRandom);
+    }
+  }
+""", {"unfiltered-touch": 0}),
     # A justified exception near the Plan call.
     ("allowed_plan.cc", """
 Result<Bat> TouchOnly(const ExecContext& ctx, const Bat& ab) {
