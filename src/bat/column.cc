@@ -22,16 +22,6 @@ void MaybeInjectAllocFailure() {
   }
 }
 
-uint64_t HashBytes(std::string_view s) {
-  // FNV-1a.
-  uint64_t h = 1469598103934665603ULL;
-  for (char c : s) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 1099511628211ULL;
-  }
-  return h;
-}
-
 template <typename T>
 Column::Repr WrapVector(std::vector<T> v) {
   return Column::Repr(std::move(v));
@@ -127,74 +117,40 @@ Value Column::GetValue(size_t i) const {
 }
 
 double Column::NumAt(size_t i) const {
-  switch (type_) {
-    case MonetType::kVoid:
-      return static_cast<double>(void_base_ + i);
-    case MonetType::kOidT:
-      return static_cast<double>(Data<Oid>()[i]);
-    case MonetType::kBit:
-      return Data<uint8_t>()[i] ? 1.0 : 0.0;
-    case MonetType::kChr:
-      return static_cast<double>(Data<char>()[i]);
-    case MonetType::kSht:
-      return static_cast<double>(Data<int16_t>()[i]);
-    case MonetType::kInt:
-      return static_cast<double>(Data<int32_t>()[i]);
-    case MonetType::kLng:
-      return static_cast<double>(Data<int64_t>()[i]);
-    case MonetType::kFlt:
-      return static_cast<double>(Data<float>()[i]);
-    case MonetType::kDbl:
-      return Data<double>()[i];
-    case MonetType::kDate:
-      return static_cast<double>(Data<Date>()[i].days());
-    case MonetType::kStr:
-      return 0.0;  // callers must not take numeric views of strings
-  }
-  return 0.0;
+  return VisitValues([i](const auto& v) { return Num(v, i); });
 }
 
 uint64_t Column::HashAt(size_t i) const {
-  if (type_ == MonetType::kStr) return HashBytes(Str(i));
-  if (type_ == MonetType::kVoid) return MixHash64(OidAt(i));
-  return VisitType(type_, [&](auto tag) {
-    using T = typename decltype(tag)::type;
-    return TypedValueHash(Data<T>()[i]);
-  });
+  return VisitValues([i](const auto& v) { return Hash(v, i); });
 }
 
+// The pair operations read `other` through a one-row KeyBatch: one
+// instantiation per (shape, key kind) instead of per pair of shapes.
+
 bool Column::EqualAt(size_t i, const Column& other, size_t j) const {
-  if (type_ == MonetType::kStr && other.type_ == MonetType::kStr) {
-    if (str_heap_ == other.str_heap_) {
-      return StrOffset(i) == other.StrOffset(j);  // heaps dedup
-    }
-    return Str(i) == other.Str(j);
-  }
-  return NumAt(i) == other.NumAt(j);
+  KeyBatch b;
+  b.Fill(other, j, j + 1);
+  bool eq = false;
+  VisitValues([&](const auto& av) {
+    b.Visit([&](const auto& bv) { eq = Equal(av, i, bv, 0); });
+  });
+  return eq;
 }
 
 int Column::CompareAt(size_t i, const Column& other, size_t j) const {
-  if (type_ == MonetType::kStr && other.type_ == MonetType::kStr) {
-    return Str(i).compare(other.Str(j));
-  }
-  const double a = NumAt(i);
-  const double b = other.NumAt(j);
-  if (a < b) return -1;
-  if (a > b) return 1;
-  return 0;
+  KeyBatch b;
+  b.Fill(other, j, j + 1);
+  int cmp = 0;
+  VisitValues([&](const auto& av) {
+    b.Visit([&](const auto& bv) { cmp = Compare(av, i, bv, 0); });
+  });
+  return cmp;
 }
 
 int Column::CompareValue(size_t i, const Value& v) const {
-  if (type_ == MonetType::kStr) {
-    if (v.type() != MonetType::kStr) return 1;
-    return Str(i).compare(v.AsStr());
-  }
-  auto vd = v.ToDouble();
-  const double b = vd.ok() ? *vd : 0.0;
-  const double a = NumAt(i);
-  if (a < b) return -1;
-  if (a > b) return 1;
-  return 0;
+  return VisitValues([&](const auto& a) {
+    return VisitBound(a, v, [&](const auto& c) { return Compare(a, i, c, 0); });
+  });
 }
 
 void Column::TouchGather(storage::IoStats* io, const uint32_t* idx,
@@ -212,17 +168,9 @@ bool Column::RangeSorted(size_t lo, size_t hi) const {
   if (hi > size_) hi = size_;
   if (lo >= hi) return true;
   if (is_void()) return true;  // dense ascending by construction
-  if (type_ == MonetType::kStr) {
+  return VisitValues([&](const auto& v) {
     for (size_t i = lo + 1; i < hi; ++i) {
-      if (Str(i - 1).compare(Str(i)) > 0) return false;
-    }
-    return true;
-  }
-  return VisitType(type_, [&](auto tag) {
-    using T = typename decltype(tag)::type;
-    const T* v = Data<T>().data();
-    for (size_t i = lo + 1; i < hi; ++i) {
-      if (v[i] < v[i - 1]) return false;
+      if (Compare(v, i - 1, v, i) > 0) return false;
     }
     return true;
   });
@@ -230,17 +178,44 @@ bool Column::RangeSorted(size_t lo, size_t hi) const {
 
 bool Column::ComputeKey() const {
   if (is_void()) return true;
-  std::unordered_set<uint64_t> seen;
-  seen.reserve(size_ * 2);
-  for (size_t i = 0; i < size_; ++i) {
-    if (!seen.insert(HashAt(i)).second) {
-      // Hash collision or duplicate: verify by scanning (rare).
-      for (size_t j = 0; j < i; ++j) {
-        if (EqualAt(i, *this, j)) return false;
+  return VisitValues([&](const auto& v) {
+    std::unordered_set<uint64_t> seen;
+    seen.reserve(size_ * 2);
+    for (size_t i = 0; i < size_; ++i) {
+      if (!seen.insert(Hash(v, i)).second) {
+        // Hash collision or duplicate: verify by scanning (rare).
+        for (size_t j = 0; j < i; ++j) {
+          if (Equal(v, i, v, j)) return false;
+        }
       }
     }
-  }
-  return true;
+    return true;
+  });
+}
+
+void KeyBatch::Fill(const Column& col, size_t lo, size_t hi) {
+  col.VisitValues([&](const auto& v) {
+    using V = std::decay_t<decltype(v)>;
+    if constexpr (std::is_same_v<V, StrValues>) {
+      kind_ = Kind::kStr;
+      heap_ = v.heap;
+      std::copy(v.offsets + lo, v.offsets + hi, offsets_);
+    } else {
+      using K = decltype(ValueKey(v[0]));
+      K* out;
+      if constexpr (std::is_same_v<K, int64_t>) {
+        kind_ = Kind::kInt;
+        out = ints_;
+      } else if constexpr (std::is_same_v<K, Oid>) {
+        kind_ = Kind::kOid;
+        out = oids_;
+      } else {
+        kind_ = Kind::kFloat;
+        out = floats_;
+      }
+      for (size_t i = lo; i < hi; ++i) out[i - lo] = ValueKey(v[i]);
+    }
+  });
 }
 
 // --------------------------------------------------------------------

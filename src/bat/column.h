@@ -2,7 +2,9 @@
 #define MOAFLAT_BAT_COLUMN_H_
 
 #include <cstdint>
+#include <limits>
 #include <memory>
+#include <optional>
 #include <span>
 #include <string>
 #include <string_view>
@@ -22,14 +24,14 @@ class Column;
 using ColumnPtr = std::shared_ptr<const Column>;
 
 /// Tag carrying the native C++ storage type of a MonetType, passed to
-/// Column::VisitType visitors so kernel inner loops can be written once
-/// and instantiated per type.
+/// Column::VisitType visitors so storage loops can be written once and
+/// instantiated per type.
 template <typename T>
 struct TypeTag {
   using type = T;
 };
 
-/// Hash mixer shared by Column::HashAt and the typed probe fast paths.
+/// Hash mixer of the value view's integral and float hashes.
 inline uint64_t MixHash64(uint64_t x) {
   x ^= x >> 33;
   x *= 0xff51afd7ed558ccdULL;
@@ -39,19 +41,14 @@ inline uint64_t MixHash64(uint64_t x) {
   return x;
 }
 
-/// Numeric view of one native storage value: the compile-time twin of
-/// Column::NumAt, for loops that hoisted the type dispatch via VisitType.
-/// Must agree with NumAt exactly (bit maps to 0/1, dates to their day
-/// number, everything else casts).
-template <typename T>
-inline double NumValue(T v) {
-  if constexpr (std::is_same_v<T, Date>) {
-    return static_cast<double>(v.days());
-  } else if constexpr (std::is_same_v<T, uint8_t>) {
-    return v ? 1.0 : 0.0;
-  } else {
-    return static_cast<double>(v);
+/// FNV-1a: the hash of a str value.
+inline uint64_t HashBytes(std::string_view s) {
+  uint64_t h = 1469598103934665603ULL;
+  for (char c : s) {
+    h ^= static_cast<unsigned char>(c);
+    h *= 1099511628211ULL;
   }
+  return h;
 }
 
 /// Native storage value of a boxed Value already cast to the storage type
@@ -80,23 +77,231 @@ inline T NativeValueOf(const Value& v) {
   }
 }
 
-/// Typed twin of Column::HashAt for fixed-width storage values. Produces
-/// the identical hash (HashAt is implemented in terms of it), so typed
-/// and boxed probes of one accelerator agree on every bucket.
+// --------------------------------------------------------------------
+// The value view: what a column value *is* — its numeric view, hash,
+// equality and order — defined here once, for every storage shape.
+//
+// Column::VisitValues hands a kernel loop one accessor per shape (a
+// native span per fixed-width type, the dense base of a void column, the
+// offsets into a str heap), and VisitBound lowers a boxed constant once
+// to a one-value accessor comparable with a column's. A loop written
+// once over `auto` accessors and the four operations below is
+// instantiated per shape with no per-value dispatch.
+//
+// Each value reads as a key: bit/chr/sht/int/lng/date as int64 (bit 0/1,
+// date its day number), oid/void as uint64, flt/dbl as double, str as its
+// bytes. Two integral keys compare exactly — sign-aware between int64 and
+// oid, so 2^53 and 2^53+1 stay apart. A float on either side compares
+// both as doubles (NaN compares "equal" in the three-way Compare but is
+// never Equal). Strings order bytewise, after every non-str value, and
+// never equal one.
+
+/// A fixed-width column: its native span.
 template <typename T>
-inline uint64_t TypedValueHash(T v) {
-  if constexpr (std::is_same_v<T, Oid>) {
-    return MixHash64(v);
-  } else if constexpr (std::is_same_v<T, float> || std::is_same_v<T, double>) {
-    const double d = static_cast<double>(v);
+struct NativeValues {
+  const T* data;
+  T operator[](size_t i) const { return data[i]; }
+};
+
+/// A void column: the dense oids base, base+1, ...
+struct VoidValues {
+  Oid base;
+  Oid operator[](size_t i) const { return base + i; }
+};
+
+/// A str column: offsets into one (deduplicating) string heap.
+struct StrValues {
+  const storage::StringHeap* heap;
+  const int32_t* offsets;
+  std::string_view operator[](size_t i) const {
+    return heap->View(offsets[i]);
+  }
+};
+
+/// One boxed constant lowered to a key (VisitBound): reads the same at
+/// every position.
+template <typename K>
+struct ConstValue {
+  K key;
+  K operator[](size_t) const { return key; }
+};
+
+/// The key of one native value (see above).
+template <typename T>
+inline auto ValueKey(T v) {
+  if constexpr (std::is_same_v<T, Oid> || std::is_same_v<T, double> ||
+                std::is_same_v<T, std::string_view>) {
+    return v;
+  } else if constexpr (std::is_same_v<T, float>) {
+    return static_cast<double>(v);
+  } else if constexpr (std::is_same_v<T, Date>) {
+    return static_cast<int64_t>(v.days());
+  } else if constexpr (std::is_same_v<T, uint8_t>) {
+    return static_cast<int64_t>(v != 0);
+  } else {
+    return static_cast<int64_t>(v);
+  }
+}
+
+namespace value_internal {
+
+template <typename K>
+inline constexpr bool kIsStr = std::is_same_v<K, std::string_view>;
+
+template <typename K>
+inline constexpr bool kIsFloat = std::is_same_v<K, double>;
+
+template <typename A, typename B>
+inline int CompareKeys(A a, B b) {
+  if constexpr (kIsStr<A> && kIsStr<B>) {
+    const int c = a.compare(b);
+    return (c > 0) - (c < 0);
+  } else if constexpr (kIsStr<A>) {
+    return 1;
+  } else if constexpr (kIsStr<B>) {
+    return -1;
+  } else if constexpr (kIsFloat<A> || kIsFloat<B>) {
+    const double x = static_cast<double>(a);
+    const double y = static_cast<double>(b);
+    return x < y ? -1 : (x > y ? 1 : 0);
+  } else if constexpr (std::is_same_v<A, B>) {
+    return (a > b) - (a < b);
+  } else if constexpr (std::is_signed_v<A>) {
+    return a < 0 ? -1 : CompareKeys(static_cast<uint64_t>(a), b);
+  } else {
+    return b < 0 ? 1 : CompareKeys(a, static_cast<uint64_t>(b));
+  }
+}
+
+template <typename A, typename B>
+inline bool EqualKeys(A a, B b) {
+  if constexpr (kIsStr<A> != kIsStr<B>) {
+    return false;
+  } else if constexpr (kIsStr<A> || std::is_same_v<A, B>) {
+    return a == b;
+  } else if constexpr (kIsFloat<A> || kIsFloat<B>) {
+    return static_cast<double>(a) == static_cast<double>(b);
+  } else if constexpr (std::is_signed_v<A>) {
+    return a >= 0 && static_cast<uint64_t>(a) == b;
+  } else {
+    return b >= 0 && a == static_cast<uint64_t>(b);
+  }
+}
+
+/// A bit/chr/int/lng/date constant as an int64 key; nullopt otherwise.
+inline std::optional<int64_t> SignedOf(const Value& v) {
+  switch (v.type()) {
+    case MonetType::kBit: return v.AsBit() ? 1 : 0;
+    case MonetType::kChr: return v.AsChr();
+    case MonetType::kInt: return v.AsInt();
+    case MonetType::kLng: return v.AsLng();
+    case MonetType::kDate: return v.AsDate().days();
+    default: return std::nullopt;
+  }
+}
+
+template <typename K>
+inline uint64_t HashKey(K k) {
+  if constexpr (kIsStr<K>) {
+    return HashBytes(k);
+  } else if constexpr (kIsFloat<K>) {
+    const double d = k == 0 ? 0.0 : k;  // -0.0 is 0.0
     uint64_t bits;
     static_assert(sizeof(bits) == sizeof(d));
     __builtin_memcpy(&bits, &d, sizeof(d));
     return MixHash64(bits);
   } else {
-    // Matches the boxed path's value -> double -> int64 round trip.
-    return MixHash64(
-        static_cast<uint64_t>(static_cast<int64_t>(NumValue(v))));
+    return MixHash64(static_cast<uint64_t>(k));
+  }
+}
+
+}  // namespace value_internal
+
+/// Numeric view of value i (str reads as 0.0).
+template <typename V>
+inline double Num(const V& v, size_t i) {
+  auto k = ValueKey(v[i]);
+  if constexpr (value_internal::kIsStr<decltype(k)>) {
+    return 0.0;
+  } else {
+    return static_cast<double>(k);
+  }
+}
+
+/// Hash of value i. Equal values hash equal within a key class (integral,
+/// float, str), across columns and shapes; -0.0 hashes as 0.0. An
+/// integral and a float value hash apart even where they are Equal (the
+/// analyzer warns about such lossy matches).
+template <typename V>
+inline uint64_t Hash(const V& v, size_t i) {
+  return value_internal::HashKey(ValueKey(v[i]));
+}
+
+/// Three-way comparison of a[i] against b[j]: negative, 0 or positive.
+template <typename VA, typename VB>
+inline int Compare(const VA& a, size_t i, const VB& b, size_t j) {
+  return value_internal::CompareKeys(ValueKey(a[i]), ValueKey(b[j]));
+}
+
+/// Value equality of a[i] and b[j]. Two str columns on one heap compare
+/// offsets (the heap deduplicates).
+template <typename VA, typename VB>
+inline bool Equal(const VA& a, size_t i, const VB& b, size_t j) {
+  if constexpr (std::is_same_v<VA, StrValues> &&
+                std::is_same_v<VB, StrValues>) {
+    if (a.heap == b.heap) return a.offsets[i] == b.offsets[j];
+  }
+  return value_internal::EqualKeys(ValueKey(a[i]), ValueKey(b[j]));
+}
+
+/// Hash of one native storage value: Hash over a one-value view.
+template <typename T>
+inline uint64_t TypedValueHash(T v) {
+  return value_internal::HashKey(ValueKey(v));
+}
+
+/// Lowers the boxed constant `v` once against the value view `view` (a
+/// select bound) and runs `f(bound)` with a one-value view, to be compared
+/// against `view` at index 0. The bound compares exactly as the boxed
+/// value would, through at most two view kinds per column view: against
+/// integral values, an integral constant becomes the column's own key (or
+/// +-infinity where it lies outside that key's range), a float constant a
+/// double, and a str constant +infinity (every non-str value sorts before
+/// it); against float values, any numeric constant is a double; against
+/// str values, a str constant is its bytes and any other constant a
+/// number (every str value sorts after it). nil reads as the number 0.
+template <typename V, typename F>
+decltype(auto) VisitBound(const V& view, const Value& v, F&& f) {
+  (void)view;
+  using K = decltype(ValueKey(view[0]));
+  const bool str = v.type() == MonetType::kStr;
+  if constexpr (value_internal::kIsStr<K> || value_internal::kIsFloat<K>) {
+    if (str) return f(ConstValue<std::string_view>{v.AsStr()});
+    const Result<double> d = v.ToDouble();
+    return f(ConstValue<double>{d.ok() ? *d : 0.0});
+  } else {
+    constexpr double kInf = std::numeric_limits<double>::infinity();
+    K key = 0;
+    bool exact = false;  // `key` holds the constant exactly
+    double num = 0.0;    // else its stand-in under the double rule
+    if (const std::optional<int64_t> c = value_internal::SignedOf(v)) {
+      exact = std::is_same_v<K, int64_t> || *c >= 0;
+      key = static_cast<K>(*c);
+      num = -kInf;  // a negative constant lies below every oid
+    } else if (v.type() == MonetType::kOidT) {
+      exact = std::is_same_v<K, Oid> ||
+              v.AsOid() <=
+                  static_cast<Oid>(std::numeric_limits<int64_t>::max());
+      key = static_cast<K>(v.AsOid());
+      num = kInf;  // an oid past int64 lies above every int64
+    } else if (str) {
+      num = kInf;
+    } else {
+      const Result<double> d = v.ToDouble();
+      num = d.ok() ? *d : 0.0;
+    }
+    if (exact) return f(ConstValue<K>{key});
+    return f(ConstValue<double>{num});
   }
 }
 
@@ -178,10 +383,10 @@ class Column {
   }
 
   /// Dispatches `t` to `f(TypeTag<T>{})` where T is the native storage
-  /// type, hoisting the per-value type switch of a kernel loop into one
-  /// dispatch per call. kStr visits as its int32 offset storage; kVoid
-  /// visits as Oid (the type its *values* carry — void columns have no
-  /// Span, so loops over them go through OidAt/void_base instead).
+  /// type: the visit for storage work (builders, scatter, serde). kStr
+  /// visits as its int32 offset storage; kVoid visits as Oid (the type its
+  /// *values* carry — void columns have no Span). Loops that read values
+  /// visit through VisitValues instead.
   template <typename F>
   static decltype(auto) VisitType(MonetType t, F&& f) {
     switch (t) {
@@ -209,36 +414,26 @@ class Column {
     return f(TypeTag<Oid>{});
   }
 
-  /// True if values over [lo, hi) are non-decreasing; one type dispatch,
-  /// then a tight typed loop (the bulk replacement for per-element
-  /// CompareAt sortedness probes).
-  bool RangeSorted(size_t lo, size_t hi) const;
-
-  /// Lowers this column to a zero-dispatch numeric accessor and runs
-  /// `cont(acc)` with it, where `acc(i)` equals NumAt(i) exactly: the type
-  /// switch is hoisted out of the caller's loop, void columns compute
-  /// base+i, and every fixed-width type reads through its native span.
-  /// Returns false — without calling `cont` — for str columns, whose
-  /// comparisons are not numeric; callers keep a boxed fallback for them.
-  /// Because CompareAt between non-str columns is defined as the
-  /// three-way comparison of the two NumAt views, two accessors obtained
-  /// here form an exact typed three-way-compare replacement for CompareAt
-  /// in sort and Satisfies loops.
-  template <typename Cont>
-  bool WithNumView(Cont&& cont) const {
-    if (type_ == MonetType::kStr) return false;
-    if (is_void()) {
-      cont([base = void_base_](size_t i) {
-        return static_cast<double>(base + i);
-      });
-      return true;
+  /// Runs `f(view)` with this column's value view (NativeValues<T> for a
+  /// fixed-width type, VoidValues, StrValues): the one dispatch that lets
+  /// a kernel loop written once over the value operations (Num, Hash,
+  /// Compare, Equal) run per shape with no per-value dispatch. VisitType
+  /// stays the visit for storage work (builders, scatter, serde).
+  template <typename F>
+  decltype(auto) VisitValues(F&& f) const {
+    if (is_void()) return f(VoidValues{void_base_});
+    if (type_ == MonetType::kStr) {
+      return f(StrValues{str_heap_.get(), Data<int32_t>().data()});
     }
-    VisitType(type_, [&](auto tag) {
+    return VisitType(type_, [&](auto tag) -> decltype(auto) {
       using T = typename decltype(tag)::type;
-      cont([p = Data<T>().data()](size_t i) { return NumValue(p[i]); });
+      return f(NativeValues<T>{Data<T>().data()});
     });
-    return true;
   }
+
+  /// True if values over [lo, hi) are non-decreasing (one visit, then a
+  /// tight loop over the value view).
+  bool RangeSorted(size_t lo, size_t hi) const;
 
   /// Oid view: valid for void and oid columns.
   Oid OidAt(size_t i) const {
@@ -259,22 +454,23 @@ class Column {
   /// Boxes the value at position i (slow path; printing and tests).
   Value GetValue(size_t i) const;
 
-  /// Numeric view of the value at i as double (valid for all non-str
-  /// types; dates map to their day number, chr to its code point).
+  // Per-element value operations for tests, printing and the row-store
+  // baseline: each is one visit plus the value view's operation. Kernel
+  // loops visit once and use the view directly.
+
+  /// Num of the value at i (dates read as their day number, str as 0).
   double NumAt(size_t i) const;
 
-  /// Hash of the value at i, equal across columns iff values equal.
+  /// Hash of the value at i.
   uint64_t HashAt(size_t i) const;
 
-  /// Value equality between this[i] and other[j] (types must match, except
-  /// that void and oid columns compare as oids).
+  /// Equal of this[i] and other[j].
   bool EqualAt(size_t i, const Column& other, size_t j) const;
 
-  /// Three-way value comparison between this[i] and other[j].
+  /// Compare of this[i] against other[j].
   int CompareAt(size_t i, const Column& other, size_t j) const;
 
-  /// Three-way comparison of this[i] against a boxed value of a compatible
-  /// type.
+  /// Compare of this[i] against a boxed constant (lowered by VisitBound).
   int CompareValue(size_t i, const Value& v) const;
 
   /// True if values are non-decreasing over [0, size).
@@ -336,6 +532,40 @@ class Column {
   Oid void_base_ = 0;                              // kVoid only
   uint64_t heap_id_;
   uint64_t sync_key_;
+};
+
+/// Up to kRows consecutive values of one column lowered to their keys
+/// (a str column's offsets stay offsets): a value view of one of four
+/// kinds — int64, oid, double or str — whatever the column's storage
+/// shape. A loop over two columns reads one side through it and is
+/// instantiated per (shape, key kind) instead of per pair of shapes.
+class KeyBatch {
+ public:
+  static constexpr size_t kRows = 1024;
+
+  /// Lowers col[lo, hi); requires hi - lo <= kRows.
+  void Fill(const Column& col, size_t lo, size_t hi);
+
+  /// Runs `f(view)` with the batch's value view; index k is row lo + k.
+  template <typename F>
+  void Visit(F&& f) const {
+    switch (kind_) {
+      case Kind::kInt: return f(NativeValues<int64_t>{ints_});
+      case Kind::kOid: return f(NativeValues<Oid>{oids_});
+      case Kind::kFloat: return f(NativeValues<double>{floats_});
+      case Kind::kStr: return f(StrValues{heap_, offsets_});
+    }
+  }
+
+ private:
+  enum class Kind { kInt, kOid, kFloat, kStr } kind_ = Kind::kInt;
+  union {
+    int64_t ints_[kRows];
+    Oid oids_[kRows];
+    double floats_[kRows];
+    int32_t offsets_[kRows];
+  };
+  const storage::StringHeap* heap_ = nullptr;
 };
 
 /// Incremental builder used by all kernel operators to materialize result

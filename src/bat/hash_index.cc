@@ -13,22 +13,6 @@ uint64_t NextPow2(uint64_t n) {
   return p;
 }
 
-/// Runs `body(hash)` where hash(i) yields HashAt(i) with the per-value
-/// type dispatch hoisted out of the build loops (boxed fallback for str
-/// and void columns).
-template <typename Body>
-void WithHasher(const Column& col, Body&& body) {
-  if (!col.is_void() && col.type() != MonetType::kStr) {
-    Column::VisitType(col.type(), [&](auto tag) {
-      using T = typename decltype(tag)::type;
-      const T* v = col.Data<T>().data();
-      body([v](size_t i) { return TypedValueHash(v[i]); });
-    });
-    return;
-  }
-  body([&col](size_t i) { return col.HashAt(i); });
-}
-
 }  // namespace
 
 HashIndex::HashIndex(ColumnPtr col, int degree) : col_(std::move(col)) {
@@ -40,9 +24,9 @@ HashIndex::HashIndex(ColumnPtr col, int degree) : col_(std::move(col)) {
   const BlockPlan plan =
       PlanBlocks(n, std::min(degree, kMaxScatterDegree));
   if (plan.blocks <= 1) {
-    WithHasher(*col_, [&](auto hash) {
+    col_->VisitValues([&](const auto& v) {
       for (size_t i = 0; i < n; ++i) {
-        const uint64_t b = hash(i) & mask_;
+        const uint64_t b = Hash(v, i) & mask_;
         next_[i] = buckets_[b];
         buckets_[b] = static_cast<uint32_t>(i) + 1;
       }
@@ -54,9 +38,9 @@ HashIndex::HashIndex(ColumnPtr col, int degree) : col_(std::move(col)) {
   // (nbuckets <= NextPow2(1.5 n)) fits in uint32 as well.
   std::vector<uint32_t> bucket_of(n);
   RunBlocks(plan, [&](int, size_t begin, size_t end) {
-    WithHasher(*col_, [&](auto hash) {
+    col_->VisitValues([&](const auto& v) {
       for (size_t i = begin; i < end; ++i) {
-        bucket_of[i] = static_cast<uint32_t>(hash(i) & mask_);
+        bucket_of[i] = static_cast<uint32_t>(Hash(v, i) & mask_);
       }
     });
   });

@@ -1,6 +1,7 @@
 #ifndef MOAFLAT_BAT_HASH_INDEX_H_
 #define MOAFLAT_BAT_HASH_INDEX_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <vector>
@@ -24,153 +25,58 @@ class HashIndex {
   /// the accelerator happened to be built at.
   explicit HashIndex(ColumnPtr col, int degree = 1);
 
-  /// Invokes `fn(pos)` for every position whose value equals probe[j].
-  template <typename Fn>
-  void ForEachMatch(const Column& probe, size_t j, Fn&& fn) const {
-    const uint64_t h = probe.HashAt(j);
-    uint32_t cur = buckets_[h & mask_];
-    while (cur != kEnd) {
-      const uint32_t pos = cur - 1;
-      if (col_->EqualAt(pos, probe, j)) fn(pos);
-      cur = next_[pos];
-    }
-  }
+  // The bulk probes. Matches are the positions whose value Equals
+  // probe[j] (bat/column.h's value view), visited in chain order. Each
+  // pass lowers a KeyBatch of probe rows, then hashes them and walks their
+  // chains in one loop per (indexed shape, probe key kind).
 
-  /// Bulk probe with the per-BUN type dispatch hoisted out of the loop:
-  /// invokes `fn(j, pos)` for every match of probe[j], j ascending over
-  /// [begin, end), matches in chain order — exactly the matches (and
-  /// order) a ForEachMatch loop produces. When both the indexed column
-  /// and the probe are fixed-width, hashing and equality run as typed
-  /// zero-dispatch operations, numerically identical to the boxed path:
-  /// each side hashes by its own storage rule (reproducing HashAt
-  /// bit-for-bit, including cross-type probes like an int FK against an
-  /// oid key) and equality compares the same double views EqualAt does.
-  /// str or void operands fall back to the boxed loop.
+  /// Invokes `fn(j, pos)` for every match of probe[j], j ascending over
+  /// [begin, end), matches in chain order.
   template <typename Fn>
   void ForEachMatchRange(const Column& probe, size_t begin, size_t end,
                          Fn&& fn) const {
-    const bool typed =
-        WithTypedProbe(probe, [&](const auto* kv, const auto* pv) {
-          for (size_t j = begin; j < end; ++j) {
-            const double x = NumValue(pv[j]);
-            uint32_t cur = buckets_[TypedValueHash(pv[j]) & mask_];
-            while (cur != kEnd) {
-              const uint32_t pos = cur - 1;
-              if (NumValue(kv[pos]) == x) fn(j, pos);
-              cur = next_[pos];
-            }
-          }
-        });
-    if (typed) return;
-    for (size_t j = begin; j < end; ++j) {
-      ForEachMatch(probe, j, [&](uint32_t pos) { fn(j, pos); });
-    }
-  }
-
-  /// Returns the first matching position for probe[j], or -1.
-  int64_t FindFirst(const Column& probe, size_t j) const {
-    int64_t found = -1;
-    ForEachMatch(probe, j, [&](uint32_t pos) {
-      if (found < 0 || pos < static_cast<uint64_t>(found)) {
-        found = pos;
-      }
+    ProbeRows(probe, begin, end, [&](size_t j, auto&& chain) {
+      chain([&](uint32_t pos) {
+        fn(j, pos);
+        return true;
+      });
     });
-    return found;
   }
 
-  /// True if any position matches probe[j].
-  bool Contains(const Column& probe, size_t j) const {
-    bool hit = false;
-    ForEachMatch(probe, j, [&](uint32_t) { hit = true; });
-    return hit;
-  }
-
-  /// Bulk first-match probe with the type dispatch hoisted: invokes
-  /// `fn(j, pos)` for every probe[j], j ascending over [begin, end), that
-  /// has a match, where pos is the *smallest* matching position — the
-  /// zero-dispatch twin of a FindFirst loop (FindFirst scans the whole
-  /// chain and keeps the minimum, so so does this).
+  /// Invokes `fn(j, pos)` for every probe[j], j ascending over [begin,
+  /// end), that has a match, where pos is the *smallest* matching
+  /// position.
   template <typename Fn>
   void ForEachFirstMatch(const Column& probe, size_t begin, size_t end,
                          Fn&& fn) const {
-    const bool typed =
-        WithTypedProbe(probe, [&](const auto* kv, const auto* pv) {
-          for (size_t j = begin; j < end; ++j) {
-            const double x = NumValue(pv[j]);
-            int64_t found = -1;
-            uint32_t cur = buckets_[TypedValueHash(pv[j]) & mask_];
-            while (cur != kEnd) {
-              const uint32_t pos = cur - 1;
-              if (NumValue(kv[pos]) == x &&
-                  (found < 0 || pos < static_cast<uint64_t>(found))) {
-                found = pos;
-              }
-              cur = next_[pos];
-            }
-            if (found >= 0) fn(j, static_cast<uint32_t>(found));
-          }
-        });
-    if (typed) return;
-    for (size_t j = begin; j < end; ++j) {
-      const int64_t pos = FindFirst(probe, j);
-      if (pos >= 0) fn(j, static_cast<uint32_t>(pos));
-    }
+    ProbeRows(probe, begin, end, [&](size_t j, auto&& chain) {
+      int64_t found = -1;
+      chain([&](uint32_t pos) {
+        if (found < 0 || pos < static_cast<uint64_t>(found)) found = pos;
+        return true;
+      });
+      if (found >= 0) fn(j, static_cast<uint32_t>(found));
+    });
   }
 
-  /// Bulk anti-probe with the type dispatch hoisted: invokes `fn(j)` for
-  /// every probe[j], j ascending over [begin, end), that has *no* match —
-  /// the zero-dispatch twin of a !Contains loop (kdiff/kunion probes).
+  /// Invokes `fn(j)` for every probe[j], j ascending over [begin, end),
+  /// that has *no* match (kdiff/kunion anti-probes).
   template <typename Fn>
   void ForEachMissing(const Column& probe, size_t begin, size_t end,
                       Fn&& fn) const {
-    const bool typed =
-        WithTypedProbe(probe, [&](const auto* kv, const auto* pv) {
-          for (size_t j = begin; j < end; ++j) {
-            const double x = NumValue(pv[j]);
-            bool hit = false;
-            uint32_t cur = buckets_[TypedValueHash(pv[j]) & mask_];
-            while (cur != kEnd) {
-              const uint32_t pos = cur - 1;
-              if (NumValue(kv[pos]) == x) {
-                hit = true;
-                break;
-              }
-              cur = next_[pos];
-            }
-            if (!hit) fn(j);
-          }
-        });
-    if (typed) return;
-    for (size_t j = begin; j < end; ++j) {
-      if (!Contains(probe, j)) fn(j);
-    }
+    ProbeRows(probe, begin, end, [&](size_t j, auto&& chain) {
+      if (!AnyMatch(chain)) fn(j);
+    });
   }
 
-  /// Bulk containment with the type dispatch hoisted: invokes `fn(j)` for
-  /// every probe[j], j ascending over [begin, end), that has at least one
-  /// match — the zero-dispatch twin of a Contains loop.
+  /// Invokes `fn(j)` for every probe[j], j ascending over [begin, end),
+  /// that has at least one match.
   template <typename Fn>
   void ForEachContained(const Column& probe, size_t begin, size_t end,
                         Fn&& fn) const {
-    const bool typed =
-        WithTypedProbe(probe, [&](const auto* kv, const auto* pv) {
-          for (size_t j = begin; j < end; ++j) {
-            const double x = NumValue(pv[j]);
-            uint32_t cur = buckets_[TypedValueHash(pv[j]) & mask_];
-            while (cur != kEnd) {
-              const uint32_t pos = cur - 1;
-              if (NumValue(kv[pos]) == x) {
-                fn(j);
-                break;
-              }
-              cur = next_[pos];
-            }
-          }
-        });
-    if (typed) return;
-    for (size_t j = begin; j < end; ++j) {
-      if (Contains(probe, j)) fn(j);
-    }
+    ProbeRows(probe, begin, end, [&](size_t j, auto&& chain) {
+      if (AnyMatch(chain)) fn(j);
+    });
   }
 
   size_t byte_size() const {
@@ -180,26 +86,44 @@ class HashIndex {
  private:
   static constexpr uint32_t kEnd = 0;
 
-  /// Runs `body(keys_ptr, probe_ptr)` with both columns' native spans
-  /// when both are fixed-width (one two-type dispatch per call, probe
-  /// loops instantiated per type pair); returns false — without calling
-  /// `body` — when either side is str or void, i.e. needs the boxed path.
-  template <typename Body>
-  bool WithTypedProbe(const Column& probe, Body&& body) const {
-    const Column& keys = *col_;
-    if (keys.is_void() || probe.is_void() ||
-        keys.type() == MonetType::kStr || probe.type() == MonetType::kStr) {
-      return false;
-    }
-    Column::VisitType(keys.type(), [&](auto ktag) {
-      using K = typename decltype(ktag)::type;
-      const K* kv = keys.Data<K>().data();
-      Column::VisitType(probe.type(), [&](auto ptag) {
-        using P = typename decltype(ptag)::type;
-        body(kv, probe.Data<P>().data());
+  /// The probe loop behind every bulk form: for each j in [begin, end),
+  /// calls `row(j, chain)`, where `chain(visit)` walks probe[j]'s bucket
+  /// and calls `visit(pos)` for each match until it returns false.
+  template <typename Row>
+  void ProbeRows(const Column& probe, size_t begin, size_t end,
+                 Row&& row) const {
+    KeyBatch batch;
+    uint32_t heads[KeyBatch::kRows];
+    for (size_t lo = begin; lo < end; lo += KeyBatch::kRows) {
+      const size_t n = std::min(end - lo, KeyBatch::kRows);
+      batch.Fill(probe, lo, lo + n);
+      batch.Visit([&](const auto& probes) {
+        for (size_t k = 0; k < n; ++k) {
+          heads[k] = buckets_[Hash(probes, k) & mask_];
+        }
+        col_->VisitValues([&](const auto& keys) {
+          for (size_t k = 0; k < n; ++k) {
+            row(lo + k, [&](auto&& visit) {
+              for (uint32_t cur = heads[k]; cur != kEnd;
+                   cur = next_[cur - 1]) {
+                const uint32_t pos = cur - 1;
+                if (Equal(keys, pos, probes, k) && !visit(pos)) return;
+              }
+            });
+          }
+        });
       });
+    }
+  }
+
+  template <typename Chain>
+  static bool AnyMatch(Chain&& chain) {
+    bool hit = false;
+    chain([&](uint32_t) {
+      hit = true;
+      return false;
     });
-    return true;
+    return hit;
   }
 
   ColumnPtr col_;

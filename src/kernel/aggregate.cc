@@ -27,21 +27,25 @@ struct Acc {
   bool has_best = false;
 };
 
-void Accumulate(Acc* acc, const Column& tail, size_t i, AggKind kind) {
+/// Folds value i of the tail's value view `v` into `acc`. Sums fold in
+/// row order (bit-identical at any degree); min/max keep the position of
+/// the first extreme value under the view's Compare.
+template <typename V>
+void Accumulate(Acc* acc, const V& v, size_t i, AggKind kind) {
   ++acc->count;
   switch (kind) {
     case AggKind::kSum:
     case AggKind::kAvg:
-      acc->sum += tail.NumAt(i);
+      acc->sum += bat::Num(v, i);
       break;
     case AggKind::kMin:
-      if (!acc->has_best || tail.CompareAt(i, tail, acc->best) < 0) {
+      if (!acc->has_best || bat::Compare(v, i, v, acc->best) < 0) {
         acc->best = i;
         acc->has_best = true;
       }
       break;
     case AggKind::kMax:
-      if (!acc->has_best || tail.CompareAt(i, tail, acc->best) > 0) {
+      if (!acc->has_best || bat::Compare(v, i, v, acc->best) > 0) {
         acc->best = i;
         acc->has_best = true;
       }
@@ -49,52 +53,6 @@ void Accumulate(Acc* acc, const Column& tail, size_t i, AggKind kind) {
     case AggKind::kCount:
       break;
   }
-}
-
-/// Typed twin of Accumulate for fixed-width tails: the NumAt/CompareAt
-/// type dispatch is hoisted to the caller's Column::VisitType, leaving a
-/// zero-dispatch add/compare per row (sums fold in the identical order,
-/// so results stay bit-identical to the boxed path).
-template <typename T>
-void AccumulateTyped(Acc* acc, const T* tail, size_t i, AggKind kind) {
-  ++acc->count;
-  switch (kind) {
-    case AggKind::kSum:
-    case AggKind::kAvg:
-      acc->sum += internal::NumValue(tail[i]);
-      break;
-    case AggKind::kMin:
-      if (!acc->has_best || tail[i] < tail[acc->best]) {
-        acc->best = i;
-        acc->has_best = true;
-      }
-      break;
-    case AggKind::kMax:
-      if (!acc->has_best || tail[acc->best] < tail[i]) {
-        acc->best = i;
-        acc->has_best = true;
-      }
-      break;
-    case AggKind::kCount:
-      break;
-  }
-}
-
-/// Runs `loop` with a per-row accumulator functor: typed when the tail is
-/// a fixed-width column, boxed otherwise.
-template <typename Loop>
-void WithAccumulator(const Column& tail, AggKind kind, Loop&& loop) {
-  if (!tail.is_void() && tail.type() != MonetType::kStr) {
-    Column::VisitType(tail.type(), [&](auto tag) {
-      using T = typename decltype(tag)::type;
-      const T* tv = tail.Data<T>().data();
-      loop([tv, kind](Acc* acc, size_t i) {
-        AccumulateTyped(acc, tv, i, kind);
-      });
-    });
-    return;
-  }
-  loop([&tail, kind](Acc* acc, size_t i) { Accumulate(acc, tail, i, kind); });
 }
 
 MonetType AggOutputType(AggKind kind, const Column& tail) {
@@ -168,12 +126,12 @@ Result<Bat> HashSetAggregate(const ExecContext& ctx, AggKind kind,
   const BlockPlan plan = ctx.Plan(ab.size(), kMaxScatterDegree);
   if (plan.blocks <= 1) {
     std::unordered_map<Oid, size_t> index;
-    WithAccumulator(tail, kind, [&](auto accum) {
+    tail.VisitValues([&](const auto& v) {
       for (size_t i = 0; i < ab.size(); ++i) {
         const Oid g = head.OidAt(i);
         auto [it, inserted] = index.try_emplace(g, groups.size());
         if (inserted) groups.emplace_back(g, Acc{});
-        accum(&groups[it->second].second, i);
+        Accumulate(&groups[it->second].second, v, i, kind);
       }
     });
   } else {
@@ -209,13 +167,13 @@ Result<Bat> HashSetAggregate(const ExecContext& ctx, AggKind kind,
     RunBlocks(plan, [&](int p, size_t, size_t) {
       auto& out = pgroups[p];
       std::unordered_map<Oid, size_t> index;
-      WithAccumulator(tail, kind, [&](auto accum) {
+      tail.VisitValues([&](const auto& v) {
         for (size_t block = 0; block < plan.blocks; ++block) {
           for (uint32_t i : scatter[block][p]) {
             const Oid g = head.OidAt(i);
             auto [it, inserted] = index.try_emplace(g, out.size());
             if (inserted) out.emplace_back(g, Acc{});
-            accum(&out[it->second].second, i);
+            Accumulate(&out[it->second].second, v, i, kind);
           }
         }
       });
@@ -280,7 +238,7 @@ Result<Bat> RunSetAggregate(const ExecContext& ctx, AggKind kind,
   std::vector<RunOut> shards(plan.blocks);
   RunBlocks(plan, [&](int b, size_t, size_t) {
     RunOut& mine = shards[b];
-    WithAccumulator(tail, kind, [&](auto accum) {
+    tail.VisitValues([&](const auto& v) {
       Acc acc;
       bool open = false;
       Oid current = 0;
@@ -293,7 +251,7 @@ Result<Bat> RunSetAggregate(const ExecContext& ctx, AggKind kind,
         }
         current = g;
         open = true;
-        accum(&acc, i);
+        Accumulate(&acc, v, i, kind);
       }
       if (open) {
         mine.gids.push_back(current);
@@ -351,8 +309,8 @@ Result<Value> ScalarAggregate(const ExecContext& ctx, AggKind kind,
   const Column& tail = ab.tail();
   tail.TouchAll(ctx.io());
   Acc acc;
-  WithAccumulator(tail, kind, [&](auto accum) {
-    for (size_t i = 0; i < ab.size(); ++i) accum(&acc, i);
+  tail.VisitValues([&](const auto& v) {
+    for (size_t i = 0; i < ab.size(); ++i) Accumulate(&acc, v, i, kind);
   });
   rec.Finish(AggKindName(kind), 1);
   switch (kind) {

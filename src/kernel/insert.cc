@@ -1,3 +1,4 @@
+#include <cstdint>
 #include <vector>
 
 #include "kernel/internal.h"
@@ -48,26 +49,27 @@ Result<Bat> InsertBuns(const ExecContext& ctx, const Bat& ab,
   // keyness) and switch it off if violated.
   bat::Properties props = ab.props();
   const size_t old_n = ab.size();
-  auto run_sorted = [&](const Column& col) {
-    for (size_t i = old_n; i < col.size(); ++i) {
-      if (i > 0 && col.CompareAt(i - 1, col, i) > 0) return false;
-    }
-    return true;
-  };
-  if (props.hsorted) props.hsorted = run_sorted(*new_head);
-  if (props.tsorted) props.tsorted = run_sorted(*new_tail);
+  const size_t run_from = old_n > 0 ? old_n - 1 : 0;
+  if (props.hsorted) props.hsorted = new_head->RangeSorted(run_from, SIZE_MAX);
+  if (props.tsorted) props.tsorted = new_tail->RangeSorted(run_from, SIZE_MAX);
 
   auto run_key = [&](const Column& col,
                      const std::shared_ptr<const bat::HashIndex>& old_idx) {
-    for (size_t i = old_n; i < col.size(); ++i) {
-      // Against the old values (via the accelerator)...
-      if (old_n > 0 && old_idx->Contains(col, i)) return false;
-      // ...and against the other inserted values.
-      for (size_t j = old_n; j < i; ++j) {
-        if (col.EqualAt(i, col, j)) return false;
-      }
+    // Against the old values (via the accelerator)...
+    bool dup = false;
+    if (old_n > 0) {
+      old_idx->ForEachContained(col, old_n, col.size(),
+                                [&](size_t) { dup = true; });
     }
-    return true;
+    // ...and among the inserted values.
+    return !dup && col.VisitValues([&](const auto& v) {
+      for (size_t i = old_n; i < col.size(); ++i) {
+        for (size_t j = old_n; j < i; ++j) {
+          if (bat::Equal(v, i, v, j)) return false;
+        }
+      }
+      return true;
+    });
   };
   if (props.hkey && !heads.empty()) {
     props.hkey = run_key(*new_head, ab.EnsureHeadHash());

@@ -11,12 +11,6 @@
 
 namespace moaflat::kernel::internal {
 
-/// Numeric view of one native value — the compile-time twin of
-/// Column::NumAt for loops that hoisted the type dispatch via
-/// Column::VisitType (defined next to Column so the typed hash twin can
-/// share it).
-using bat::NumValue;
-
 /// Materialized byte width of one value of `c`: void columns materialize
 /// as oids. The single width rule behind every budget charge.
 inline int ChargeWidth(const bat::Column& c) {
@@ -140,14 +134,7 @@ inline uint64_t MixSync(uint64_t a, uint64_t b) {
   return x;
 }
 
-inline uint64_t HashString(std::string_view s) {
-  uint64_t h = 1469598103934665603ULL;
-  for (char c : s) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 1099511628211ULL;
-  }
-  return h;
-}
+inline uint64_t HashString(std::string_view s) { return bat::HashBytes(s); }
 
 /// Stamps an operator-derived sync key onto a freshly built result column.
 /// Result columns are uniquely owned at this point, so the cast is safe.

@@ -81,28 +81,42 @@ Result<Bat> MergeJoin(const ExecContext& ctx, const Bat& ab, const Bat& cd,
   c.TouchAll(ctx.io());
   storage::ColdPageFilter a_pages = a.PageFilter(ctx.io());
   storage::ColdPageFilter d_pages = d.PageFilter(ctx.io());
-  size_t i = 0, j = 0;
   const size_t n = ab.size(), m = cd.size();
-  while (i < n && j < m) {
-    const int cmp = b.CompareAt(i, c, j);
-    if (cmp < 0) {
-      ++i;
-    } else if (cmp > 0) {
-      ++j;
-    } else {
-      // Emit the full run of equal keys on the right for this left BUN.
-      size_t j2 = j;
-      while (j2 < m && c.EqualAt(j2, c, j)) {
-        a_pages.Touch(i);
-        d_pages.Touch(j2);
-        out.heads.AppendFrom(a, i);
-        out.tails.AppendFrom(d, j2);
-        MF_RETURN_NOT_OK(gate.Add(1));
-        ++j2;
-      }
-      ++i;  // the right run start stays: the next left BUN may match too
-    }
+  // B is read in KeyBatches: the loop is instantiated per (B key kind,
+  // C shape).
+  bat::KeyBatch batch;
+  Status status = Status::OK();
+  size_t i = 0, j = 0;
+  while (i < n && j < m && status.ok()) {
+    const size_t lo = i;
+    const size_t hi = std::min(n, lo + bat::KeyBatch::kRows);
+    batch.Fill(b, lo, hi);
+    batch.Visit([&](const auto& bv) {
+      c.VisitValues([&](const auto& cv) {
+        while (i < hi && j < m) {
+          const int cmp = bat::Compare(bv, i - lo, cv, j);
+          if (cmp < 0) {
+            ++i;
+          } else if (cmp > 0) {
+            ++j;
+          } else {
+            // Emit the full run of equal keys on the right for this left
+            // BUN; the run start stays, the next left BUN may match too.
+            for (size_t j2 = j; j2 < m && bat::Equal(cv, j2, cv, j); ++j2) {
+              a_pages.Touch(i);
+              d_pages.Touch(j2);
+              out.heads.AppendFrom(a, i);
+              out.tails.AppendFrom(d, j2);
+              status = gate.Add(1);
+              if (!status.ok()) return;
+            }
+            ++i;
+          }
+        }
+      });
+    });
   }
+  MF_RETURN_NOT_OK(status);
   MF_RETURN_NOT_OK(gate.Flush());
   MF_ASSIGN_OR_RETURN(
       Bat res, FinishJoin(ab, cd, out.heads.Finish(), out.tails.Finish()));

@@ -69,28 +69,31 @@ Result<MxShape> AnalyzeMx(const std::string& fn,
   return sh;
 }
 
-/// Lowers one multiplex argument to a typed accessor and continues with
-/// it: constants broadcast their double value, BAT tails of any
-/// fixed-width type read through a typed span (the NumAt type switch
-/// hoisted out of the loop), and anything else falls back to boxed NumAt.
-/// The continuation style lets the caller instantiate its inner loop once
-/// per accessor-type combination.
+/// A constant argument's double value, broadcast to every row.
+struct ConstNum {
+  double v;
+  double operator()(size_t) const { return v; }
+};
+
+/// Lowers one multiplex argument to a numeric accessor and continues with
+/// it: a BAT tail reads Num through its value view (void included), a
+/// constant broadcasts its double value. Callers gate str arguments out
+/// (ArgNumViewable / NumericTail); a str tail would read as Num's 0 and
+/// shares the constant's instantiation. The continuation style lets the
+/// caller instantiate its inner loop once per accessor-type combination.
 template <typename Cont>
 decltype(auto) WithNumAccessor(const MxArg& arg, Cont&& cont) {
   if (const Bat* b = std::get_if<Bat>(&arg)) {
-    const Column& t = b->tail();
-    if (!t.is_void() && t.type() != MonetType::kStr) {
-      return Column::VisitType(t.type(), [&](auto tag) {
-        using T = typename decltype(tag)::type;
-        return cont([p = t.Data<T>().data()](size_t i) {
-          return internal::NumValue(p[i]);
-        });
-      });
-    }
-    return cont([&t](size_t i) { return t.NumAt(i); });
+    return b->tail().VisitValues([&](const auto& view) -> decltype(auto) {
+      if constexpr (std::is_same_v<std::decay_t<decltype(view)>,
+                                   bat::StrValues>) {
+        return cont(ConstNum{0.0});  // Num of any str value
+      } else {
+        return cont([view](size_t i) { return bat::Num(view, i); });
+      }
+    });
   }
-  const double v = std::get<Value>(arg).ToDouble().ValueOrDie();
-  return cont([v](size_t) { return v; });
+  return cont(ConstNum{std::get<Value>(arg).ToDouble().ValueOrDie()});
 }
 
 /// Bit-gated twin of WithNumAccessor for arguments the caller has proved

@@ -1,8 +1,8 @@
 #include <algorithm>
 #include <numeric>
-#include <unordered_map>
 #include <vector>
 
+#include "kernel/group_table.h"
 #include "kernel/internal.h"
 #include "kernel/operators.h"
 
@@ -55,23 +55,19 @@ Result<Bat> Unique(const ExecContext& ctx, const Bat& ab) {
   head.TouchAll(ctx.io());
   tail.TouchAll(ctx.io());
 
-  // Pair-hash with representative verification.
-  std::unordered_map<uint64_t, std::vector<uint32_t>> seen;
+  // First occurrences of the distinct (head, tail) pairs: the refinement
+  // of the head groups by tail value, in first-appearance order.
+  std::vector<Oid> head_gid(ab.size());
+  internal::GroupTable heads;
+  heads.Add(head, 0, ab.size(), head_gid.data());
+  std::vector<uint32_t> rows(ab.size());
+  std::iota(rows.begin(), rows.end(), 0u);
+  internal::RefineTable pairs;
+  pairs.Add(tail, head_gid.data(), rows.data(), ab.size(), nullptr);
   std::vector<uint32_t> keep;
-  for (size_t i = 0; i < ab.size(); ++i) {
-    const uint64_t h = MixSync(head.HashAt(i), tail.HashAt(i));
-    auto& bucket = seen[h];
-    bool dup = false;
-    for (uint32_t rep : bucket) {
-      if (head.EqualAt(i, head, rep) && tail.EqualAt(i, tail, rep)) {
-        dup = true;
-        break;
-      }
-    }
-    if (!dup) {
-      bucket.push_back(static_cast<uint32_t>(i));
-      keep.push_back(static_cast<uint32_t>(i));
-    }
+  keep.reserve(pairs.reps().size());
+  for (const internal::RefineTable::Rep& rep : pairs.reps()) {
+    keep.push_back(rep.dpos);
   }
 
   bat::Properties props;
@@ -94,22 +90,10 @@ Result<Bat> HeadUnique(const ExecContext& ctx, const Bat& ab) {
   OpRecorder rec(ctx, "hunique");
   const Column& head = ab.head();
   head.TouchAll(ctx.io());
-  std::unordered_map<uint64_t, std::vector<uint32_t>> seen;
-  std::vector<uint32_t> keep;
-  for (size_t i = 0; i < ab.size(); ++i) {
-    auto& bucket = seen[head.HashAt(i)];
-    bool dup = false;
-    for (uint32_t rep : bucket) {
-      if (head.EqualAt(i, head, rep)) {
-        dup = true;
-        break;
-      }
-    }
-    if (!dup) {
-      bucket.push_back(static_cast<uint32_t>(i));
-      keep.push_back(static_cast<uint32_t>(i));
-    }
-  }
+  // First occurrence of every distinct head value.
+  internal::GroupTable groups;
+  groups.Add(head, 0, ab.size(), nullptr);
+  const std::vector<uint32_t>& keep = groups.reps();
   bat::Properties props;
   props.hsorted = ab.props().hsorted;
   props.tsorted = ab.props().tsorted;
@@ -161,17 +145,11 @@ Result<Bat> SortTail(const ExecContext& ctx, const Bat& ab) {
   tail.TouchAll(ctx.io());
   std::vector<uint32_t> pos(ab.size());
   std::iota(pos.begin(), pos.end(), 0u);
-  // Typed sort key: the double view is exactly CompareAt's comparison for
-  // non-str tails (str tails keep the boxed comparator).
-  const bool typed = tail.WithNumView([&](auto v) {
-    std::stable_sort(pos.begin(), pos.end(),
-                     [&](uint32_t x, uint32_t y) { return v(x) < v(y); });
-  });
-  if (!typed) {
+  tail.VisitValues([&](const auto& v) {
     std::stable_sort(pos.begin(), pos.end(), [&](uint32_t x, uint32_t y) {
-      return tail.CompareAt(x, tail, y) < 0;
+      return bat::Compare(v, x, v, y) < 0;
     });
-  }
+  });
   bat::Properties props;
   props.tsorted = true;
   props.hkey = ab.props().hkey;
@@ -199,23 +177,14 @@ Result<Bat> TopN(const ExecContext& ctx, const Bat& ab, size_t n,
   std::vector<uint32_t> pos(ab.size());
   std::iota(pos.begin(), pos.end(), 0u);
   const size_t k = std::min(n, pos.size());
-  const bool typed = tail.WithNumView([&](auto v) {
+  tail.VisitValues([&](const auto& v) {
     auto cmp = [&](uint32_t x, uint32_t y) {
-      const double dx = v(x), dy = v(y);
-      if (dx < dy) return !descending;
-      if (dx > dy) return descending;
-      return x < y;  // deterministic tie-break on position
-    };
-    std::partial_sort(pos.begin(), pos.begin() + k, pos.end(), cmp);
-  });
-  if (!typed) {
-    auto cmp = [&](uint32_t x, uint32_t y) {
-      const int c = tail.CompareAt(x, tail, y);
+      const int c = bat::Compare(v, x, v, y);
       if (c != 0) return descending ? c > 0 : c < 0;
       return x < y;  // deterministic tie-break on position
     };
     std::partial_sort(pos.begin(), pos.begin() + k, pos.end(), cmp);
-  }
+  });
   pos.resize(k);
   bat::Properties props;
   props.tsorted = !descending;

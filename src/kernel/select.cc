@@ -21,42 +21,34 @@ using bat::ColumnScatter;
 using internal::ChargeGather;
 using internal::HashString;
 using internal::MixSync;
-using internal::NumValue;
 using internal::SetSync;
 
 /// First position i in the (tail-sorted) column with col[i] >= v
-/// (or > v when `after_equal`). Binary search; probes are reported to `io`
-/// (null for the selectivity *estimate*, which must not perturb the fault
-/// accounting of the execution it prices).
+/// (or > v when `after_equal`). Binary search over the value view, the
+/// bound lowered once; probes are reported to `io` (null for the
+/// selectivity *estimate*, which must not perturb the fault accounting of
+/// the execution it prices).
 size_t LowerPos(const Column& col, const Value& v, bool after_equal,
                 storage::IoStats* io) {
-  size_t lo = 0;
-  size_t hi = col.size();
-  while (lo < hi) {
-    const size_t mid = lo + (hi - lo) / 2;
-    // lint:allow(unfiltered-touch) binary search: one touch per probe step
-    col.TouchAt(io, mid);
-    const int c = col.CompareValue(mid, v);
-    const bool go_right = after_equal ? (c <= 0) : (c < 0);
-    if (go_right) {
-      lo = mid + 1;
-    } else {
-      hi = mid;
-    }
-  }
-  return lo;
-}
-
-bool InBounds(const Column& col, size_t i, const Bound& lo, const Bound& hi) {
-  if (lo.present) {
-    const int c = col.CompareValue(i, lo.value);
-    if (c < 0 || (c == 0 && !lo.inclusive)) return false;
-  }
-  if (hi.present) {
-    const int c = col.CompareValue(i, hi.value);
-    if (c > 0 || (c == 0 && !hi.inclusive)) return false;
-  }
-  return true;
+  return col.VisitValues([&](const auto& cv) {
+    return bat::VisitBound(cv, v, [&](const auto& bound) {
+      size_t lo = 0;
+      size_t hi = col.size();
+      while (lo < hi) {
+        const size_t mid = lo + (hi - lo) / 2;
+        // lint:allow(unfiltered-touch) binary search: one touch per step
+        col.TouchAt(io, mid);
+        const int c = bat::Compare(cv, mid, bound, 0);
+        const bool go_right = after_equal ? (c <= 0) : (c < 0);
+        if (go_right) {
+          lo = mid + 1;
+        } else {
+          hi = mid;
+        }
+      }
+      return lo;
+    });
+  });
 }
 
 uint64_t BoundSyncHash(const Bound& lo, const Bound& hi) {
@@ -135,54 +127,29 @@ Result<std::pair<ColumnPtr, ColumnPtr>> GatherMatches(
   return std::make_pair(hs.Finish(), ts.Finish());
 }
 
-/// Morsel-parallel range-predicate evaluation into per-block match lists.
-/// Fixed-width tails run a typed zero-dispatch loop (the bound values are
-/// lowered to doubles once — the exact comparison NumAt/CompareValue
-/// performs per element on the boxed path); str and void tails keep the
-/// boxed InBounds fallback.
+/// Morsel-parallel range-predicate evaluation into per-block match lists:
+/// each block visits the tail's value view and both bounds (each lowered
+/// once) and runs one loop over the view's Compare.
 void ScanMatches(const Column& tail, const Bound& lo, const Bound& hi,
                  const BlockPlan& plan, std::vector<MatchShard>& matches) {
-  const bool typed = !tail.is_void() && tail.type() != MonetType::kStr;
-  double lod = 0.0, hid = 0.0;
-  if (typed) {
-    if (lo.present) {
-      auto d = lo.value.ToDouble();
-      lod = d.ok() ? *d : 0.0;
-    }
-    if (hi.present) {
-      auto d = hi.value.ToDouble();
-      hid = d.ok() ? *d : 0.0;
-    }
-  }
   RunBlocks(plan, [&](int block, size_t begin, size_t end) {
     std::vector<uint32_t>& mine = matches[block].idx;
-    if (!typed) {
-      for (size_t i = begin; i < end; ++i) {
-        if (InBounds(tail, i, lo, hi)) {
-          mine.push_back(static_cast<uint32_t>(i));
-        }
-      }
-      return;
-    }
-    Column::VisitType(tail.type(), [&](auto tag) {
-      using T = typename decltype(tag)::type;
-      const T* v = tail.Data<T>().data();
-      const bool lo_p = lo.present, lo_i = lo.inclusive;
-      const bool hi_p = hi.present, hi_i = hi.inclusive;
-      for (size_t i = begin; i < end; ++i) {
-        const double x = NumValue(v[i]);
-        // Three-way compares spelled out so NaN keeps the boxed-path
-        // semantics (neither < nor >, i.e. "equal": kept iff inclusive).
-        if (lo_p) {
-          if (x < lod) continue;
-          if (!(x > lod) && !lo_i) continue;
-        }
-        if (hi_p) {
-          if (x > hid) continue;
-          if (!(x < hid) && !hi_i) continue;
-        }
-        mine.push_back(static_cast<uint32_t>(i));
-      }
+    tail.VisitValues([&](const auto& v) {
+      bat::VisitBound(v, lo.value, [&](const auto& lov) {
+        bat::VisitBound(v, hi.value, [&](const auto& hiv) {
+          for (size_t i = begin; i < end; ++i) {
+            if (lo.present) {
+              const int c = bat::Compare(v, i, lov, 0);
+              if (c < 0 || (c == 0 && !lo.inclusive)) continue;
+            }
+            if (hi.present) {
+              const int c = bat::Compare(v, i, hiv, 0);
+              if (c > 0 || (c == 0 && !hi.inclusive)) continue;
+            }
+            mine.push_back(static_cast<uint32_t>(i));
+          }
+        });
+      });
     });
   });
 }
@@ -283,13 +250,14 @@ Result<Bat> RangeSelect(const ExecContext& ctx, const Bat& ab,
 }
 
 /// Scan selection with an arbitrary tail predicate; used by != and LIKE.
-/// The predicate scan runs as morsels on the TaskPool (the predicates are
+/// `scan(begin, end, out)` appends the qualifying positions of [begin,
+/// end) to `out`; it runs as morsels on the TaskPool (the predicates are
 /// pure reads) and materialization is the same two-phase parallel gather
 /// the range scan uses.
-template <typename Pred>
+template <typename Scan>
 Result<Bat> PredicateSelect(const ExecContext& ctx, const Bat& ab,
                             const char* impl, uint64_t pred_hash,
-                            Pred&& keep) {
+                            Scan&& scan) {
   OpRecorder rec(ctx, "select");
   const Column& head = ab.head();
   const Column& tail = ab.tail();
@@ -297,10 +265,7 @@ Result<Bat> PredicateSelect(const ExecContext& ctx, const Bat& ab,
   const BlockPlan plan = ctx.Plan(tail.size());
   std::vector<MatchShard> matches(plan.blocks);
   RunBlocks(plan, [&](int block, size_t begin, size_t end) {
-    std::vector<uint32_t>& mine = matches[block].idx;
-    for (size_t i = begin; i < end; ++i) {
-      if (keep(i)) mine.push_back(static_cast<uint32_t>(i));
-    }
+    scan(begin, end, matches[block].idx);
   });
   MF_RETURN_NOT_OK(ctx.CheckInterrupt());
   MF_ASSIGN_OR_RETURN(auto cols,
@@ -368,7 +333,17 @@ Result<Bat> SelectCmp(const ExecContext& ctx, const Bat& ab, CmpOp op,
       return PredicateSelect(
           ctx, ab, "scan_select",
           MixSync(HashString("select_ne"), HashString(v.ToString())),
-          [&](size_t i) { return ab.tail().CompareValue(i, v) != 0; });
+          [&](size_t begin, size_t end, std::vector<uint32_t>& out) {
+            ab.tail().VisitValues([&](const auto& tv) {
+              bat::VisitBound(tv, v, [&](const auto& value) {
+                for (size_t i = begin; i < end; ++i) {
+                  if (bat::Compare(tv, i, value, 0) != 0) {
+                    out.push_back(static_cast<uint32_t>(i));
+                  }
+                }
+              });
+            });
+          });
   }
   return Status::Invalid("bad CmpOp");
 }
@@ -382,7 +357,13 @@ Result<Bat> SelectLike(const ExecContext& ctx, const Bat& ab,
   return PredicateSelect(
       ctx, ab, "scan_like_select",
       MixSync(HashString("select_like"), HashString(pattern)),
-      [&](size_t i) { return LikeMatch(ab.tail().Str(i), pattern); });
+      [&](size_t begin, size_t end, std::vector<uint32_t>& out) {
+        for (size_t i = begin; i < end; ++i) {
+          if (LikeMatch(ab.tail().Str(i), pattern)) {
+            out.push_back(static_cast<uint32_t>(i));
+          }
+        }
+      });
 }
 
 namespace internal {

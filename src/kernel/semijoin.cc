@@ -187,22 +187,37 @@ Result<Bat> MergeSemijoin(const ExecContext& ctx, const Bat& ab,
   a.TouchAll(ctx.io());
   c.TouchAll(ctx.io());
   storage::ColdPageFilter b_pages = b.PageFilter(ctx.io());
-  size_t i = 0, j = 0;
   const size_t n = ab.size(), m = cd.size();
-  while (i < n && j < m) {
-    const int cmp = a.CompareAt(i, c, j);
-    if (cmp < 0) {
-      ++i;
-    } else if (cmp > 0) {
-      ++j;
-    } else {
-      b_pages.Touch(i);
-      hb.AppendFrom(a, i);
-      tb.AppendFrom(b, i);
-      MF_RETURN_NOT_OK(gate.Add(1));
-      ++i;  // keep j: the next left BUN may carry the same head value
-    }
+  // A is read in KeyBatches: the loop is instantiated per (A key kind,
+  // C shape).
+  bat::KeyBatch batch;
+  Status status = Status::OK();
+  size_t i = 0, j = 0;
+  while (i < n && j < m && status.ok()) {
+    const size_t lo = i;
+    const size_t hi = std::min(n, lo + bat::KeyBatch::kRows);
+    batch.Fill(a, lo, hi);
+    batch.Visit([&](const auto& av) {
+      c.VisitValues([&](const auto& cv) {
+        while (i < hi && j < m) {
+          const int cmp = bat::Compare(av, i - lo, cv, j);
+          if (cmp < 0) {
+            ++i;
+          } else if (cmp > 0) {
+            ++j;
+          } else {
+            b_pages.Touch(i);
+            hb.AppendFrom(a, i);
+            tb.AppendFrom(b, i);
+            status = gate.Add(1);
+            if (!status.ok()) return;
+            ++i;  // keep j: the next left BUN may carry the same head value
+          }
+        }
+      });
+    });
   }
+  MF_RETURN_NOT_OK(status);
   MF_RETURN_NOT_OK(gate.Flush());
   MF_ASSIGN_OR_RETURN(Bat res,
                       FinishSemijoin(ab, cd, hb.Finish(), tb.Finish()));

@@ -23,6 +23,8 @@ MonetType BuilderType(const Column& c) {
   return c.type() == MonetType::kVoid ? MonetType::kOidT : c.type();
 }
 
+/// The theta predicate over the three-way Compare of b and c: NaN reads
+/// as "equal" (so kLe/kGe are the negations of >/<, not <=/>=).
 bool Satisfies(int cmp, CmpOp op) {
   switch (op) {
     case CmpOp::kEq: return cmp == 0;
@@ -33,34 +35,6 @@ bool Satisfies(int cmp, CmpOp op) {
     case CmpOp::kGe: return cmp >= 0;
   }
   return false;
-}
-
-/// Dispatches `op` to `loop(keep)` where keep(x, y) evaluates the
-/// predicate over the two *double* views — the exact hoisted twin of
-/// Satisfies(CompareAt(...), op), including the NaN behavior of the
-/// three-way comparison (kLe/kGe are the negations of >/<, not <=/>=).
-template <typename Loop>
-void WithCmpPredicate(CmpOp op, Loop&& loop) {
-  switch (op) {
-    case CmpOp::kEq:
-      loop([](double x, double y) { return !(x < y) && !(x > y); });
-      return;
-    case CmpOp::kNe:
-      loop([](double x, double y) { return x < y || x > y; });
-      return;
-    case CmpOp::kLt:
-      loop([](double x, double y) { return x < y; });
-      return;
-    case CmpOp::kLe:
-      loop([](double x, double y) { return !(x > y); });
-      return;
-    case CmpOp::kGt:
-      loop([](double x, double y) { return x > y; });
-      return;
-    case CmpOp::kGe:
-      loop([](double x, double y) { return !(x < y); });
-      return;
-  }
 }
 
 /// Common epilogue of the theta-join variants. Emission order interleaves
@@ -127,10 +101,8 @@ Result<Bat> MaterializeThetaMatches(const ExecContext& ctx, const Bat& ab,
 
 /// Band algorithm for the ordered comparisons: sort CD's heads once, then
 /// for each left BUN emit the qualifying prefix/suffix run. Left BUNs are
-/// independent, so they run as morsels on the TaskPool; the typed double
-/// views of B and C drive both the binary search and the per-run check
-/// with the NumAt dispatch hoisted out (str operands keep the boxed
-/// CompareAt path).
+/// independent, so they run as morsels on the TaskPool; the binary search
+/// and the per-run check read B and C through their value views.
 Result<Bat> BandThetaJoin(const ExecContext& ctx, const Bat& ab,
                           const Bat& cd, CmpOp op, OpRecorder& rec) {
   const Column& a = ab.head();
@@ -141,16 +113,12 @@ Result<Bat> BandThetaJoin(const ExecContext& ctx, const Bat& ab,
   std::vector<uint32_t> order(cd.size());
   std::iota(order.begin(), order.end(), 0u);
   if (!cd.props().hsorted) {
-    const bool typed = c.WithNumView([&](auto cv) {
-      std::stable_sort(order.begin(), order.end(),
-                       [&](uint32_t x, uint32_t y) { return cv(x) < cv(y); });
-    });
-    if (!typed) {
+    c.VisitValues([&](const auto& cv) {
       std::stable_sort(order.begin(), order.end(),
                        [&](uint32_t x, uint32_t y) {
-                         return c.CompareAt(x, c, y) < 0;
+                         return bat::Compare(cv, x, cv, y) < 0;
                        });
-    }
+    });
   }
   b.TouchAll(ctx.io());
   c.TouchAll(ctx.io());
@@ -171,82 +139,44 @@ Result<Bat> BandThetaJoin(const ExecContext& ctx, const Bat& ab,
       mine.rights.push_back(pos);
       mine.status = gate.Add(1);
     };
-    // One typed pass: bv/cv are the hoisted NumAt views; `keep` is the
-    // hoisted Satisfies. The boxed fallback below mirrors it exactly.
-    bool typed = false;
-    b.WithNumView([&](auto bv) {
-      c.WithNumView([&](auto cv) {
-        typed = true;
-        WithCmpPredicate(op, [&](auto keep) {
-          for (size_t i = begin; i < end && mine.status.ok(); ++i) {
-            const double x = bv(i);
-            // First position in the sorted right side with c >= b[i].
-            size_t lo = 0, hi = order.size();
-            while (lo < hi) {
-              const size_t mid = lo + (hi - lo) / 2;
-              if (cv(order[mid]) < x) {
-                lo = mid + 1;
-              } else {
-                hi = mid;
-              }
-            }
-            // Emit the side of the partition the comparison selects. Ties
-            // need local scanning since `lo` is the first >=.
-            if (op == CmpOp::kLt || op == CmpOp::kLe) {
-              size_t start = lo;
-              while (start > 0 && !(cv(order[start - 1]) < x) &&
-                     !(cv(order[start - 1]) > x)) {
-                --start;
-              }
-              for (size_t j = start;
-                   j < order.size() && mine.status.ok(); ++j) {
-                if (keep(x, cv(order[j]))) emit(i, j);
-              }
+    b.VisitValues([&](const auto& bv) {
+      c.VisitValues([&](const auto& cv) {
+        // cmp(i, j): b[i] against the j-th smallest c.
+        const auto cmp = [&](size_t i, size_t j) {
+          return bat::Compare(bv, i, cv, order[j]);
+        };
+        for (size_t i = begin; i < end && mine.status.ok(); ++i) {
+          // First position in the sorted right side with c >= b[i].
+          size_t lo = 0, hi = order.size();
+          while (lo < hi) {
+            const size_t mid = lo + (hi - lo) / 2;
+            if (cmp(i, mid) > 0) {
+              lo = mid + 1;
             } else {
-              size_t run_end = lo;
-              while (run_end < order.size() &&
-                     !(cv(order[run_end]) < x) && !(cv(order[run_end]) > x)) {
-                ++run_end;
-              }
-              for (size_t j = 0; j < run_end && mine.status.ok(); ++j) {
-                if (keep(x, cv(order[j]))) emit(i, j);
-              }
+              hi = mid;
             }
           }
-        });
+          // Emit the side of the partition the comparison selects. Ties
+          // need local scanning since `lo` is the first >=.
+          if (op == CmpOp::kLt || op == CmpOp::kLe) {
+            size_t start = lo;
+            while (start > 0 && cmp(i, start - 1) == 0) --start;
+            for (size_t j = start; j < order.size() && mine.status.ok();
+                 ++j) {
+              if (Satisfies(cmp(i, j), op)) emit(i, j);
+            }
+          } else {
+            size_t run_end = lo;
+            while (run_end < order.size() && cmp(i, run_end) == 0) {
+              ++run_end;
+            }
+            for (size_t j = 0; j < run_end && mine.status.ok(); ++j) {
+              if (Satisfies(cmp(i, j), op)) emit(i, j);
+            }
+          }
+        }
       });
     });
-    if (!typed) {
-      for (size_t i = begin; i < end && mine.status.ok(); ++i) {
-        size_t lo = 0, hi = order.size();
-        while (lo < hi) {
-          const size_t mid = lo + (hi - lo) / 2;
-          if (c.CompareAt(order[mid], b, i) < 0) {
-            lo = mid + 1;
-          } else {
-            hi = mid;
-          }
-        }
-        if (op == CmpOp::kLt || op == CmpOp::kLe) {
-          size_t start = lo;
-          while (start > 0 && c.CompareAt(order[start - 1], b, i) == 0) {
-            --start;
-          }
-          for (size_t j = start; j < order.size() && mine.status.ok(); ++j) {
-            if (Satisfies(b.CompareAt(i, c, order[j]), op)) emit(i, j);
-          }
-        } else {
-          size_t run_end = lo;
-          while (run_end < order.size() &&
-                 c.CompareAt(order[run_end], b, i) == 0) {
-            ++run_end;
-          }
-          for (size_t j = 0; j < run_end && mine.status.ok(); ++j) {
-            if (Satisfies(b.CompareAt(i, c, order[j]), op)) emit(i, j);
-          }
-        }
-      }
-    }
     if (mine.status.ok()) mine.status = gate.Flush();
   });
   MF_RETURN_NOT_OK(ctx.CheckInterrupt());
@@ -259,8 +189,7 @@ Result<Bat> BandThetaJoin(const ExecContext& ctx, const Bat& ab,
 
 /// Nested-loop fallback: evaluates the comparison on every BUN pair; the
 /// only variant that can serve `!=` (whose result is not a band). The
-/// left side runs as morsels; the pair loop is a zero-dispatch typed pass
-/// for non-str operands.
+/// left side runs as morsels over B and C's value views.
 Result<Bat> NestedThetaJoin(const ExecContext& ctx, const Bat& ab,
                             const Bat& cd, CmpOp op, OpRecorder& rec) {
   const Column& a = ab.head();
@@ -279,34 +208,20 @@ Result<Bat> NestedThetaJoin(const ExecContext& ctx, const Bat& ab,
     internal::ChargeGate gate(ctx, a, d);
     storage::ColdPageFilter a_pages = a.PageFilter(io);
     storage::ColdPageFilter d_pages = d.PageFilter(io);
-    auto emit = [&](size_t i, size_t j) {
-      a_pages.Touch(i);
-      d_pages.Touch(j);
-      mine.lefts.push_back(static_cast<uint32_t>(i));
-      mine.rights.push_back(static_cast<uint32_t>(j));
-      mine.status = gate.Add(1);
-    };
-    bool typed = false;
-    b.WithNumView([&](auto bv) {
-      c.WithNumView([&](auto cv) {
-        typed = true;
-        WithCmpPredicate(op, [&](auto keep) {
-          for (size_t i = begin; i < end && mine.status.ok(); ++i) {
-            const double x = bv(i);
-            for (size_t j = 0; j < m && mine.status.ok(); ++j) {
-              if (keep(x, cv(j))) emit(i, j);
-            }
+    b.VisitValues([&](const auto& bv) {
+      c.VisitValues([&](const auto& cv) {
+        for (size_t i = begin; i < end && mine.status.ok(); ++i) {
+          for (size_t j = 0; j < m && mine.status.ok(); ++j) {
+            if (!Satisfies(bat::Compare(bv, i, cv, j), op)) continue;
+            a_pages.Touch(i);
+            d_pages.Touch(j);
+            mine.lefts.push_back(static_cast<uint32_t>(i));
+            mine.rights.push_back(static_cast<uint32_t>(j));
+            mine.status = gate.Add(1);
           }
-        });
+        }
       });
     });
-    if (!typed) {
-      for (size_t i = begin; i < end && mine.status.ok(); ++i) {
-        for (size_t j = 0; j < m && mine.status.ok(); ++j) {
-          if (Satisfies(b.CompareAt(i, c, j), op)) emit(i, j);
-        }
-      }
-    }
     if (mine.status.ok()) mine.status = gate.Flush();
   });
   MF_RETURN_NOT_OK(ctx.CheckInterrupt());

@@ -98,19 +98,13 @@ InvertedIndex::InvertedIndex(const Table* table, int col)
   for (size_t i = 0; i < order_.size(); ++i) {
     order_[i] = static_cast<uint32_t>(i);
   }
-  // Typed sort key: the double view is exactly CompareAt's comparison for
-  // non-str columns; str columns keep the boxed comparator.
-  const bat::Column& c = *table->data_[col_];
-  const bool typed = c.WithNumView([&](auto v) {
-    std::stable_sort(order_.begin(), order_.end(),
-                     [&](uint32_t a, uint32_t b) { return v(a) < v(b); });
-  });
-  if (!typed) {
+  // Sort key: the column's value view, whose Compare is CompareAt's.
+  table->data_[col_]->VisitValues([&](const auto& v) {
     std::stable_sort(order_.begin(), order_.end(),
                      [&](uint32_t a, uint32_t b) {
-                       return c.CompareAt(a, c, b) < 0;
+                       return bat::Compare(v, a, v, b) < 0;
                      });
-  }
+  });
 }
 
 void InvertedIndex::TouchEntry(storage::IoStats* io, size_t i) const {

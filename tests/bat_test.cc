@@ -1,10 +1,18 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
+#include <memory>
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "bat/bat.h"
 #include "bat/column.h"
 #include "bat/datavector.h"
 #include "bat/hash_index.h"
 #include "storage/page_accountant.h"
+#include "storage/string_heap.h"
 
 namespace moaflat::bat {
 namespace {
@@ -196,6 +204,193 @@ TEST(ColumnTest, TypedValueHashMatchesHashAt) {
   EXPECT_EQ(ints->HashAt(2), oids->HashAt(0));
 }
 
+// ------------------------------------------------------------ value view
+
+/// What the value view must compute, written independently of it: each
+/// value boxed (GetValue) and classed as integral (exact, in 128 bits),
+/// float or str.
+struct RefValue {
+  enum Class { kIntegral, kFloat, kStr } cls;
+  __int128 i = 0;
+  double d = 0;
+  std::string s;
+
+  double Num() const {
+    return cls == kIntegral ? static_cast<double>(i)
+                            : (cls == kFloat ? d : 0.0);
+  }
+};
+
+RefValue Ref(const Column& c, size_t k) {
+  const Value v = c.GetValue(k);
+  switch (v.type()) {
+    case MonetType::kStr: return {RefValue::kStr, 0, 0, v.AsStr()};
+    case MonetType::kFlt: return {RefValue::kFloat, 0, v.AsFlt(), ""};
+    case MonetType::kDbl: return {RefValue::kFloat, 0, v.AsDbl(), ""};
+    case MonetType::kOidT: return {RefValue::kIntegral, v.AsOid(), 0, ""};
+    case MonetType::kBit: return {RefValue::kIntegral, v.AsBit(), 0, ""};
+    case MonetType::kChr: return {RefValue::kIntegral, v.AsChr(), 0, ""};
+    case MonetType::kInt: return {RefValue::kIntegral, v.AsInt(), 0, ""};
+    case MonetType::kLng: return {RefValue::kIntegral, v.AsLng(), 0, ""};
+    case MonetType::kDate:
+      return {RefValue::kIntegral, v.AsDate().days(), 0, ""};
+    default: break;
+  }
+  ADD_FAILURE() << "unexpected type " << TypeName(v.type());
+  return {};
+}
+
+int RefCompare(const RefValue& a, const RefValue& b) {
+  if (a.cls == RefValue::kStr || b.cls == RefValue::kStr) {
+    if (a.cls != b.cls) return a.cls == RefValue::kStr ? 1 : -1;
+    const int c = a.s.compare(b.s);
+    return (c > 0) - (c < 0);
+  }
+  if (a.cls == RefValue::kFloat || b.cls == RefValue::kFloat) {
+    const double x = a.Num(), y = b.Num();
+    return x < y ? -1 : (x > y ? 1 : 0);  // NaN reads as "equal"
+  }
+  return (a.i > b.i) - (a.i < b.i);
+}
+
+bool RefEqual(const RefValue& a, const RefValue& b) {
+  if (a.cls == RefValue::kStr || b.cls == RefValue::kStr) {
+    return a.cls == b.cls && a.s == b.s;
+  }
+  if (a.cls == RefValue::kFloat || b.cls == RefValue::kFloat) {
+    return a.Num() == b.Num();  // NaN is never equal
+  }
+  return a.i == b.i;
+}
+
+/// One column per storage shape, holding the edge rows: NaN, +-0.0,
+/// 2^53 +- 1, void against oid, str on a shared and on a distinct heap.
+std::vector<std::pair<std::string, ColumnPtr>> EdgeColumns() {
+  const int64_t p53 = int64_t{1} << 53;
+  const Oid op53 = Oid{1} << 53;
+  auto shared = std::make_shared<storage::StringHeap>();
+  const int32_t a = shared->Intern("a");
+  const int32_t b = shared->Intern("b");
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  return {
+      {"void", Column::MakeVoid(7, 3)},
+      {"oid", Column::MakeOid({7, op53, op53 + 1, ~Oid{0}})},
+      {"bit", Column::MakeBit({0, 1})},
+      {"chr", Column::MakeChr({'a', '\0'})},
+      {"sht", Column::MakeSht({-1, 7})},
+      {"int", Column::MakeInt({-1, 0, 7, 97})},
+      {"lng", Column::MakeLng({-1, 7, p53 - 1, p53, p53 + 1})},
+      {"flt", Column::MakeFlt({-0.0f, 7.0f, std::nanf("")})},
+      {"dbl", Column::MakeDbl({nan, 0.0, -0.0, 7.0,
+                               static_cast<double>(p53)})},
+      {"date", Column::MakeDate({Date(7), Date(-1)})},
+      {"str", Column::MakeStrOffsets(shared, {a, b})},
+      {"str-shared", Column::MakeStrOffsets(shared, {b})},
+      {"str-distinct", Column::MakeStr({"a", "7", ""})},
+  };
+}
+
+TEST(ColumnViewTest, EveryShapePairAgreesWithTheReference) {
+  const auto cols = EdgeColumns();
+  for (const auto& [an, a] : cols) {
+    for (size_t i = 0; i < a->size(); ++i) {
+      const RefValue ra = Ref(*a, i);
+      const double num = a->VisitValues(
+          [&](const auto& v) { return bat::Num(v, i); });
+      EXPECT_EQ(std::isnan(num), std::isnan(ra.Num())) << an << i;
+      EXPECT_EQ(std::isnan(a->NumAt(i)), std::isnan(num)) << an << i;
+      if (!std::isnan(num)) {
+        EXPECT_EQ(num, ra.Num()) << an << i;
+        EXPECT_EQ(a->NumAt(i), num) << an << i;
+      }
+      for (const auto& [bn, b] : cols) {
+        for (size_t j = 0; j < b->size(); ++j) {
+          const RefValue rb = Ref(*b, j);
+          const std::string where =
+              an + "[" + std::to_string(i) + "] vs " + bn + "[" +
+              std::to_string(j) + "]";
+          const int cmp = a->VisitValues([&](const auto& va) {
+            return b->VisitValues([&](const auto& vb) {
+              return bat::Compare(va, i, vb, j);
+            });
+          });
+          const bool eq = a->VisitValues([&](const auto& va) {
+            return b->VisitValues([&](const auto& vb) {
+              return bat::Equal(va, i, vb, j);
+            });
+          });
+          EXPECT_EQ(cmp, RefCompare(ra, rb)) << where;
+          EXPECT_EQ(eq, RefEqual(ra, rb)) << where;
+          EXPECT_EQ(a->CompareAt(i, *b, j), cmp) << where;
+          EXPECT_EQ(a->EqualAt(i, *b, j), eq) << where;
+          // Equal values of one key class hash equal.
+          if (eq && ra.cls == rb.cls) {
+            EXPECT_EQ(a->HashAt(i), b->HashAt(j)) << where;
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(ColumnViewTest, EdgeRows) {
+  const int64_t p53 = int64_t{1} << 53;
+  const ColumnPtr lng = Column::MakeLng({p53, p53 + 1, -1});
+  const ColumnPtr oid = Column::MakeOid({Oid{1} << 53, ~Oid{0}});
+  const ColumnPtr dbl = Column::MakeDbl(
+      {std::numeric_limits<double>::quiet_NaN(), 0.0, -0.0,
+       static_cast<double>(p53)});
+  // 2^53 and 2^53+1 are distinct integers, though one double.
+  EXPECT_FALSE(lng->EqualAt(0, *lng, 1));
+  EXPECT_LT(lng->CompareAt(0, *lng, 1), 0);
+  EXPECT_TRUE(lng->EqualAt(0, *oid, 0));
+  EXPECT_EQ(lng->HashAt(0), oid->HashAt(0));
+  // Signed against oid: -1 is below every oid, whatever its bits.
+  EXPECT_FALSE(lng->EqualAt(2, *oid, 1));
+  EXPECT_LT(lng->CompareAt(2, *oid, 1), 0);
+  EXPECT_GT(oid->CompareAt(1, *lng, 2), 0);
+  // A float side compares as double: 2^53+1 reads as 2^53 there.
+  EXPECT_TRUE(lng->EqualAt(1, *dbl, 3));
+  EXPECT_EQ(lng->CompareAt(1, *dbl, 3), 0);
+  // NaN: "equal" to everything in the three-way compare, never Equal.
+  EXPECT_EQ(dbl->CompareAt(0, *dbl, 0), 0);
+  EXPECT_EQ(dbl->CompareAt(0, *dbl, 1), 0);
+  EXPECT_FALSE(dbl->EqualAt(0, *dbl, 0));
+  // 0.0 and -0.0 are one value, hash included.
+  EXPECT_TRUE(dbl->EqualAt(1, *dbl, 2));
+  EXPECT_EQ(dbl->CompareAt(1, *dbl, 2), 0);
+  EXPECT_EQ(dbl->HashAt(1), dbl->HashAt(2));
+  // Void against oid.
+  const ColumnPtr v = Column::MakeVoid(Oid{1} << 53, 2);
+  EXPECT_TRUE(v->EqualAt(0, *oid, 0));
+  EXPECT_FALSE(v->EqualAt(1, *oid, 0));
+  EXPECT_EQ(v->HashAt(0), oid->HashAt(0));
+  EXPECT_EQ(v->NumAt(1), static_cast<double>(p53 + 1));
+  // str on a shared heap, on distinct heaps, and against int.
+  const ColumnPtr s1 = Column::MakeStr({"b", "a"});
+  const ColumnPtr s2 = Column::MakeStrOffsets(
+      s1->str_heap(), {s1->StrOffset(1), s1->StrOffset(0)});
+  const ColumnPtr s3 = Column::MakeStr({"a"});
+  EXPECT_TRUE(s1->EqualAt(1, *s2, 0));
+  EXPECT_TRUE(s1->EqualAt(1, *s3, 0));
+  EXPECT_EQ(s1->HashAt(1), s3->HashAt(0));
+  EXPECT_GT(s1->CompareAt(0, *s3, 0), 0);
+  const ColumnPtr ints = Column::MakeInt({0, 97});
+  for (size_t j = 0; j < ints->size(); ++j) {
+    EXPECT_FALSE(s3->EqualAt(0, *ints, j));
+    EXPECT_GT(s3->CompareAt(0, *ints, j), 0);
+    EXPECT_LT(ints->CompareAt(j, *s3, 0), 0);
+  }
+  EXPECT_EQ(s3->NumAt(0), 0.0);
+  // Constants lower the same way in both directions.
+  EXPECT_GT(s3->CompareValue(0, Value::Int(0)), 0);
+  EXPECT_LT(ints->CompareValue(0, Value::Str("a")), 0);
+  EXPECT_GT(lng->CompareValue(1, Value::Lng(p53)), 0);
+  EXPECT_EQ(lng->CompareValue(1, Value::Dbl(static_cast<double>(p53))), 0);
+  EXPECT_GT(oid->CompareValue(1, Value::Lng(-1)), 0);
+  EXPECT_EQ(dbl->CompareValue(2, Value::Int(0)), 0);
+}
+
 TEST(BatTest, MakeValidatesSizes) {
   auto ok = Bat::Make(Column::MakeVoid(0, 2), Column::MakeInt({1, 2}));
   EXPECT_TRUE(ok.ok());
@@ -250,27 +445,42 @@ TEST(BatTest, DebugStringMentionsTypesAndCount) {
   EXPECT_NE(s.find("#3"), std::string::npos);
 }
 
+/// The smallest position matching probe[j], or -1 (a one-row bulk probe).
+int64_t FindFirst(const HashIndex& idx, const Column& probe, size_t j) {
+  int64_t found = -1;
+  idx.ForEachFirstMatch(probe, j, j + 1,
+                        [&](size_t, uint32_t pos) { found = pos; });
+  return found;
+}
+
+/// True if any position matches probe[j] (a one-row bulk probe).
+bool Contains(const HashIndex& idx, const Column& probe, size_t j) {
+  bool hit = false;
+  idx.ForEachContained(probe, j, j + 1, [&](size_t) { hit = true; });
+  return hit;
+}
+
 TEST(HashIndexTest, FindsAllMatches) {
   ColumnPtr col = Column::MakeInt({5, 3, 5, 9});
   HashIndex idx(col);
   ColumnPtr probe = Column::MakeInt({5});
   int hits = 0;
-  idx.ForEachMatch(*probe, 0, [&](uint32_t pos) {
+  idx.ForEachMatchRange(*probe, 0, 1, [&](size_t, uint32_t pos) {
     EXPECT_TRUE(pos == 0 || pos == 2);
     ++hits;
   });
   EXPECT_EQ(hits, 2);
-  EXPECT_TRUE(idx.Contains(*probe, 0));
+  EXPECT_TRUE(Contains(idx, *probe, 0));
   ColumnPtr miss = Column::MakeInt({4});
-  EXPECT_FALSE(idx.Contains(*miss, 0));
-  EXPECT_EQ(idx.FindFirst(*probe, 0), 0);
+  EXPECT_FALSE(Contains(idx, *miss, 0));
+  EXPECT_EQ(FindFirst(idx, *probe, 0), 0);
 }
 
 TEST(HashIndexTest, WorksOnStrings) {
   ColumnPtr col = Column::MakeStr({"x", "y", "x"});
   HashIndex idx(col);
   ColumnPtr probe = Column::MakeStr({"x"});
-  EXPECT_EQ(idx.FindFirst(*probe, 0), 0);
+  EXPECT_EQ(FindFirst(idx, *probe, 0), 0);
 }
 
 TEST(DatavectorTest, FindPositionBinarySearches) {

@@ -1,20 +1,30 @@
 #include <gtest/gtest.h>
 
+#include <any>
+#include <cstdio>
+#include <cstring>
+#include <functional>
+#include <limits>
 #include <numeric>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "bat/bat.h"
 #include "common/parallel.h"
+#include "common/rng.h"
 #include "kernel/exec_tracer.h"
 #include "kernel/operators.h"
+#include "kernel/registry.h"
 #include "kernel/scalar_fn.h"
+#include "storage/string_heap.h"
 
 namespace moaflat::kernel {
 namespace {
 
 using bat::Bat;
 using bat::Column;
+using bat::ColumnPtr;
 using bat::Properties;
 
 Bat AttrBat(std::vector<Oid> heads, std::vector<int32_t> tails,
@@ -601,6 +611,1026 @@ TEST(ScalarFnTest, ResultTypes) {
   EXPECT_EQ(ScalarResultType("year", {MonetType::kDate}).ValueOrDie(),
             MonetType::kInt);
   EXPECT_FALSE(ScalarResultType("bogus", {}).ok());
+}
+
+// ------------------------------------------------------------ golden table
+//
+// Every kernel whose value loop reads column values — compares, hashes,
+// equalities, numeric views — run over seeded operands of every storage
+// shape and pinned row by row: result size, a digest of the head and tail
+// values, and the four properties. Sync keys are left out (they mix
+// process-wide heap ids). Each row is computed at degrees 1 and 4 (block
+// cap 4) and must read the same at both. The dbl operands carry NaN; no
+// operand carries -0.0, a value >= 2^53 or a str x non-str pair.
+
+constexpr size_t kGoldenRows = 66000;  // four blocks at degree 4
+
+/// FNV-1a over the stored values of `c` (typed reads: no boxing).
+uint64_t ValueDigest(const Column& c) {
+  uint64_t h = 1469598103934665603ULL;
+  auto mix = [&h](const void* p, size_t n) {
+    const auto* b = static_cast<const unsigned char*>(p);
+    for (size_t k = 0; k < n; ++k) {
+      h ^= b[k];
+      h *= 1099511628211ULL;
+    }
+  };
+  for (size_t i = 0; i < c.size(); ++i) {
+    if (c.is_void()) {
+      const Oid v = c.OidAt(i);
+      mix(&v, sizeof(v));
+    } else if (c.type() == MonetType::kStr) {
+      const std::string_view s = c.Str(i);
+      mix(s.data(), s.size());
+      mix("", 1);
+    } else {
+      Column::VisitType(c.type(), [&](auto tag) {
+        using T = typename decltype(tag)::type;
+        const T v = c.Data<T>()[i];
+        mix(&v, sizeof(v));
+      });
+    }
+  }
+  return h;
+}
+
+std::string GoldenRow(const std::string& name, const Result<Bat>& r) {
+  if (!r.ok()) return name + " error " + r.status().ToString();
+  const Bat& b = *r;
+  using ull = unsigned long long;
+  char buf[256];
+  std::snprintf(buf, sizeof(buf), "%s n=%zu %s:%016llx %s:%016llx %d%d%d%d",
+                name.c_str(), b.size(), TypeName(b.head().type()),
+                static_cast<ull>(ValueDigest(b.head())),
+                TypeName(b.tail().type()),
+                static_cast<ull>(ValueDigest(b.tail())), b.props().hsorted,
+                b.props().hkey, b.props().tsorted, b.props().tkey);
+  return buf;
+}
+
+std::string GoldenScalar(const std::string& name, const Result<Value>& r) {
+  if (!r.ok()) return name + " error " + r.status().ToString();
+  if (r->type() == MonetType::kStr) return name + " str:" + r->AsStr();
+  if (r->type() != MonetType::kDbl) return name + " " + r->ToString();
+  const double d = r->AsDbl();
+  unsigned long long bits;
+  std::memcpy(&bits, &d, sizeof(d));
+  char buf[64];
+  std::snprintf(buf, sizeof(buf), " dbl:%016llx", bits);
+  return name + buf;
+}
+
+/// Runs the registered variant `name` of `op` directly, or returns nullopt
+/// when its predicate rejects the operands.
+template <typename Sig, typename... Args>
+std::optional<Result<Bat>> RunVariant(const ExecContext& ctx, const char* op,
+                                      const std::string& name,
+                                      const DispatchInput& in,
+                                      const Args&... args) {
+  for (const KernelRegistry::Variant& v :
+       *KernelRegistry::Global().VariantsOf(op)) {
+    if (v.name != name) continue;
+    if (!v.applicable(in)) return std::nullopt;
+    OpRecorder rec(ctx, op);
+    return (*std::any_cast<std::function<Sig>>(&v.exec))(ctx, args..., rec);
+  }
+  ADD_FAILURE() << "no variant " << name << " of " << op;
+  return std::nullopt;
+}
+
+enum class Shape { kVoid, kOid, kInt, kLng, kDbl, kDate, kStr };
+
+constexpr Shape kShapes[] = {Shape::kVoid, Shape::kOid, Shape::kInt,
+                             Shape::kLng,  Shape::kDbl, Shape::kDate,
+                             Shape::kStr};
+
+const char* ShapeName(Shape s) {
+  switch (s) {
+    case Shape::kVoid: return "void";
+    case Shape::kOid: return "oid";
+    case Shape::kInt: return "int";
+    case Shape::kLng: return "lng";
+    case Shape::kDbl: return "dbl";
+    case Shape::kDate: return "date";
+    case Shape::kStr: return "str";
+  }
+  return "?";
+}
+
+/// Seeded operand columns: values are drawn from a domain 0..dom-1 and
+/// mapped into each shape so that equal draws are equal values across
+/// columns of one shape (and void/oid share the oid domain from 100).
+struct GoldenGen {
+  std::shared_ptr<storage::StringHeap> heap =
+      std::make_shared<storage::StringHeap>();
+
+  Value At(Shape s, int64_t v) const {
+    switch (s) {
+      case Shape::kVoid: return Value::MakeOid(100 + 600 * v);
+      case Shape::kOid: return Value::MakeOid(100 + v);
+      case Shape::kInt: return Value::Int(static_cast<int32_t>(v - 50));
+      case Shape::kLng: return Value::Lng((v - 50) * 1000003);
+      case Shape::kDbl: return Value::Dbl(0.5 * static_cast<double>(v - 50));
+      case Shape::kDate:
+        return Value::MakeDate(Date(9000 + static_cast<int32_t>(v)));
+      case Shape::kStr: return Value::Str("k" + std::to_string(v));
+    }
+    return Value();
+  }
+
+  /// `fresh_heap` puts a str column on its own heap instead of the shared
+  /// one.
+  ColumnPtr Make(Shape s, size_t n, int64_t dom, uint64_t seed,
+                 bool fresh_heap = false) const {
+    Rng rng(seed);
+    std::vector<int64_t> v(n);
+    for (int64_t& x : v) x = rng.Uniform(0, dom - 1);
+    switch (s) {
+      case Shape::kVoid:
+        return Column::MakeVoid(100, n);
+      case Shape::kOid: {
+        std::vector<Oid> out;
+        for (int64_t x : v) out.push_back(At(s, x).AsOid());
+        return Column::MakeOid(std::move(out));
+      }
+      case Shape::kInt: {
+        std::vector<int32_t> out;
+        for (int64_t x : v) out.push_back(At(s, x).AsInt());
+        return Column::MakeInt(std::move(out));
+      }
+      case Shape::kLng: {
+        std::vector<int64_t> out;
+        for (int64_t x : v) out.push_back(At(s, x).AsLng());
+        return Column::MakeLng(std::move(out));
+      }
+      case Shape::kDbl: {
+        std::vector<double> out;
+        for (int64_t x : v) {
+          out.push_back(rng.Chance(1.0 / 32)
+                            ? std::numeric_limits<double>::quiet_NaN()
+                            : At(s, x).AsDbl());
+        }
+        return Column::MakeDbl(std::move(out));
+      }
+      case Shape::kDate: {
+        std::vector<Date> out;
+        for (int64_t x : v) out.push_back(At(s, x).AsDate());
+        return Column::MakeDate(std::move(out));
+      }
+      case Shape::kStr: {
+        auto h = fresh_heap ? std::make_shared<storage::StringHeap>() : heap;
+        std::vector<int32_t> out;
+        for (int64_t x : v) out.push_back(h->Intern(At(s, x).AsStr()));
+        return Column::MakeStrOffsets(std::move(h), std::move(out));
+      }
+    }
+    return nullptr;
+  }
+};
+
+ColumnPtr IotaOids(size_t n, Oid base = 0) {
+  std::vector<Oid> v(n);
+  std::iota(v.begin(), v.end(), base);
+  return Column::MakeOid(std::move(v));
+}
+
+/// Sorts `ab` on its head (through the tail sort of its mirror).
+Bat HeadSorted(const ExecContext& ctx, const Bat& ab) {
+  return SortTail(ctx, ab.Mirror()).ValueOrDie().Mirror();
+}
+
+/// The binary operand pairs: the join column's shape on each side and
+/// whether a str right side shares the left side's heap.
+struct ShapePair {
+  const char* name;
+  Shape left, right;
+  bool fresh_heap;
+};
+
+constexpr ShapePair kPairs[] = {
+    {"int", Shape::kInt, Shape::kInt, false},
+    {"lng", Shape::kLng, Shape::kLng, false},
+    {"dbl", Shape::kDbl, Shape::kDbl, false},
+    {"date", Shape::kDate, Shape::kDate, false},
+    {"oid", Shape::kOid, Shape::kOid, false},
+    {"oid-void", Shape::kOid, Shape::kVoid, false},
+    {"void-oid", Shape::kVoid, Shape::kOid, false},
+    {"str-shared", Shape::kStr, Shape::kStr, false},
+    {"str-distinct", Shape::kStr, Shape::kStr, true},
+};
+
+std::vector<std::string> GoldenTable(int degree) {
+  ExecContext ctx;
+  ctx.WithParallelDegree(degree);
+  const GoldenGen gen;
+  std::vector<std::string> rows;
+  auto add = [&rows](const std::string& name,
+                     const std::optional<Result<Bat>>& r) {
+    if (r.has_value()) rows.push_back(GoldenRow(name, *r));
+  };
+
+  for (const Shape s : kShapes) {
+    const std::string sn = ShapeName(s);
+    // select: range, point, one-sided and != on an unsorted and a sorted
+    // tail, through every applicable variant.
+    const Bat ab(IotaOids(kGoldenRows), gen.Make(s, kGoldenRows, 97, 11));
+    const Bat sorted = SortTail(ctx, ab).ValueOrDie();
+    const Bound none{};
+    const Bound lo{true, true, gen.At(s, 20)};
+    const Bound hi{true, true, gen.At(s, 60)};
+    const Bound pt{true, true, gen.At(s, 40)};
+    const Bound pt_ex{true, false, gen.At(s, 40)};
+    const struct {
+      const char* name;
+      Bound lo, hi;
+    } ranges[] = {{"range", lo, hi},
+                  {"point", pt, pt},
+                  {"lt", none, pt_ex},
+                  {"ge", pt, none}};
+    for (const Bat* b : {&ab, &sorted}) {
+      const std::string bn = sn + (b == &sorted ? "/sorted" : "");
+      for (const auto& r : ranges) {
+        for (const char* impl : {"binsearch_select", "scan_select"}) {
+          add("select/" + bn + "/" + r.name + "/" + impl,
+              RunVariant<SelectImplSig>(ctx, "select", impl,
+                                        MakeInput(ctx, *b), *b, r.lo, r.hi));
+        }
+      }
+      add("select/" + bn + "/ne", SelectCmp(ctx, *b, CmpOp::kNe, pt.value));
+    }
+    // sort and topn.
+    add("sort/" + sn, SortTail(ctx, ab));
+    add("topn/" + sn + "/asc", TopN(ctx, ab, 50, false));
+    add("topn/" + sn + "/desc", TopN(ctx, ab, 50, true));
+    // unique and hunique over a few-valued head and tail.
+    const Bat dup(gen.Make(s, kGoldenRows, 13, 12),
+                  gen.Make(s, kGoldenRows, 7, 13));
+    add("unique/" + sn, Unique(ctx, dup));
+    add("hunique/" + sn, HeadUnique(ctx, dup));
+    // group, then both refinements: positional (synced) and aligned
+    // through a reversed head.
+    const Result<Bat> grouped = Group(ctx, ab);
+    add("group/" + sn, grouped);
+    ColumnPtr refine = gen.Make(s, kGoldenRows, 5, 14);
+    const Bat synced(ab.head_col(), refine);
+    std::vector<Oid> reversed(kGoldenRows);
+    for (size_t i = 0; i < kGoldenRows; ++i) reversed[i] = kGoldenRows - 1 - i;
+    const Bat aligned(Column::MakeOid(std::move(reversed)), refine);
+    for (const char* impl : {"sync_group_refine", "hash_group_refine"}) {
+      for (const Bat* cd : {&synced, &aligned}) {
+        add("refine/" + sn + (cd == &aligned ? "/aligned/" : "/synced/") +
+                impl,
+            RunVariant<BinaryImplSig>(ctx, "group_refine", impl,
+                                      MakeInput(ctx, *grouped, *cd), *grouped,
+                                      *cd));
+      }
+    }
+    // set aggregates over unsorted and sorted group heads, and the scalar
+    // aggregates.
+    const Bat agg(gen.Make(Shape::kOid, kGoldenRows, 50, 15),
+                  gen.Make(s, kGoldenRows, 97, 16));
+    const Bat agg_sorted = HeadSorted(ctx, agg);
+    for (const AggKind kind : {AggKind::kSum, AggKind::kAvg, AggKind::kMin,
+                               AggKind::kMax}) {
+      const std::string kn = AggKindName(kind);
+      for (const Bat* b : {&agg, &agg_sorted}) {
+        for (const char* impl :
+             {"run_set_aggregate", "hash_set_aggregate"}) {
+          add("aggr/" + sn + (b == &agg_sorted ? "/sorted/" : "/") + kn +
+                  "/" + impl,
+              RunVariant<SetAggImplSig>(ctx, "set_aggregate", impl,
+                                        MakeInput(ctx, *b), kind, *b));
+        }
+      }
+      rows.push_back(GoldenScalar("scalar/" + sn + "/" + kn,
+                                  ScalarAggregate(ctx, kind, agg)));
+    }
+    // the insert property guard: a run that keeps every property, and one
+    // that breaks sortedness and both keys.
+    const Bat base =
+        SortTail(ctx, HeadUnique(ctx, Bat(gen.Make(s, 400, 1000, 17),
+                                           IotaOids(400)))
+                          .ValueOrDie()
+                          .Mirror())
+            .ValueOrDie();
+    const Bat claimed(IotaOids(base.size()), base.tail_col(),
+                      Properties{true, true, true, true});
+    add("insert/" + sn + "/keeps",
+        InsertBuns(ctx, claimed, {Value::MakeOid(5000), Value::MakeOid(5001)},
+                   {gen.At(s, 2000), gen.At(s, 2001)}));
+    add("insert/" + sn + "/breaks",
+        InsertBuns(ctx, claimed, {Value::MakeOid(5000), Value::MakeOid(3)},
+                   {gen.At(s, 2000), base.tail().GetValue(1)}));
+  }
+
+  for (const ShapePair& p : kPairs) {
+    const std::string pn = p.name;
+    // theta: band and nested for every comparison.
+    const Bat left(IotaOids(kGoldenRows / 2), gen.Make(p.left, kGoldenRows / 2,
+                                                       97, 21));
+    const Bat right(gen.Make(p.right, 5, 97, 22, p.fresh_heap),
+                    IotaOids(5, 7000));
+    const struct {
+      CmpOp op;
+      const char* name;
+    } cmps[] = {{CmpOp::kNe, "ne"},
+                {CmpOp::kLt, "lt"},
+                {CmpOp::kLe, "le"},
+                {CmpOp::kGt, "gt"},
+                {CmpOp::kGe, "ge"}};
+    for (const auto& [op, opn] : cmps) {
+      DispatchInput in = MakeInput(ctx, left, right);
+      in.param = OpParam{static_cast<int64_t>(op), "", false};
+      for (const char* impl : {"sort_band_thetajoin", "nested_thetajoin"}) {
+        add("theta/" + pn + "/" + opn + "/" + impl,
+            RunVariant<ThetaImplSig>(ctx, "thetajoin", impl, in, left, right,
+                                     op));
+      }
+    }
+    // equi-join: hash on unsorted operands, merge and hash on sorted ones.
+    const Bat ab(IotaOids(kGoldenRows), gen.Make(p.left, kGoldenRows, 97, 23));
+    const Bat cd(gen.Make(p.right, 120, 97, 24, p.fresh_heap),
+                 IotaOids(120, 9000));
+    const Bat ab_sorted = SortTail(ctx, ab).ValueOrDie();
+    const Bat cd_sorted = HeadSorted(ctx, cd);
+    for (const char* impl : {"merge_join", "hash_join"}) {
+      add("join/" + pn + "/" + impl,
+          RunVariant<BinaryImplSig>(ctx, "join", impl, MakeInput(ctx, ab, cd),
+                                    ab, cd));
+      add("join/" + pn + "/sorted/" + impl,
+          RunVariant<BinaryImplSig>(ctx, "join", impl,
+                                    MakeInput(ctx, ab_sorted, cd_sorted),
+                                    ab_sorted, cd_sorted));
+    }
+    // semijoin (merge and hash), kdiff and kunion over head columns.
+    const Bat sl(gen.Make(p.left, kGoldenRows, 97, 25), IotaOids(kGoldenRows));
+    const Bat sr(gen.Make(p.right, 40, 97, 26, p.fresh_heap),
+                 IotaOids(40, 9000));
+    const Bat sl_sorted = HeadSorted(ctx, sl);
+    const Bat sr_sorted = HeadSorted(ctx, sr);
+    for (const char* impl : {"merge_semijoin", "hash_semijoin"}) {
+      add("semijoin/" + pn + "/" + impl,
+          RunVariant<BinaryImplSig>(ctx, "semijoin", impl,
+                                    MakeInput(ctx, sl, sr), sl, sr));
+      add("semijoin/" + pn + "/sorted/" + impl,
+          RunVariant<BinaryImplSig>(ctx, "semijoin", impl,
+                                    MakeInput(ctx, sl_sorted, sr_sorted),
+                                    sl_sorted, sr_sorted));
+    }
+    add("kdiff/" + pn, Diff(ctx, sl, sr));
+    add("kunion/" + pn, Union(ctx, sl, sr));
+  }
+  return rows;
+}
+
+constexpr const char* kGolden[] = {
+    "select/void/range/scan_select n=24001 oid:7508dbd266b525d7 oid:7c9b35ce23f2ffa8 0000",
+    "select/void/point/scan_select n=1 oid:04e9464ec866c6ec oid:43b9c612cc742699 0011",
+    "select/void/lt/scan_select n=24000 oid:9a904dac6afb4343 oid:3bbb478b3f2ff9c3 0000",
+    "select/void/ge/scan_select n=42000 oid:213f55f0674a26f3 oid:1af3949c4c52bf0b 0000",
+    "select/void/ne n=65999 oid:db57e458fe684a5c oid:a7b5ff7967ee0971 0000",
+    "select/void/sorted/range/binsearch_select n=24001 oid:7508dbd266b525d7 oid:7c9b35ce23f2ffa8 1010",
+    "select/void/sorted/range/scan_select n=24001 oid:7508dbd266b525d7 oid:7c9b35ce23f2ffa8 0010",
+    "select/void/sorted/point/binsearch_select n=1 oid:04e9464ec866c6ec oid:43b9c612cc742699 1011",
+    "select/void/sorted/point/scan_select n=1 oid:04e9464ec866c6ec oid:43b9c612cc742699 0011",
+    "select/void/sorted/lt/binsearch_select n=24000 oid:9a904dac6afb4343 oid:3bbb478b3f2ff9c3 1010",
+    "select/void/sorted/lt/scan_select n=24000 oid:9a904dac6afb4343 oid:3bbb478b3f2ff9c3 0010",
+    "select/void/sorted/ge/binsearch_select n=42000 oid:213f55f0674a26f3 oid:1af3949c4c52bf0b 1010",
+    "select/void/sorted/ge/scan_select n=42000 oid:213f55f0674a26f3 oid:1af3949c4c52bf0b 0010",
+    "select/void/sorted/ne n=65999 oid:db57e458fe684a5c oid:a7b5ff7967ee0971 0010",
+    "sort/void n=66000 oid:6b9843b0e132aeb3 oid:46a821a02c06a54b 0010",
+    "topn/void/asc n=50 oid:4b5b953cfdfb6f62 oid:77ff4bc63da2cd62 0010",
+    "topn/void/desc n=50 oid:5de22b8199296d12 oid:1279a569b0e4ea3e 0000",
+    "unique/void n=66000 oid:46a821a02c06a54b oid:46a821a02c06a54b 0000",
+    "hunique/void n=66000 oid:46a821a02c06a54b oid:46a821a02c06a54b 0100",
+    "group/void n=66000 oid:6b9843b0e132aeb3 oid:6b9843b0e132aeb3 0000",
+    "refine/void/synced/sync_group_refine n=66000 oid:6b9843b0e132aeb3 oid:6b9843b0e132aeb3 0000",
+    "refine/void/synced/hash_group_refine n=66000 oid:6b9843b0e132aeb3 oid:6b9843b0e132aeb3 0000",
+    "refine/void/aligned/hash_group_refine n=66000 oid:6b9843b0e132aeb3 oid:6b9843b0e132aeb3 0000",
+    "aggr/void/sum/hash_set_aggregate n=50 oid:77ff4bc63da2cd62 dbl:0386afd76130cd3e 1100",
+    "aggr/void/sorted/sum/run_set_aggregate n=50 oid:77ff4bc63da2cd62 dbl:0386afd76130cd3e 1100",
+    "aggr/void/sorted/sum/hash_set_aggregate n=50 oid:77ff4bc63da2cd62 dbl:0386afd76130cd3e 1100",
+    "scalar/void/sum dbl:41e046bb1b000000",
+    "aggr/void/avg/hash_set_aggregate n=50 oid:77ff4bc63da2cd62 dbl:c5a9db42d0de625d 1100",
+    "aggr/void/sorted/avg/run_set_aggregate n=50 oid:77ff4bc63da2cd62 dbl:c5a9db42d0de625d 1100",
+    "aggr/void/sorted/avg/hash_set_aggregate n=50 oid:77ff4bc63da2cd62 dbl:c5a9db42d0de625d 1100",
+    "scalar/void/avg dbl:40e0297000000000",
+    "aggr/void/min/hash_set_aggregate n=50 oid:77ff4bc63da2cd62 oid:7abfce3eb8063591 1100",
+    "aggr/void/sorted/min/run_set_aggregate n=50 oid:77ff4bc63da2cd62 oid:7abfce3eb8063591 1100",
+    "aggr/void/sorted/min/hash_set_aggregate n=50 oid:77ff4bc63da2cd62 oid:7abfce3eb8063591 1100",
+    "scalar/void/min 100@0",
+    "aggr/void/max/hash_set_aggregate n=50 oid:77ff4bc63da2cd62 oid:3515a8cb55a38cbf 1100",
+    "aggr/void/sorted/max/run_set_aggregate n=50 oid:77ff4bc63da2cd62 oid:3515a8cb55a38cbf 1100",
+    "aggr/void/sorted/max/hash_set_aggregate n=50 oid:77ff4bc63da2cd62 oid:3515a8cb55a38cbf 1100",
+    "scalar/void/max 66099@0",
+    "insert/void/keeps n=402 oid:9c76de721edeaa1a oid:dbdac74413567598 1111",
+    "insert/void/breaks n=402 oid:73e3d9b7f4943025 oid:d09941a36def5e8d 0000",
+    "select/oid/range/scan_select n=28044 oid:bed397d3a4af03a1 oid:7621a4372073226e 0000",
+    "select/oid/point/scan_select n=716 oid:f682fec6b2a88ed1 oid:237fcfa9f35f7803 0010",
+    "select/oid/lt/scan_select n=27354 oid:3cae10c6000a3f02 oid:730c6c9e2212d6cc 0000",
+    "select/oid/ge/scan_select n=38646 oid:9159ccf9e914f73e oid:25fcf31b21cab3a9 0000",
+    "select/oid/ne n=65284 oid:7ed8b23e4352a449 oid:f904a62b1b892e26 0000",
+    "select/oid/sorted/range/binsearch_select n=28044 oid:279a38d1fe87d201 oid:fb039ab2998e3d6e 0010",
+    "select/oid/sorted/range/scan_select n=28044 oid:279a38d1fe87d201 oid:fb039ab2998e3d6e 0010",
+    "select/oid/sorted/point/binsearch_select n=716 oid:f682fec6b2a88ed1 oid:237fcfa9f35f7803 1010",
+    "select/oid/sorted/point/scan_select n=716 oid:f682fec6b2a88ed1 oid:237fcfa9f35f7803 0010",
+    "select/oid/sorted/lt/binsearch_select n=27354 oid:1ad197d7b462af46 oid:ec6dbc604764faac 0010",
+    "select/oid/sorted/lt/scan_select n=27354 oid:1ad197d7b462af46 oid:ec6dbc604764faac 0010",
+    "select/oid/sorted/ge/binsearch_select n=38646 oid:7d564d92603bfdbe oid:42e794fd07428b29 0010",
+    "select/oid/sorted/ge/scan_select n=38646 oid:7d564d92603bfdbe oid:42e794fd07428b29 0010",
+    "select/oid/sorted/ne n=65284 oid:222d22ff76c06a7d oid:eb9720ab97d28986 0010",
+    "sort/oid n=66000 oid:a204308f59fe4067 oid:9f219b2961364286 0010",
+    "topn/oid/asc n=50 oid:02cb93548f2c7b19 oid:14948be5d891bd03 0010",
+    "topn/oid/desc n=50 oid:36349a721448803f oid:bbe81f42e01d4b43 0000",
+    "unique/oid n=91 oid:706607d9aeb043b3 oid:46c5ee02ae833268 0000",
+    "hunique/oid n=13 oid:63818a9f50f52413 oid:9265d6f1a5648b2b 0100",
+    "group/oid n=66000 oid:6b9843b0e132aeb3 oid:43c7634cf3337e62 0000",
+    "refine/oid/synced/sync_group_refine n=66000 oid:6b9843b0e132aeb3 oid:0d27c9b7ff22401b 0000",
+    "refine/oid/synced/hash_group_refine n=66000 oid:6b9843b0e132aeb3 oid:0d27c9b7ff22401b 0000",
+    "refine/oid/aligned/hash_group_refine n=66000 oid:6b9843b0e132aeb3 oid:60aab8c37afd526a 0000",
+    "aggr/oid/sum/hash_set_aggregate n=50 oid:77ff4bc63da2cd62 dbl:88335106098f08a0 1100",
+    "aggr/oid/sorted/sum/run_set_aggregate n=50 oid:77ff4bc63da2cd62 dbl:88335106098f08a0 1100",
+    "aggr/oid/sorted/sum/hash_set_aggregate n=50 oid:77ff4bc63da2cd62 dbl:88335106098f08a0 1100",
+    "scalar/oid/sum dbl:4162a2a480000000",
+    "aggr/oid/avg/hash_set_aggregate n=50 oid:77ff4bc63da2cd62 dbl:1bf03bd4577dccfb 1100",
+    "aggr/oid/sorted/avg/run_set_aggregate n=50 oid:77ff4bc63da2cd62 dbl:1bf03bd4577dccfb 1100",
+    "aggr/oid/sorted/avg/hash_set_aggregate n=50 oid:77ff4bc63da2cd62 dbl:1bf03bd4577dccfb 1100",
+    "scalar/oid/avg dbl:4062811a7ff80e66",
+    "aggr/oid/min/hash_set_aggregate n=50 oid:77ff4bc63da2cd62 oid:14948be5d891bd03 1100",
+    "aggr/oid/sorted/min/run_set_aggregate n=50 oid:77ff4bc63da2cd62 oid:14948be5d891bd03 1100",
+    "aggr/oid/sorted/min/hash_set_aggregate n=50 oid:77ff4bc63da2cd62 oid:14948be5d891bd03 1100",
+    "scalar/oid/min 100@0",
+    "aggr/oid/max/hash_set_aggregate n=50 oid:77ff4bc63da2cd62 oid:bbe81f42e01d4b43 1100",
+    "aggr/oid/sorted/max/run_set_aggregate n=50 oid:77ff4bc63da2cd62 oid:bbe81f42e01d4b43 1100",
+    "aggr/oid/sorted/max/hash_set_aggregate n=50 oid:77ff4bc63da2cd62 oid:bbe81f42e01d4b43 1100",
+    "scalar/oid/max 196@0",
+    "insert/oid/keeps n=328 oid:9ad1e1757420edd3 oid:b6df4033f6cd98bc 1111",
+    "insert/oid/breaks n=328 oid:021ccac4fe33f894 oid:e6443492ffa2fb0e 0000",
+    "select/int/range/scan_select n=28044 oid:bed397d3a4af03a1 int:76a1aa2dd8d50976 0000",
+    "select/int/point/scan_select n=716 oid:f682fec6b2a88ed1 int:361a759719983d33 0010",
+    "select/int/lt/scan_select n=27354 oid:3cae10c6000a3f02 int:7d9c4c509beaba30 0000",
+    "select/int/ge/scan_select n=38646 oid:9159ccf9e914f73e int:57c3dd009b47fd0e 0000",
+    "select/int/ne n=65284 oid:7ed8b23e4352a449 int:99ae2237012ffccd 0000",
+    "select/int/sorted/range/binsearch_select n=28044 oid:279a38d1fe87d201 int:9c007450740ed6b6 0010",
+    "select/int/sorted/range/scan_select n=28044 oid:279a38d1fe87d201 int:9c007450740ed6b6 0010",
+    "select/int/sorted/point/binsearch_select n=716 oid:f682fec6b2a88ed1 int:361a759719983d33 1010",
+    "select/int/sorted/point/scan_select n=716 oid:f682fec6b2a88ed1 int:361a759719983d33 0010",
+    "select/int/sorted/lt/binsearch_select n=27354 oid:1ad197d7b462af46 int:cc43f34e3e514ce8 0010",
+    "select/int/sorted/lt/scan_select n=27354 oid:1ad197d7b462af46 int:cc43f34e3e514ce8 0010",
+    "select/int/sorted/ge/binsearch_select n=38646 oid:7d564d92603bfdbe int:cd0edfa22ed80f3e 0010",
+    "select/int/sorted/ge/scan_select n=38646 oid:7d564d92603bfdbe int:cd0edfa22ed80f3e 0010",
+    "select/int/sorted/ne n=65284 oid:222d22ff76c06a7d int:8f4c13f253b81785 0010",
+    "sort/int n=66000 oid:a204308f59fe4067 int:a594533183cdea75 0010",
+    "topn/int/asc n=50 oid:02cb93548f2c7b19 int:48206190eac858ab 0010",
+    "topn/int/desc n=50 oid:36349a721448803f int:5f9f48d3ef684b83 0000",
+    "unique/int n=91 int:410b3e5b3e1a527a int:3aef1b0fd9f463cd 0000",
+    "hunique/int n=13 int:5ab89c7549f22d92 int:8182dc91e4d9a742 0100",
+    "group/int n=66000 oid:6b9843b0e132aeb3 oid:43c7634cf3337e62 0000",
+    "refine/int/synced/sync_group_refine n=66000 oid:6b9843b0e132aeb3 oid:0d27c9b7ff22401b 0000",
+    "refine/int/synced/hash_group_refine n=66000 oid:6b9843b0e132aeb3 oid:0d27c9b7ff22401b 0000",
+    "refine/int/aligned/hash_group_refine n=66000 oid:6b9843b0e132aeb3 oid:60aab8c37afd526a 0000",
+    "aggr/int/sum/hash_set_aggregate n=50 oid:77ff4bc63da2cd62 dbl:3c5da900d4c42885 1100",
+    "aggr/int/sorted/sum/run_set_aggregate n=50 oid:77ff4bc63da2cd62 dbl:3c5da900d4c42885 1100",
+    "aggr/int/sorted/sum/hash_set_aggregate n=50 oid:77ff4bc63da2cd62 dbl:3c5da900d4c42885 1100",
+    "scalar/int/sum dbl:c0ffabc000000000",
+    "aggr/int/avg/hash_set_aggregate n=50 oid:77ff4bc63da2cd62 dbl:18fe47b62b142f7c 1100",
+    "aggr/int/sorted/avg/run_set_aggregate n=50 oid:77ff4bc63da2cd62 dbl:18fe47b62b142f7c 1100",
+    "aggr/int/sorted/avg/hash_set_aggregate n=50 oid:77ff4bc63da2cd62 dbl:18fe47b62b142f7c 1100",
+    "scalar/int/avg dbl:bfff72c003f8cd0c",
+    "aggr/int/min/hash_set_aggregate n=50 oid:77ff4bc63da2cd62 int:48206190eac858ab 1100",
+    "aggr/int/sorted/min/run_set_aggregate n=50 oid:77ff4bc63da2cd62 int:48206190eac858ab 1100",
+    "aggr/int/sorted/min/hash_set_aggregate n=50 oid:77ff4bc63da2cd62 int:48206190eac858ab 1100",
+    "scalar/int/min -50",
+    "aggr/int/max/hash_set_aggregate n=50 oid:77ff4bc63da2cd62 int:5f9f48d3ef684b83 1100",
+    "aggr/int/sorted/max/run_set_aggregate n=50 oid:77ff4bc63da2cd62 int:5f9f48d3ef684b83 1100",
+    "aggr/int/sorted/max/hash_set_aggregate n=50 oid:77ff4bc63da2cd62 int:5f9f48d3ef684b83 1100",
+    "scalar/int/max 46",
+    "insert/int/keeps n=328 oid:9ad1e1757420edd3 int:486e86a329e16f4f 1111",
+    "insert/int/breaks n=328 oid:021ccac4fe33f894 int:45a90156e7c81823 0000",
+    "select/lng/range/scan_select n=28044 oid:bed397d3a4af03a1 lng:98c965c2ae1c464d 0000",
+    "select/lng/point/scan_select n=716 oid:f682fec6b2a88ed1 lng:cdf33d78ec80992b 0010",
+    "select/lng/lt/scan_select n=27354 oid:3cae10c6000a3f02 lng:e91cc0a04a9493f4 0000",
+    "select/lng/ge/scan_select n=38646 oid:9159ccf9e914f73e lng:4103fd26d4527e3c 0000",
+    "select/lng/ne n=65284 oid:7ed8b23e4352a449 lng:8be65965f151aea3 0000",
+    "select/lng/sorted/range/binsearch_select n=28044 oid:279a38d1fe87d201 lng:02fd2501fc177a01 0010",
+    "select/lng/sorted/range/scan_select n=28044 oid:279a38d1fe87d201 lng:02fd2501fc177a01 0010",
+    "select/lng/sorted/point/binsearch_select n=716 oid:f682fec6b2a88ed1 lng:cdf33d78ec80992b 1010",
+    "select/lng/sorted/point/scan_select n=716 oid:f682fec6b2a88ed1 lng:cdf33d78ec80992b 0010",
+    "select/lng/sorted/lt/binsearch_select n=27354 oid:1ad197d7b462af46 lng:184799f9b9d87300 0010",
+    "select/lng/sorted/lt/scan_select n=27354 oid:1ad197d7b462af46 lng:184799f9b9d87300 0010",
+    "select/lng/sorted/ge/binsearch_select n=38646 oid:7d564d92603bfdbe lng:c9183f912d55954c 0010",
+    "select/lng/sorted/ge/scan_select n=38646 oid:7d564d92603bfdbe lng:c9183f912d55954c 0010",
+    "select/lng/sorted/ne n=65284 oid:222d22ff76c06a7d lng:ca6c69016f49f2b3 0010",
+    "sort/lng n=66000 oid:a204308f59fe4067 lng:38277c31318f4f2b 0010",
+    "topn/lng/asc n=50 oid:02cb93548f2c7b19 lng:a7fd2b1a1a34eff7 0010",
+    "topn/lng/desc n=50 oid:36349a721448803f lng:7120560ab18baf57 0000",
+    "unique/lng n=91 lng:d3ca0cfd138e527e lng:5f0bb91e2266a350 0000",
+    "hunique/lng n=13 lng:54b8c0e6a2fe2bd6 lng:b548adc08c1bda73 0100",
+    "group/lng n=66000 oid:6b9843b0e132aeb3 oid:43c7634cf3337e62 0000",
+    "refine/lng/synced/sync_group_refine n=66000 oid:6b9843b0e132aeb3 oid:0d27c9b7ff22401b 0000",
+    "refine/lng/synced/hash_group_refine n=66000 oid:6b9843b0e132aeb3 oid:0d27c9b7ff22401b 0000",
+    "refine/lng/aligned/hash_group_refine n=66000 oid:6b9843b0e132aeb3 oid:60aab8c37afd526a 0000",
+    "aggr/lng/sum/hash_set_aggregate n=50 oid:77ff4bc63da2cd62 dbl:b6b2437f55fd99b2 1100",
+    "aggr/lng/sorted/sum/run_set_aggregate n=50 oid:77ff4bc63da2cd62 dbl:b6b2437f55fd99b2 1100",
+    "aggr/lng/sorted/sum/hash_set_aggregate n=50 oid:77ff4bc63da2cd62 dbl:b6b2437f55fd99b2 1100",
+    "scalar/lng/sum dbl:c23e342d17340000",
+    "aggr/lng/avg/hash_set_aggregate n=50 oid:77ff4bc63da2cd62 dbl:e761f042c9f1ca35 1100",
+    "aggr/lng/sorted/avg/run_set_aggregate n=50 oid:77ff4bc63da2cd62 dbl:e761f042c9f1ca35 1100",
+    "aggr/lng/sorted/avg/hash_set_aggregate n=50 oid:77ff4bc63da2cd62 dbl:e761f042c9f1ca35 1100",
+    "scalar/lng/avg dbl:c13dfdd10c4db32b",
+    "aggr/lng/min/hash_set_aggregate n=50 oid:77ff4bc63da2cd62 lng:a7fd2b1a1a34eff7 1100",
+    "aggr/lng/sorted/min/run_set_aggregate n=50 oid:77ff4bc63da2cd62 lng:a7fd2b1a1a34eff7 1100",
+    "aggr/lng/sorted/min/hash_set_aggregate n=50 oid:77ff4bc63da2cd62 lng:a7fd2b1a1a34eff7 1100",
+    "scalar/lng/min -50000150",
+    "aggr/lng/max/hash_set_aggregate n=50 oid:77ff4bc63da2cd62 lng:7120560ab18baf57 1100",
+    "aggr/lng/sorted/max/run_set_aggregate n=50 oid:77ff4bc63da2cd62 lng:7120560ab18baf57 1100",
+    "aggr/lng/sorted/max/hash_set_aggregate n=50 oid:77ff4bc63da2cd62 lng:7120560ab18baf57 1100",
+    "scalar/lng/max 46000138",
+    "insert/lng/keeps n=328 oid:9ad1e1757420edd3 lng:dbbebe12d6de25ae 1111",
+    "insert/lng/breaks n=328 oid:021ccac4fe33f894 lng:181131401e7bd6bb 0000",
+    "select/dbl/range/scan_select n=29199 oid:53c0e332fb89dd1d dbl:d6b21b7163b27233 0000",
+    "select/dbl/point/scan_select n=2726 oid:fad005013f021947 dbl:4544929c156f4103 0010",
+    "select/dbl/lt/scan_select n=26542 oid:2a72e318573c0b49 dbl:730db6d04a90cff4 0000",
+    "select/dbl/ge/scan_select n=39458 oid:6ac8ab04be2bcd09 dbl:26b30da22ca95ad2 0000",
+    "select/dbl/ne n=63274 oid:907438fa0b614bab dbl:f78d41654c9ee905 0000",
+    "select/dbl/sorted/range/binsearch_select n=20179 oid:3ffbda9dbd57e3ea dbl:b9136f2af4462478 0010",
+    "select/dbl/sorted/range/scan_select n=29199 oid:364031dcbf1a93b5 dbl:7224313519ec2ca7 0010",
+    "select/dbl/sorted/point/binsearch_select n=508 oid:967eef0032ff353e dbl:6c13b7972e184503 1010",
+    "select/dbl/sorted/point/scan_select n=2726 oid:b48fbb619a1d06bb dbl:bb46fd5254973f63 0010",
+    "select/dbl/sorted/lt/binsearch_select n=21522 oid:e30aa905c5f2fe45 dbl:32fcb8a351dcf13c 0010",
+    "select/dbl/sorted/lt/scan_select n=26542 oid:d155acc44a4dd281 dbl:8cff0bb0db9d2b34 0010",
+    "select/dbl/sorted/ge/binsearch_select n=44478 oid:11988ea603644e29 dbl:dd4e435453cfd9b6 0010",
+    "select/dbl/sorted/ge/scan_select n=39458 oid:c8edffba4b442c41 dbl:cd0a52d84ea2ce7e 0010",
+    "select/dbl/sorted/ne n=63274 oid:6befe0dbdbb9842b dbl:50a647fc9b2abbf5 0010",
+    "sort/dbl n=66000 oid:bf82f060ff550ec3 dbl:a0a33d939d8c5cc9 0010",
+    "topn/dbl/asc n=50 oid:fb071cad1934da49 dbl:e0efc47deb18a2c3 0010",
+    "topn/dbl/desc n=50 oid:f51d2a4845914c26 dbl:718b00b45a27f189 0000",
+    "unique/dbl n=4134 dbl:f01962f7a3ad05d9 dbl:36c1f9c1611d4374 0000",
+    "hunique/dbl n=2116 dbl:9af22b0b705e41e3 dbl:9196b84da63e8962 0100",
+    "group/dbl n=66000 oid:6b9843b0e132aeb3 oid:9fd687f70dda2b03 0000",
+    "refine/dbl/synced/sync_group_refine n=66000 oid:6b9843b0e132aeb3 oid:9b42143c13aa6b85 0000",
+    "refine/dbl/synced/hash_group_refine n=66000 oid:6b9843b0e132aeb3 oid:9b42143c13aa6b85 0000",
+    "refine/dbl/aligned/hash_group_refine n=66000 oid:6b9843b0e132aeb3 oid:ca43aebf386bee03 0000",
+    "aggr/dbl/sum/hash_set_aggregate n=50 oid:77ff4bc63da2cd62 dbl:637757fdbf4af133 1100",
+    "aggr/dbl/sorted/sum/run_set_aggregate n=50 oid:77ff4bc63da2cd62 dbl:637757fdbf4af133 1100",
+    "aggr/dbl/sorted/sum/hash_set_aggregate n=50 oid:77ff4bc63da2cd62 dbl:637757fdbf4af133 1100",
+    "scalar/dbl/sum dbl:7ff8000000000000",
+    "aggr/dbl/avg/hash_set_aggregate n=50 oid:77ff4bc63da2cd62 dbl:637757fdbf4af133 1100",
+    "aggr/dbl/sorted/avg/run_set_aggregate n=50 oid:77ff4bc63da2cd62 dbl:637757fdbf4af133 1100",
+    "aggr/dbl/sorted/avg/hash_set_aggregate n=50 oid:77ff4bc63da2cd62 dbl:637757fdbf4af133 1100",
+    "scalar/dbl/avg dbl:7ff8000000000000",
+    "aggr/dbl/min/hash_set_aggregate n=50 oid:77ff4bc63da2cd62 dbl:46e0f4e12433afa3 1100",
+    "aggr/dbl/sorted/min/run_set_aggregate n=50 oid:77ff4bc63da2cd62 dbl:46e0f4e12433afa3 1100",
+    "aggr/dbl/sorted/min/hash_set_aggregate n=50 oid:77ff4bc63da2cd62 dbl:46e0f4e12433afa3 1100",
+    "scalar/dbl/min dbl:c039000000000000",
+    "aggr/dbl/max/hash_set_aggregate n=50 oid:77ff4bc63da2cd62 dbl:dcc9c3595ce81e63 1100",
+    "aggr/dbl/sorted/max/run_set_aggregate n=50 oid:77ff4bc63da2cd62 dbl:dcc9c3595ce81e63 1100",
+    "aggr/dbl/sorted/max/hash_set_aggregate n=50 oid:77ff4bc63da2cd62 dbl:dcc9c3595ce81e63 1100",
+    "scalar/dbl/max dbl:4037000000000000",
+    "insert/dbl/keeps n=335 oid:97c2fa4e7dbb6aa1 dbl:324261bdca4fea4d 1111",
+    "insert/dbl/breaks n=335 oid:a5d319ea5000ba2a dbl:d87eebbfdb1c34ba 0000",
+    "select/date/range/scan_select n=28044 oid:bed397d3a4af03a1 date:992f15353ed84f5e 0000",
+    "select/date/point/scan_select n=716 oid:f682fec6b2a88ed1 date:1b69deed2f0dd2e3 0010",
+    "select/date/lt/scan_select n=27354 oid:3cae10c6000a3f02 date:903ac82cbc08bcd4 0000",
+    "select/date/ge/scan_select n=38646 oid:9159ccf9e914f73e date:fa6f90385a948309 0000",
+    "select/date/ne n=65284 oid:7ed8b23e4352a449 date:cfd51144075523a2 0000",
+    "select/date/sorted/range/binsearch_select n=28044 oid:279a38d1fe87d201 date:5e91de2340ef86ea 0010",
+    "select/date/sorted/range/scan_select n=28044 oid:279a38d1fe87d201 date:5e91de2340ef86ea 0010",
+    "select/date/sorted/point/binsearch_select n=716 oid:f682fec6b2a88ed1 date:1b69deed2f0dd2e3 1010",
+    "select/date/sorted/point/scan_select n=716 oid:f682fec6b2a88ed1 date:1b69deed2f0dd2e3 0010",
+    "select/date/sorted/lt/binsearch_select n=27354 oid:1ad197d7b462af46 date:b53da09780f88970 0010",
+    "select/date/sorted/lt/scan_select n=27354 oid:1ad197d7b462af46 date:b53da09780f88970 0010",
+    "select/date/sorted/ge/binsearch_select n=38646 oid:7d564d92603bfdbe date:6adc28b5300e5d7d 0010",
+    "select/date/sorted/ge/scan_select n=38646 oid:7d564d92603bfdbe date:6adc28b5300e5d7d 0010",
+    "select/date/sorted/ne n=65284 oid:222d22ff76c06a7d date:14003eb37f3eba4e 0010",
+    "sort/date n=66000 oid:a204308f59fe4067 date:b5de957973adaa6e 0010",
+    "topn/date/asc n=50 oid:02cb93548f2c7b19 date:b1ddae0423fa5163 0010",
+    "topn/date/desc n=50 oid:36349a721448803f date:9969f916851cefa3 0000",
+    "unique/date n=91 date:2d3917ac53d8f52e date:8f03189b44e6b9bd 0000",
+    "hunique/date n=13 date:da48c144aebbf04a date:46f03c671002995e 0100",
+    "group/date n=66000 oid:6b9843b0e132aeb3 oid:43c7634cf3337e62 0000",
+    "refine/date/synced/sync_group_refine n=66000 oid:6b9843b0e132aeb3 oid:0d27c9b7ff22401b 0000",
+    "refine/date/synced/hash_group_refine n=66000 oid:6b9843b0e132aeb3 oid:0d27c9b7ff22401b 0000",
+    "refine/date/aligned/hash_group_refine n=66000 oid:6b9843b0e132aeb3 oid:60aab8c37afd526a 0000",
+    "aggr/date/sum/hash_set_aggregate n=50 oid:77ff4bc63da2cd62 dbl:f27a875fcf5975cd 1100",
+    "aggr/date/sorted/sum/run_set_aggregate n=50 oid:77ff4bc63da2cd62 dbl:f27a875fcf5975cd 1100",
+    "aggr/date/sorted/sum/hash_set_aggregate n=50 oid:77ff4bc63da2cd62 dbl:f27a875fcf5975cd 1100",
+    "scalar/date/sum dbl:41c1cc0c32000000",
+    "aggr/date/avg/hash_set_aggregate n=50 oid:77ff4bc63da2cd62 dbl:f653edce2efd9465 1100",
+    "aggr/date/sorted/avg/run_set_aggregate n=50 oid:77ff4bc63da2cd62 dbl:f653edce2efd9465 1100",
+    "aggr/date/sorted/avg/hash_set_aggregate n=50 oid:77ff4bc63da2cd62 dbl:f653edce2efd9465 1100",
+    "scalar/date/avg dbl:40c1ac0469ffe03a",
+    "aggr/date/min/hash_set_aggregate n=50 oid:77ff4bc63da2cd62 date:b1ddae0423fa5163 1100",
+    "aggr/date/sorted/min/run_set_aggregate n=50 oid:77ff4bc63da2cd62 date:b1ddae0423fa5163 1100",
+    "aggr/date/sorted/min/hash_set_aggregate n=50 oid:77ff4bc63da2cd62 date:b1ddae0423fa5163 1100",
+    "scalar/date/min 1994-08-23",
+    "aggr/date/max/hash_set_aggregate n=50 oid:77ff4bc63da2cd62 date:9969f916851cefa3 1100",
+    "aggr/date/sorted/max/run_set_aggregate n=50 oid:77ff4bc63da2cd62 date:9969f916851cefa3 1100",
+    "aggr/date/sorted/max/hash_set_aggregate n=50 oid:77ff4bc63da2cd62 date:9969f916851cefa3 1100",
+    "scalar/date/max 1994-11-27",
+    "insert/date/keeps n=328 oid:9ad1e1757420edd3 date:ee3d74b9108534d1 1111",
+    "insert/date/breaks n=328 oid:021ccac4fe33f894 date:cc18e7aa7c322f78 0000",
+    "select/str/range/scan_select n=30722 oid:202947508718b15c str:db270fc47f8a2b23 0000",
+    "select/str/point/scan_select n=716 oid:f682fec6b2a88ed1 str:3444b74405a3b583 0010",
+    "select/str/lt/scan_select n=23935 oid:cca37cab868e1185 str:39927e5ab9e1a30e 0000",
+    "select/str/ge/scan_select n=42065 oid:d629243afff06069 str:3358b58ec080e279 0000",
+    "select/str/ne n=65284 oid:7ed8b23e4352a449 str:c19843ce04c8a74a 0000",
+    "select/str/sorted/range/binsearch_select n=30722 oid:ddec4f2702adf320 str:fa121cfa3e0c6265 0010",
+    "select/str/sorted/range/scan_select n=30722 oid:ddec4f2702adf320 str:fa121cfa3e0c6265 0010",
+    "select/str/sorted/point/binsearch_select n=716 oid:f682fec6b2a88ed1 str:3444b74405a3b583 1010",
+    "select/str/sorted/point/scan_select n=716 oid:f682fec6b2a88ed1 str:3444b74405a3b583 0010",
+    "select/str/sorted/lt/binsearch_select n=23935 oid:3dbf40d88e7aad2d str:a0695cab4e3a449a 0010",
+    "select/str/sorted/lt/scan_select n=23935 oid:3dbf40d88e7aad2d str:a0695cab4e3a449a 0010",
+    "select/str/sorted/ge/binsearch_select n=42065 oid:c701aa9437e85c3d str:2ed5f0f5692254dd 0010",
+    "select/str/sorted/ge/scan_select n=42065 oid:c701aa9437e85c3d str:2ed5f0f5692254dd 0010",
+    "select/str/sorted/ne n=65284 oid:c982f56c1a52f251 str:e33c457329abae7e 0010",
+    "sort/str n=66000 oid:79eb4bf531ecbc63 str:a5da21239c7baf2e 0010",
+    "topn/str/asc n=50 oid:02cb93548f2c7b19 str:1da3f5a229a50d21 0010",
+    "topn/str/desc n=50 oid:36349a721448803f str:8a8d123b0117bc1f 0000",
+    "unique/str n=91 str:c6b8ed7af3efbb3b str:5158278b0853674d 0000",
+    "hunique/str n=13 str:a610cca80462aff5 str:a062c36342d9fefe 0100",
+    "group/str n=66000 oid:6b9843b0e132aeb3 oid:43c7634cf3337e62 0000",
+    "refine/str/synced/sync_group_refine n=66000 oid:6b9843b0e132aeb3 oid:0d27c9b7ff22401b 0000",
+    "refine/str/synced/hash_group_refine n=66000 oid:6b9843b0e132aeb3 oid:0d27c9b7ff22401b 0000",
+    "refine/str/aligned/hash_group_refine n=66000 oid:6b9843b0e132aeb3 oid:60aab8c37afd526a 0000",
+    "aggr/str/sum/hash_set_aggregate n=50 oid:77ff4bc63da2cd62 dbl:5c2597ab80ad3e43 1100",
+    "aggr/str/sorted/sum/run_set_aggregate n=50 oid:77ff4bc63da2cd62 dbl:5c2597ab80ad3e43 1100",
+    "aggr/str/sorted/sum/hash_set_aggregate n=50 oid:77ff4bc63da2cd62 dbl:5c2597ab80ad3e43 1100",
+    "scalar/str/sum dbl:0000000000000000",
+    "aggr/str/avg/hash_set_aggregate n=50 oid:77ff4bc63da2cd62 dbl:5c2597ab80ad3e43 1100",
+    "aggr/str/sorted/avg/run_set_aggregate n=50 oid:77ff4bc63da2cd62 dbl:5c2597ab80ad3e43 1100",
+    "aggr/str/sorted/avg/hash_set_aggregate n=50 oid:77ff4bc63da2cd62 dbl:5c2597ab80ad3e43 1100",
+    "scalar/str/avg dbl:0000000000000000",
+    "aggr/str/min/hash_set_aggregate n=50 oid:77ff4bc63da2cd62 str:1da3f5a229a50d21 1100",
+    "aggr/str/sorted/min/run_set_aggregate n=50 oid:77ff4bc63da2cd62 str:1da3f5a229a50d21 1100",
+    "aggr/str/sorted/min/hash_set_aggregate n=50 oid:77ff4bc63da2cd62 str:1da3f5a229a50d21 1100",
+    "scalar/str/min str:k0",
+    "aggr/str/max/hash_set_aggregate n=50 oid:77ff4bc63da2cd62 str:8a8d123b0117bc1f 1100",
+    "aggr/str/sorted/max/run_set_aggregate n=50 oid:77ff4bc63da2cd62 str:8a8d123b0117bc1f 1100",
+    "aggr/str/sorted/max/hash_set_aggregate n=50 oid:77ff4bc63da2cd62 str:8a8d123b0117bc1f 1100",
+    "scalar/str/max str:k96",
+    "insert/str/keeps n=328 oid:9ad1e1757420edd3 str:d99e20b94aaf807b 1101",
+    "insert/str/breaks n=328 oid:021ccac4fe33f894 str:9150f7bd3e31db17 0000",
+    "theta/int/ne/nested_thetajoin n=163266 oid:b7b68fb3f931393c oid:5b1f799a906abbd3 0000",
+    "theta/int/lt/sort_band_thetajoin n=54851 oid:53f8ae2bc7252667 oid:4a7895733ef1ebc9 0000",
+    "theta/int/lt/nested_thetajoin n=54851 oid:53f8ae2bc7252667 oid:3a7ff734ae10a739 0000",
+    "theta/int/le/sort_band_thetajoin n=56585 oid:5d25a9eae973c400 oid:39170451d039b18d 0000",
+    "theta/int/le/nested_thetajoin n=56585 oid:5d25a9eae973c400 oid:4405116e6d732699 0000",
+    "theta/int/gt/sort_band_thetajoin n=108415 oid:cc1793366e6d8b74 oid:f01bbf887782b855 0000",
+    "theta/int/gt/nested_thetajoin n=108415 oid:cc1793366e6d8b74 oid:6236f68d4f0618c9 0000",
+    "theta/int/ge/sort_band_thetajoin n=110149 oid:2702a88ec0a4eb13 oid:66f92e81653ce3e9 0000",
+    "theta/int/ge/nested_thetajoin n=110149 oid:2702a88ec0a4eb13 oid:b2186b3a76f9cc0d 0000",
+    "join/int/sorted/merge_join n=81920 oid:fcd996adc076c63b oid:9bdbbf449771a0d8 0000",
+    "join/int/hash_join n=81920 oid:d1399f8483f5f9af oid:bef38cde95c0f704 0000",
+    "join/int/sorted/hash_join n=81920 oid:fcd996adc076c63b oid:1b22a7bc41286eb0 0000",
+    "semijoin/int/sorted/merge_semijoin n=23271 int:960922586a5d226d oid:382b337244f50a14 1000",
+    "semijoin/int/hash_semijoin n=23271 int:0967952bff086f45 oid:8057c90c6f0eaeb4 0000",
+    "semijoin/int/sorted/hash_semijoin n=23271 int:960922586a5d226d oid:382b337244f50a14 1000",
+    "kdiff/int n=42729 int:5a8eefe6bcc06649 oid:a1ffcc984956bf0c 0000",
+    "kunion/int n=66000 int:da5b6ed8c3c08c87 oid:6b9843b0e132aeb3 0000",
+    "theta/lng/ne/nested_thetajoin n=163266 oid:b7b68fb3f931393c oid:5b1f799a906abbd3 0000",
+    "theta/lng/lt/sort_band_thetajoin n=54851 oid:53f8ae2bc7252667 oid:4a7895733ef1ebc9 0000",
+    "theta/lng/lt/nested_thetajoin n=54851 oid:53f8ae2bc7252667 oid:3a7ff734ae10a739 0000",
+    "theta/lng/le/sort_band_thetajoin n=56585 oid:5d25a9eae973c400 oid:39170451d039b18d 0000",
+    "theta/lng/le/nested_thetajoin n=56585 oid:5d25a9eae973c400 oid:4405116e6d732699 0000",
+    "theta/lng/gt/sort_band_thetajoin n=108415 oid:cc1793366e6d8b74 oid:f01bbf887782b855 0000",
+    "theta/lng/gt/nested_thetajoin n=108415 oid:cc1793366e6d8b74 oid:6236f68d4f0618c9 0000",
+    "theta/lng/ge/sort_band_thetajoin n=110149 oid:2702a88ec0a4eb13 oid:66f92e81653ce3e9 0000",
+    "theta/lng/ge/nested_thetajoin n=110149 oid:2702a88ec0a4eb13 oid:b2186b3a76f9cc0d 0000",
+    "join/lng/sorted/merge_join n=81920 oid:fcd996adc076c63b oid:9bdbbf449771a0d8 0000",
+    "join/lng/hash_join n=81920 oid:d1399f8483f5f9af oid:bef38cde95c0f704 0000",
+    "join/lng/sorted/hash_join n=81920 oid:fcd996adc076c63b oid:1b22a7bc41286eb0 0000",
+    "semijoin/lng/sorted/merge_semijoin n=23271 lng:78efe74dbab8526e oid:382b337244f50a14 1000",
+    "semijoin/lng/hash_semijoin n=23271 lng:0ae645e117a08a12 oid:8057c90c6f0eaeb4 0000",
+    "semijoin/lng/sorted/hash_semijoin n=23271 lng:78efe74dbab8526e oid:382b337244f50a14 1000",
+    "kdiff/lng n=42729 lng:f348e9441c22ddff oid:a1ffcc984956bf0c 0000",
+    "kunion/lng n=66000 lng:1991e0f179a8fa26 oid:6b9843b0e132aeb3 0000",
+    "theta/dbl/ne/nested_thetajoin n=158250 oid:7a16b335ae292db0 oid:439072a7f6181a0b 0000",
+    "theta/dbl/lt/sort_band_thetajoin n=53101 oid:55aa8d7ad7f41138 oid:6df9a6d57d9d1cd5 0000",
+    "theta/dbl/lt/nested_thetajoin n=53101 oid:55aa8d7ad7f41138 oid:48cfcb7da42cd7b1 0000",
+    "theta/dbl/le/sort_band_thetajoin n=59851 oid:3dddf8062c98130f oid:08d8b37fcb930195 0000",
+    "theta/dbl/le/nested_thetajoin n=59851 oid:3dddf8062c98130f oid:5c27a63c5c8b3ba1 0000",
+    "theta/dbl/gt/sort_band_thetajoin n=105149 oid:7d4ad9ba299a693b oid:f17323ed486b1f29 0000",
+    "theta/dbl/gt/nested_thetajoin n=105149 oid:7d4ad9ba299a693b oid:0e34b461a38efe6d 0000",
+    "theta/dbl/ge/sort_band_thetajoin n=111899 oid:eb10cc9dbff7164c oid:f7edeb7538eb4f91 0000",
+    "theta/dbl/ge/nested_thetajoin n=111899 oid:eb10cc9dbff7164c oid:170db39bafa51325 0000",
+    "join/dbl/sorted/merge_join n=42668 oid:6aeebc29f56deb10 oid:da940078cacc322e 0000",
+    "join/dbl/hash_join n=77535 oid:dbd29651091289fa oid:f901bc8bd2a288e3 0000",
+    "join/dbl/sorted/hash_join n=77535 oid:0e47ad19bfcc8da2 oid:eadee21a6eb5d46f 0000",
+    "semijoin/dbl/sorted/merge_semijoin n=49409 dbl:3e2b38eca2f82755 oid:f18346b221100c5a 1000",
+    "semijoin/dbl/hash_semijoin n=22555 dbl:1be57db74a51943b oid:4f336fb4d25eba97 0000",
+    "semijoin/dbl/sorted/hash_semijoin n=22555 dbl:c339fb0145541d4f oid:e706c1445e0f63a3 1000",
+    "kdiff/dbl n=43445 dbl:3c5f010a79f9d6be oid:2d0fd8b88d68450f 0000",
+    "kunion/dbl n=66002 dbl:17c539bbf5ca2c86 oid:62290ec3e947796f 0000",
+    "theta/date/ne/nested_thetajoin n=163266 oid:b7b68fb3f931393c oid:5b1f799a906abbd3 0000",
+    "theta/date/lt/sort_band_thetajoin n=54851 oid:53f8ae2bc7252667 oid:4a7895733ef1ebc9 0000",
+    "theta/date/lt/nested_thetajoin n=54851 oid:53f8ae2bc7252667 oid:3a7ff734ae10a739 0000",
+    "theta/date/le/sort_band_thetajoin n=56585 oid:5d25a9eae973c400 oid:39170451d039b18d 0000",
+    "theta/date/le/nested_thetajoin n=56585 oid:5d25a9eae973c400 oid:4405116e6d732699 0000",
+    "theta/date/gt/sort_band_thetajoin n=108415 oid:cc1793366e6d8b74 oid:f01bbf887782b855 0000",
+    "theta/date/gt/nested_thetajoin n=108415 oid:cc1793366e6d8b74 oid:6236f68d4f0618c9 0000",
+    "theta/date/ge/sort_band_thetajoin n=110149 oid:2702a88ec0a4eb13 oid:66f92e81653ce3e9 0000",
+    "theta/date/ge/nested_thetajoin n=110149 oid:2702a88ec0a4eb13 oid:b2186b3a76f9cc0d 0000",
+    "join/date/sorted/merge_join n=81920 oid:fcd996adc076c63b oid:9bdbbf449771a0d8 0000",
+    "join/date/hash_join n=81920 oid:d1399f8483f5f9af oid:bef38cde95c0f704 0000",
+    "join/date/sorted/hash_join n=81920 oid:fcd996adc076c63b oid:1b22a7bc41286eb0 0000",
+    "semijoin/date/sorted/merge_semijoin n=23271 date:7143c1fc2af42ee9 oid:382b337244f50a14 1000",
+    "semijoin/date/hash_semijoin n=23271 date:189a6b4fb55fcd99 oid:8057c90c6f0eaeb4 0000",
+    "semijoin/date/sorted/hash_semijoin n=23271 date:7143c1fc2af42ee9 oid:382b337244f50a14 1000",
+    "kdiff/date n=42729 date:08d9c65ae7a7f185 oid:a1ffcc984956bf0c 0000",
+    "kunion/date n=66000 date:cae662764d1a24bf oid:6b9843b0e132aeb3 0000",
+    "theta/oid/ne/nested_thetajoin n=163266 oid:b7b68fb3f931393c oid:5b1f799a906abbd3 0000",
+    "theta/oid/lt/sort_band_thetajoin n=54851 oid:53f8ae2bc7252667 oid:4a7895733ef1ebc9 0000",
+    "theta/oid/lt/nested_thetajoin n=54851 oid:53f8ae2bc7252667 oid:3a7ff734ae10a739 0000",
+    "theta/oid/le/sort_band_thetajoin n=56585 oid:5d25a9eae973c400 oid:39170451d039b18d 0000",
+    "theta/oid/le/nested_thetajoin n=56585 oid:5d25a9eae973c400 oid:4405116e6d732699 0000",
+    "theta/oid/gt/sort_band_thetajoin n=108415 oid:cc1793366e6d8b74 oid:f01bbf887782b855 0000",
+    "theta/oid/gt/nested_thetajoin n=108415 oid:cc1793366e6d8b74 oid:6236f68d4f0618c9 0000",
+    "theta/oid/ge/sort_band_thetajoin n=110149 oid:2702a88ec0a4eb13 oid:66f92e81653ce3e9 0000",
+    "theta/oid/ge/nested_thetajoin n=110149 oid:2702a88ec0a4eb13 oid:b2186b3a76f9cc0d 0000",
+    "join/oid/sorted/merge_join n=81920 oid:fcd996adc076c63b oid:9bdbbf449771a0d8 0000",
+    "join/oid/hash_join n=81920 oid:d1399f8483f5f9af oid:bef38cde95c0f704 0000",
+    "join/oid/sorted/hash_join n=81920 oid:fcd996adc076c63b oid:1b22a7bc41286eb0 0000",
+    "semijoin/oid/sorted/merge_semijoin n=23271 oid:a38036875504bd80 oid:382b337244f50a14 1000",
+    "semijoin/oid/hash_semijoin n=23271 oid:a4d44611c27c94e0 oid:8057c90c6f0eaeb4 0000",
+    "semijoin/oid/sorted/hash_semijoin n=23271 oid:a38036875504bd80 oid:382b337244f50a14 1000",
+    "kdiff/oid n=42729 oid:da885c405e6c7edc oid:a1ffcc984956bf0c 0000",
+    "kunion/oid n=66000 oid:179a9b411b41277f oid:6b9843b0e132aeb3 0000",
+    "theta/oid-void/ne/nested_thetajoin n=163304 oid:b090a7a00f2ef6d0 oid:d0533f8f1e0f83ce 0000",
+    "theta/oid-void/lt/sort_band_thetajoin n=3341 oid:9d76d536c61d910d oid:4553a0c94f8af909 0000",
+    "theta/oid-void/lt/nested_thetajoin n=3341 oid:9d76d536c61d910d oid:4553a0c94f8af909 0000",
+    "theta/oid-void/le/sort_band_thetajoin n=5037 oid:7f9f73ff8e5939ae oid:7af0abfe4f3b4d68 0000",
+    "theta/oid-void/le/nested_thetajoin n=5037 oid:7f9f73ff8e5939ae oid:7af0abfe4f3b4d68 0000",
+    "theta/oid-void/gt/sort_band_thetajoin n=159963 oid:ed39a4cf9f938056 oid:9a31afcf139efc34 0000",
+    "theta/oid-void/gt/nested_thetajoin n=159963 oid:ed39a4cf9f938056 oid:9a31afcf139efc34 0000",
+    "theta/oid-void/ge/sort_band_thetajoin n=161659 oid:1d76d7e42b532741 oid:4ef70484c10b4ecd 0000",
+    "theta/oid-void/ge/nested_thetajoin n=161659 oid:1d76d7e42b532741 oid:4ef70484c10b4ecd 0000",
+    "join/oid-void/sorted/merge_join n=66000 oid:2e3de0d14db0c4cb oid:240f1f65b4131e7d 0000",
+    "join/oid-void/hash_join n=66000 oid:6b9843b0e132aeb3 oid:0ba049051cba4b2d 0000",
+    "join/oid-void/sorted/hash_join n=66000 oid:2e3de0d14db0c4cb oid:240f1f65b4131e7d 0000",
+    "semijoin/oid-void/sorted/merge_semijoin n=26972 oid:bec859b8c12c019d oid:8828a2c224a4c94b 1000",
+    "semijoin/oid-void/hash_semijoin n=26972 oid:b4f67584338df49d oid:5af49447e335d207 0000",
+    "semijoin/oid-void/sorted/hash_semijoin n=26972 oid:bec859b8c12c019d oid:8828a2c224a4c94b 1000",
+    "kdiff/oid-void n=39028 oid:51997a4a695ca9c1 oid:cb7bbc466459b23b 0000",
+    "kunion/oid-void n=66000 oid:179a9b411b41277f oid:6b9843b0e132aeb3 0000",
+    "theta/void-oid/ne/nested_thetajoin n=164995 oid:6ba259fbb02a097a oid:f7f76f85f66800da 0000",
+    "theta/void-oid/lt/sort_band_thetajoin n=161 oid:8a1427b4a317280d oid:1cb66e83f0487236 0000",
+    "theta/void-oid/lt/nested_thetajoin n=161 oid:8a1427b4a317280d oid:92406614ca7a3d7a 0000",
+    "theta/void-oid/le/sort_band_thetajoin n=166 oid:2542044b01be12f4 oid:bf090b0d3eabbf67 0000",
+    "theta/void-oid/le/nested_thetajoin n=166 oid:2542044b01be12f4 oid:9d43f7bbaf3b5ecf 0000",
+    "theta/void-oid/gt/sort_band_thetajoin n=164834 oid:3cf591f9c507ca94 oid:87949ac806eab10b 0000",
+    "theta/void-oid/gt/nested_thetajoin n=164834 oid:3cf591f9c507ca94 oid:8ae4582f72e27f07 0000",
+    "theta/void-oid/ge/sort_band_thetajoin n=164839 oid:b1818c472f9c356d oid:4f5313b4857bccfa 0000",
+    "theta/void-oid/ge/nested_thetajoin n=164839 oid:b1818c472f9c356d oid:99e6103d0aa35202 0000",
+    "join/void-oid/sorted/merge_join n=120 oid:e43edb88df5d1cd5 oid:821c2c5ba24cfb1f 0000",
+    "join/void-oid/hash_join n=120 oid:e43edb88df5d1cd5 oid:1d16c70fba1a241f 0000",
+    "join/void-oid/sorted/hash_join n=120 oid:e43edb88df5d1cd5 oid:1d16c70fba1a241f 0000",
+    "semijoin/void-oid/sorted/merge_semijoin n=34 oid:5861637dbcb319de oid:286b29b5f54ec306 1000",
+    "semijoin/void-oid/hash_semijoin n=34 oid:5861637dbcb319de oid:286b29b5f54ec306 0000",
+    "semijoin/void-oid/sorted/hash_semijoin n=34 oid:5861637dbcb319de oid:286b29b5f54ec306 1000",
+    "kdiff/void-oid n=65966 oid:bf58cc3cd93e7e2e oid:00c3a24a3b339636 0000",
+    "kunion/void-oid n=66000 oid:46a821a02c06a54b oid:6b9843b0e132aeb3 0000",
+    "theta/str-shared/ne/nested_thetajoin n=163266 oid:b7b68fb3f931393c oid:5b1f799a906abbd3 0000",
+    "theta/str-shared/lt/sort_band_thetajoin n=64164 oid:9a86fffad20ea133 oid:0da81c9d603ba183 0000",
+    "theta/str-shared/lt/nested_thetajoin n=64164 oid:9a86fffad20ea133 oid:1d58c2cd3992300b 0000",
+    "theta/str-shared/le/sort_band_thetajoin n=65898 oid:15c69366ff3f2b38 oid:09dec2d09510dd37 0000",
+    "theta/str-shared/le/nested_thetajoin n=65898 oid:15c69366ff3f2b38 oid:7b83e5480a45a8c7 0000",
+    "theta/str-shared/gt/sort_band_thetajoin n=99102 oid:dfcd8592fe35d20c oid:00f89aeb1470bde3 0000",
+    "theta/str-shared/gt/nested_thetajoin n=99102 oid:dfcd8592fe35d20c oid:f8346d2a3784ec9b 0000",
+    "theta/str-shared/ge/sort_band_thetajoin n=100836 oid:5147003e08be93b7 oid:e4508856cd35f89b 0000",
+    "theta/str-shared/ge/nested_thetajoin n=100836 oid:5147003e08be93b7 oid:2359ef509a20b9b3 0000",
+    "join/str-shared/sorted/merge_join n=81920 oid:097e80d6ccc8fdcf oid:de73870630f5d134 0000",
+    "join/str-shared/hash_join n=81920 oid:d1399f8483f5f9af oid:bef38cde95c0f704 0000",
+    "join/str-shared/sorted/hash_join n=81920 oid:097e80d6ccc8fdcf oid:d5f3c3f112009e54 0000",
+    "semijoin/str-shared/sorted/merge_semijoin n=23271 str:692dd78470adb5ee oid:49f60d91c9a90878 1000",
+    "semijoin/str-shared/hash_semijoin n=23271 str:a17815a194dba600 oid:8057c90c6f0eaeb4 0000",
+    "semijoin/str-shared/sorted/hash_semijoin n=23271 str:692dd78470adb5ee oid:49f60d91c9a90878 1000",
+    "kdiff/str-shared n=42729 str:d686db0e863c880a oid:a1ffcc984956bf0c 0000",
+    "kunion/str-shared n=66000 str:99bc6f8de93a0cb5 oid:6b9843b0e132aeb3 0000",
+    "theta/str-distinct/ne/nested_thetajoin n=163266 oid:b7b68fb3f931393c oid:5b1f799a906abbd3 0000",
+    "theta/str-distinct/lt/sort_band_thetajoin n=64164 oid:9a86fffad20ea133 oid:0da81c9d603ba183 0000",
+    "theta/str-distinct/lt/nested_thetajoin n=64164 oid:9a86fffad20ea133 oid:1d58c2cd3992300b 0000",
+    "theta/str-distinct/le/sort_band_thetajoin n=65898 oid:15c69366ff3f2b38 oid:09dec2d09510dd37 0000",
+    "theta/str-distinct/le/nested_thetajoin n=65898 oid:15c69366ff3f2b38 oid:7b83e5480a45a8c7 0000",
+    "theta/str-distinct/gt/sort_band_thetajoin n=99102 oid:dfcd8592fe35d20c oid:00f89aeb1470bde3 0000",
+    "theta/str-distinct/gt/nested_thetajoin n=99102 oid:dfcd8592fe35d20c oid:f8346d2a3784ec9b 0000",
+    "theta/str-distinct/ge/sort_band_thetajoin n=100836 oid:5147003e08be93b7 oid:e4508856cd35f89b 0000",
+    "theta/str-distinct/ge/nested_thetajoin n=100836 oid:5147003e08be93b7 oid:2359ef509a20b9b3 0000",
+    "join/str-distinct/sorted/merge_join n=81920 oid:097e80d6ccc8fdcf oid:de73870630f5d134 0000",
+    "join/str-distinct/hash_join n=81920 oid:d1399f8483f5f9af oid:bef38cde95c0f704 0000",
+    "join/str-distinct/sorted/hash_join n=81920 oid:097e80d6ccc8fdcf oid:d5f3c3f112009e54 0000",
+    "semijoin/str-distinct/sorted/merge_semijoin n=23271 str:692dd78470adb5ee oid:49f60d91c9a90878 1000",
+    "semijoin/str-distinct/hash_semijoin n=23271 str:a17815a194dba600 oid:8057c90c6f0eaeb4 0000",
+    "semijoin/str-distinct/sorted/hash_semijoin n=23271 str:692dd78470adb5ee oid:49f60d91c9a90878 1000",
+    "kdiff/str-distinct n=42729 str:d686db0e863c880a oid:a1ffcc984956bf0c 0000",
+    "kunion/str-distinct n=66000 str:99bc6f8de93a0cb5 oid:6b9843b0e132aeb3 0000",
+};
+
+TEST(KernelGoldenTest, EveryValueLoopIsPinned) {
+  SetParallelBlockCap(4);
+  const std::vector<std::string> d1 = GoldenTable(1);
+  const std::vector<std::string> d4 = GoldenTable(4);
+  SetParallelBlockCap(0);
+  const size_t pinned = std::size(kGolden);
+  EXPECT_EQ(d1.size(), pinned);
+  std::string table;
+  bool same = d1.size() == pinned && d4.size() == pinned;
+  for (size_t i = 0; i < d1.size(); ++i) {
+    table += "    \"" + d1[i] + "\",\n";
+    if (i < pinned) {
+      EXPECT_EQ(d1[i], kGolden[i]) << "degree 1";
+      same = same && d1[i] == kGolden[i];
+    }
+    if (i < d4.size()) {
+      EXPECT_EQ(d4[i], d1[i]) << "degree 4";
+    }
+  }
+  if (!same) ADD_FAILURE() << "current table:\n" << table;
+}
+
+// ------------------------------------------------ value semantics of kernels
+//
+// Equal numbers match and distinct numbers do not, in every kernel and
+// variant: two integral values compare exactly (no double round trip, so
+// 2^53 and 2^53+1 stay apart), 0.0 and -0.0 are one value, and a str value
+// never equals a non-str one. Each check runs at degrees 1 and 4 (block
+// cap 4) over kGoldenRows-row operands, so the parallel paths run too.
+
+template <typename Body>
+void AtBothDegrees(Body&& body) {
+  SetParallelBlockCap(4);
+  for (const int degree : {1, 4}) {
+    SCOPED_TRACE("degree " + std::to_string(degree));
+    ExecContext ctx;
+    ctx.WithParallelDegree(degree);
+    body(ctx);
+  }
+  SetParallelBlockCap(0);
+}
+
+constexpr int64_t k2p53 = int64_t{1} << 53;
+
+/// 2^53 + 0, 1, 2, ...: distinct lng values, pairwise equal as doubles.
+ColumnPtr BigLngs(size_t n, int64_t step = 1, int64_t from = 0) {
+  std::vector<int64_t> v(n);
+  for (size_t i = 0; i < n; ++i) {
+    v[i] = k2p53 + from + step * static_cast<int64_t>(i);
+  }
+  return Column::MakeLng(std::move(v));
+}
+
+size_t RunSize(const std::optional<Result<Bat>>& r) {
+  EXPECT_TRUE(r.has_value() && r->ok());
+  return r.has_value() && r->ok() ? (*r)->size() : 0;
+}
+
+TEST(ValueViewKernelTest, LngBeyond2p53StaysDistinct) {
+  AtBothDegrees([](const ExecContext& ctx) {
+    const size_t n = kGoldenRows;
+    // Joins: even offsets against odd ones never match.
+    const Bat ab(IotaOids(n), BigLngs(n, 2, 0), Properties{true, true, true,
+                                                            true});
+    const Bat cd(BigLngs(n, 2, 1), IotaOids(n), Properties{true, true, true,
+                                                            true});
+    for (const char* impl : {"merge_join", "hash_join"}) {
+      EXPECT_EQ(RunSize(RunVariant<BinaryImplSig>(
+                    ctx, "join", impl, MakeInput(ctx, ab, cd), ab, cd)),
+                0u)
+          << impl;
+    }
+    // Semijoin and kdiff over heads.
+    const Bat heads = ab.Mirror();
+    for (const char* impl : {"merge_semijoin", "hash_semijoin"}) {
+      EXPECT_EQ(RunSize(RunVariant<BinaryImplSig>(
+                    ctx, "semijoin", impl, MakeInput(ctx, heads, cd), heads,
+                    cd)),
+                0u)
+          << impl;
+    }
+    EXPECT_EQ(Diff(ctx, heads, cd).ValueOrDie().size(), n);
+    // Point selects on both variants.
+    const Bat all(IotaOids(n), BigLngs(n), Properties{true, true, true, true});
+    const Bound b{true, true, Value::Lng(k2p53 + 1)};
+    for (const char* impl : {"binsearch_select", "scan_select"}) {
+      const auto r = RunVariant<SelectImplSig>(ctx, "select", impl,
+                                               MakeInput(ctx, all), all, b, b);
+      ASSERT_EQ(RunSize(r), 1u) << impl;
+      EXPECT_EQ((*r)->head().OidAt(0), 1u) << impl;
+    }
+    EXPECT_EQ(SelectCmp(ctx, all, CmpOp::kNe, Value::Lng(k2p53))
+                  .ValueOrDie()
+                  .size(),
+              n - 1);
+    // Group, unique and hunique see n distinct values.
+    const Bat grouped = Group(ctx, all).ValueOrDie();
+    EXPECT_EQ(grouped.tail().OidAt(n - 1), n - 1);
+    EXPECT_EQ(Unique(ctx, Bat(BigLngs(n), BigLngs(n))).ValueOrDie().size(), n);
+    EXPECT_EQ(HeadUnique(ctx, all.Mirror()).ValueOrDie().size(), n);
+    // Sort orders exactly; a point select on the sorted result finds one.
+    const Bat rev(IotaOids(n), BigLngs(n, -1, static_cast<int64_t>(n) - 1));
+    const Bat sorted = SortTail(ctx, rev).ValueOrDie();
+    EXPECT_TRUE(sorted.props().tsorted);
+    EXPECT_EQ(sorted.tail().Data<int64_t>(), all.tail().Data<int64_t>());
+    EXPECT_EQ(Select(ctx, sorted, Value::Lng(k2p53 + 1)).ValueOrDie().size(),
+              1u);
+    EXPECT_EQ(TopN(ctx, rev, 1, true).ValueOrDie().tail().GetValue(0),
+              Value::Lng(k2p53 + static_cast<int64_t>(n) - 1));
+    // Theta: 2^53+1 > 2^53, on both variants.
+    const Bat one(IotaOids(1), BigLngs(1, 1, 1));
+    const Bat other(BigLngs(1), IotaOids(1));
+    DispatchInput in = MakeInput(ctx, one, other);
+    in.param = OpParam{static_cast<int64_t>(CmpOp::kGt), "", false};
+    for (const char* impl : {"sort_band_thetajoin", "nested_thetajoin"}) {
+      EXPECT_EQ(RunSize(RunVariant<ThetaImplSig>(ctx, "thetajoin", impl, in,
+                                                 one, other, CmpOp::kGt)),
+                1u)
+          << impl;
+    }
+    // Min/max were exact already and stay so.
+    EXPECT_EQ(ScalarAggregate(ctx, AggKind::kMax, all).ValueOrDie(),
+              Value::Lng(k2p53 + static_cast<int64_t>(n) - 1));
+  });
+}
+
+TEST(ValueViewKernelTest, OidBeyond2p53AndSignedAgainstOid) {
+  AtBothDegrees([](const ExecContext& ctx) {
+    // oid 2^53+1 is not oid 2^53, on either join variant.
+    const Oid big = Oid{1} << 53;
+    const Bat ab(IotaOids(2), Column::MakeOid({big, big + 3}),
+                 Properties{true, true, true, true});
+    const Bat cd(Column::MakeOid({big + 1, big + 2}), IotaOids(2),
+                 Properties{true, true, true, true});
+    for (const char* impl : {"merge_join", "hash_join"}) {
+      EXPECT_EQ(RunSize(RunVariant<BinaryImplSig>(
+                    ctx, "join", impl, MakeInput(ctx, ab, cd), ab, cd)),
+                0u)
+          << impl;
+    }
+    // A negative lng never equals an oid, whatever its bit pattern.
+    const Bat neg(IotaOids(1), Column::MakeLng({-1}));
+    const Bat top(Column::MakeOid({~Oid{0}}), IotaOids(1));
+    EXPECT_EQ(Join(ctx, neg, top).ValueOrDie().size(), 0u);
+    DispatchInput in = MakeInput(ctx, neg, top);
+    in.param = OpParam{static_cast<int64_t>(CmpOp::kLt), "", false};
+    for (const char* impl : {"sort_band_thetajoin", "nested_thetajoin"}) {
+      EXPECT_EQ(RunSize(RunVariant<ThetaImplSig>(ctx, "thetajoin", impl, in,
+                                                 neg, top, CmpOp::kLt)),
+                1u)
+          << impl;
+    }
+  });
+}
+
+TEST(ValueViewKernelTest, NegativeZeroIsZero) {
+  AtBothDegrees([](const ExecContext& ctx) {
+    const size_t n = kGoldenRows;
+    std::vector<double> zeros(n);
+    for (size_t i = 0; i < n; ++i) zeros[i] = i % 2 == 0 ? 0.0 : -0.0;
+    const Bat ab(IotaOids(n), Column::MakeDbl(zeros));
+    EXPECT_EQ(Group(ctx, ab).ValueOrDie().tail().OidAt(n - 1), 0u);
+    const ColumnPtr z = Column::MakeDbl(zeros);
+    EXPECT_EQ(Unique(ctx, Bat(z, z)).ValueOrDie().size(), 1u);
+    EXPECT_EQ(HeadUnique(ctx, ab.Mirror()).ValueOrDie().size(), 1u);
+    const Bat left(IotaOids(1), Column::MakeDbl({-0.0}),
+                   Properties{true, true, true, true});
+    const Bat right(Column::MakeDbl({0.0}), IotaOids(1),
+                    Properties{true, true, true, true});
+    for (const char* impl : {"merge_join", "hash_join"}) {
+      EXPECT_EQ(RunSize(RunVariant<BinaryImplSig>(
+                    ctx, "join", impl, MakeInput(ctx, left, right), left,
+                    right)),
+                1u)
+          << impl;
+    }
+    const Bat lh = left.Mirror();
+    for (const char* impl : {"merge_semijoin", "hash_semijoin"}) {
+      EXPECT_EQ(RunSize(RunVariant<BinaryImplSig>(
+                    ctx, "semijoin", impl, MakeInput(ctx, lh, right), lh,
+                    right)),
+                1u)
+          << impl;
+    }
+    EXPECT_EQ(Diff(ctx, lh, right).ValueOrDie().size(), 0u);
+  });
+}
+
+TEST(ValueViewKernelTest, StrNeverMatchesNonStrOnAnyJoinVariant) {
+  AtBothDegrees([](const ExecContext& ctx) {
+    // Both sides sorted: dispatch picks the merge join.
+    const Bat strs(IotaOids(2), Column::MakeStr({"a", "b"}),
+                   Properties{true, true, true, true});
+    const Bat ints(Column::MakeInt({0, 1}), IotaOids(2),
+                   Properties{true, true, true, true});
+    EXPECT_EQ(KernelRegistry::Global().Explain("join", strs, ints).chosen,
+              "merge_join");
+    EXPECT_EQ(Join(ctx, strs, ints).ValueOrDie().size(), 0u);
+    // Unsorted: the hash join.
+    const Bat strs_u(IotaOids(2), strs.tail_col());
+    const Bat ints_u(ints.head_col(), IotaOids(2));
+    EXPECT_EQ(KernelRegistry::Global().Explain("join", strs_u, ints_u).chosen,
+              "hash_join");
+    EXPECT_EQ(Join(ctx, strs_u, ints_u).ValueOrDie().size(), 0u);
+  });
 }
 
 }  // namespace

@@ -1,6 +1,6 @@
 #!/usr/bin/env python3
-"""Engine invariant lint: grep-with-parsing checks for the two bug classes
-that have recurred in this codebase, run over src/kernel/ and src/bat/ in CI.
+"""Engine invariant lint: grep-with-parsing checks for the bug classes that
+have recurred in this codebase, run over src/ in CI.
 
 Rules
 -----
@@ -89,8 +89,23 @@ unfiltered-touch
     calls TouchAt; such a site carries `// lint:allow(unfiltered-touch)`
     and, on the same comment line, the reason.
 
+boxed-value
+    A per-element boxed value operation — a `NumAt(`, `HashAt(`,
+    `EqualAt(`, `CompareAt(` or `CompareValue(` call (`.` or `->`) — in
+    src/kernel/ or src/bat/ outside bat/column.{h,cc}, where the methods
+    are defined. What a column value is (its numeric view, hash,
+    equality and order) is defined once, by the value view in
+    bat/column.h; a kernel loop visits the view (Column::VisitValues,
+    bat::VisitBound) and calls Num/Hash/Equal/Compare, so every storage
+    shape runs the same typed loop. A per-element boxed call is a second,
+    slower copy of that definition, and such copies drifted into wrong
+    answers. GetValue (boxing one value for output) is not covered. A
+    justified exception carries `// lint:allow(boxed-value)` and the
+    reason on the same line as the call.
+
 An allow comment counts when it appears inside the flagged statement or on
-one of the two lines above it.
+one of the two lines above it (on the flagged line itself for
+boxed-value).
 
 Usage
 -----
@@ -416,9 +431,39 @@ def check_unfiltered_touch(path, lines):
     return findings
 
 
+BOXED_VALUE_DIRS = ("src/kernel/", "src/bat/")
+# The per-element methods' own definitions (one visit each).
+BOXED_VALUE_EXEMPT = ("src/bat/column.h", "src/bat/column.cc")
+BOXED_VALUE_RE = re.compile(
+    r"(?:\.|->)\s*(?:NumAt|HashAt|EqualAt|CompareAt|CompareValue)\(")
+
+
+def check_boxed_value(path, lines):
+    norm = "/" + path.replace(os.sep, "/")
+    if (not any("/" + d in norm for d in BOXED_VALUE_DIRS) or
+            norm.endswith(BOXED_VALUE_EXEMPT)):
+        return []
+    findings = []
+    for i, line in enumerate(lines):
+        if not BOXED_VALUE_RE.search(strip_comments(line)):
+            continue
+        comment = line[line.find("//"):] if "//" in line else ""
+        tag = ALLOW_RE.search(comment)
+        if (tag and tag.group(1) == "boxed-value" and
+                re.search(r"[A-Za-z]", comment[tag.end():])):
+            continue
+        findings.append(Finding(
+            path, i + 1, "boxed-value",
+            "per-element boxed value operation in a kernel: visit the "
+            "value view (Column::VisitValues) and use Num/Hash/Equal/"
+            "Compare, or annotate // lint:allow(boxed-value) with the "
+            "reason on the same line"))
+    return findings
+
+
 CHECKS = [check_sync_head_only, check_uncharged_kernel, check_unpolled_plan,
           check_unsynced_rename, check_naked_mutex, check_thread_local,
-          check_op_dispatch, check_unfiltered_touch]
+          check_op_dispatch, check_unfiltered_touch, check_boxed_value]
 
 
 def lint_file(path, text=None):
@@ -701,6 +746,38 @@ extent_->TouchAt(io, mid);
     }
   }
 """, {"unfiltered-touch": 0}),
+    # A boxed equality per chain element in a hash-probe loop: the copy
+    # of the value semantics the view replaces.
+    ("src/bat/broken_boxed_probe.h", """
+for (size_t j = begin; j < end; ++j) {
+  for (uint32_t cur = buckets_[probe.HashAt(j) & mask_]; cur != kEnd;
+       cur = next_[cur - 1]) {
+    if (col_->EqualAt(cur - 1, probe, j)) fn(j, cur - 1);
+  }
+}
+""", {"boxed-value": 2}),
+    # A justified exception, with the reason on the same line.
+    ("src/kernel/allowed_boxed_value.cc", """
+const int c = tail.CompareValue(0, v);  // lint:allow(boxed-value) one per call
+""", {"boxed-value": 0}),
+    # An allow without a reason does not count.
+    ("src/kernel/bare_allow_boxed_value.cc", """
+const double x = tail.NumAt(i);  // lint:allow(boxed-value)
+""", {"boxed-value": 1}),
+    # The methods' definitions in column.cc are exempt.
+    ("src/bat/column.cc", """
+int Column::CompareAt(size_t i, const Column& other, size_t j) const {
+  return VisitValues([&](const auto& a) {
+    return other.VisitValues(
+        [&](const auto& b) { return Compare(a, i, b, j); });
+  });
+}
+""", {"boxed-value": 0}),
+    # Outside src/kernel/ and src/bat/ (the row-store baseline) the rule
+    # does not apply.
+    ("src/relational/row_store.cc", """
+const int cmp = c.CompareValue(order_[mid], v);
+""", {"boxed-value": 0}),
     # A justified exception near the Plan call.
     ("allowed_plan.cc", """
 Result<Bat> TouchOnly(const ExecContext& ctx, const Bat& ab) {
