@@ -463,24 +463,6 @@ void ColumnScatter::Gather(const uint32_t* idx, size_t n, size_t at) {
   });
 }
 
-void ColumnScatter::GatherRange(size_t lo, size_t hi, size_t at) {
-  assert(src_ != nullptr && "computed-result sinks take Slot<T>, not Gather");
-  if (hi <= lo) return;
-  if (src_->is_void()) {
-    auto& v = std::get<std::vector<Oid>>(repr_);
-    const Oid base = src_->void_base();
-    Oid* out = v.data() + at;
-    for (size_t k = 0; k < hi - lo; ++k) out[k] = base + lo + k;
-    return;
-  }
-  Column::VisitType(type_, [&](auto tag) {
-    using T = typename decltype(tag)::type;
-    const T* s = src_->Data<T>().data() + lo;
-    T* out = std::get<std::vector<T>>(repr_).data() + at;
-    std::copy(s, s + (hi - lo), out);
-  });
-}
-
 ColumnPtr ColumnScatter::Finish() {
   if (type_ == MonetType::kStr) {
     return Column::MakeStrOffsets(

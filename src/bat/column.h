@@ -662,9 +662,6 @@ class ColumnScatter {
   /// Writes src[idx[k]] into position at+k for k in [0, n).
   void Gather(const uint32_t* idx, size_t n, size_t at);
 
-  /// Contiguous variant: writes src[lo..hi) into positions starting at.
-  void GatherRange(size_t lo, size_t hi, size_t at);
-
   size_t size() const { return total_; }
 
   /// Finalizes into an immutable column; call once, after all gathers.

@@ -117,14 +117,4 @@ size_t RunBlocks(const BlockPlan& plan,
   return plan.blocks;
 }
 
-size_t ParallelBlocks(size_t n, int degree,
-                      const std::function<void(int, size_t, size_t)>& fn) {
-  return RunBlocks(PlanBlocks(n, degree), fn);
-}
-
-size_t ParallelBlocks(size_t n,
-                      const std::function<void(int, size_t, size_t)>& fn) {
-  return RunBlocks(PlanBlocks(n), fn);
-}
-
 }  // namespace moaflat

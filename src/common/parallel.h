@@ -14,11 +14,12 @@ namespace moaflat {
 /// parallelism via parallel iteration and parallel block execution" with
 /// deliberately coarse-grained primitives).
 ///
-/// Kernel operators split their *evaluation* phase into contiguous blocks
-/// (morsels) executed on the persistent TaskPool and keep result
-/// materialization serial; per-block IO accounting is merged back into the
-/// context's accountant (storage::IoStats::MergeFrom), so page-fault
-/// totals stay exact at any degree. Degree resolution: the ExecContext may
+/// Kernel operators split their evaluation phase into contiguous blocks
+/// (morsels) executed on the persistent TaskPool, and scatter their results
+/// into pre-sized heaps block by block; the kernels' morsel runner
+/// (kernel::internal::MorselRun) replays per-block IO shards into the
+/// context's accountant in block order, so page-fault totals stay exact at
+/// any degree. Degree resolution: the ExecContext may
 /// carry a per-context override; otherwise the process-wide degree below
 /// applies (MOAFLAT_THREADS, else 1, keeping measurements deterministic).
 
@@ -69,10 +70,9 @@ inline constexpr int kMaxScatterDegree = 64;
 
 /// The partition of one parallel evaluation phase: `n` items split into
 /// `blocks` contiguous chunks. Computed once by PlanBlocks and then shared
-/// by the caller (shard buffers are sized to `blocks`) and the runner —
-/// the single source of truth that fixes the old degree-sampling race
-/// where a kernel sized its shard vector with one ParallelDegree() call
-/// while ParallelBlocks re-read the degree internally.
+/// by the caller (shard buffers are sized to `blocks`) and RunBlocks, so a
+/// concurrent SetParallelDegree cannot change the block count between
+/// sizing and running.
 struct BlockPlan {
   size_t n = 0;
   size_t blocks = 1;
@@ -105,22 +105,12 @@ BlockPlan PlanBlocks(size_t n, int degree = 0);
 
 /// Runs `fn(block, begin, end)` for every block of the plan on the
 /// persistent TaskPool (the calling thread participates) and returns the
-/// block count. Single-block plans run inline on the caller. A kernel that
-/// touches pages inside `fn` of a multi-block plan passes its touches a
-/// per-block storage::IoStats (see IoStats::ForShard) and merges the
-/// shards afterwards. `fn` must only write block-local state.
+/// block count. Single-block plans run inline on the caller. `fn` must only
+/// write block-local state; a kernel whose blocks touch pages runs them
+/// through kernel::internal::MorselRun, which gives every block its
+/// accountant.
 size_t RunBlocks(const BlockPlan& plan,
                  const std::function<void(int, size_t, size_t)>& fn);
-
-/// One-shot convenience: PlanBlocks(n, degree) + RunBlocks. Returns the
-/// block count actually used, so callers that buffer per block can size
-/// from the same decision (or use PlanBlocks/RunBlocks directly).
-size_t ParallelBlocks(size_t n, int degree,
-                      const std::function<void(int, size_t, size_t)>& fn);
-
-/// Legacy entry: the process-wide degree.
-size_t ParallelBlocks(size_t n,
-                      const std::function<void(int, size_t, size_t)>& fn);
 
 }  // namespace moaflat
 

@@ -33,9 +33,8 @@ struct SchedTag {
   const std::atomic<uint32_t>* abort = nullptr;
 };
 
-/// Persistent worker pool behind all parallel kernel execution (the
-/// morsel-driven replacement of the old thread-spawn-per-ParallelBlocks
-/// scheme): worker threads are started lazily on the first parallel run and
+/// Persistent worker pool behind all parallel kernel execution (morsel
+/// driven, instead of spawning threads per parallel phase): worker threads are started lazily on the first parallel run and
 /// then reused by every kernel of every query, so the per-call cost of
 /// parallelism is one queue push instead of `degree` thread creations.
 ///

@@ -328,10 +328,6 @@ Result<Value> ScalarAggregate(const ExecContext& ctx, AggKind kind,
   return Status::Invalid("bad AggKind");
 }
 
-Value CountBat(const Bat& ab) {
-  return Value::Lng(static_cast<int64_t>(ab.size()));
-}
-
 namespace internal {
 
 void RegisterAggregateKernels(KernelRegistry& r) {

@@ -7,13 +7,21 @@ OpRecorder::OpRecorder(const ExecContext& ctx, const char* op)
       op_(op),
       fault_scope_(ctx.fault_injector()),
       start_(std::chrono::steady_clock::now()),
-      faults_before_(ctx.io() != nullptr ? ctx.io()->faults() : 0) {}
+      faults_before_(ctx.io() != nullptr ? ctx.io()->faults() : 0),
+      charged_before_(ctx.memory_charged()) {}
+
+OpRecorder::~OpRecorder() {
+  if (finished_) return;
+  const uint64_t charged = ctx_.memory_charged();
+  if (charged > charged_before_) ctx_.ReleaseMemory(charged - charged_before_);
+}
 
 void OpRecorder::Finish(const char* impl, size_t out_size) {
   Finish(std::string(impl), out_size);
 }
 
 void OpRecorder::Finish(const std::string& impl, size_t out_size) {
+  finished_ = true;
   ExecTracer* tracer = ctx_.tracer();
   if (tracer == nullptr) return;
   const uint64_t faults_after = ctx_.io() != nullptr ? ctx_.io()->faults() : 0;

@@ -10,7 +10,6 @@
 #include "common/cancel.h"
 #include "common/fault_injector.h"
 #include "common/parallel.h"
-#include "common/rng.h"
 #include "common/status.h"
 #include "kernel/exec_tracer.h"
 #include "storage/page_accountant.h"
@@ -25,8 +24,7 @@ namespace moaflat::kernel {
 ///   - the IoStats page-fault accountant (Section 5.2.2 cost model),
 ///   - a memory budget capping the total bytes the operators under this
 ///     context may materialize (Monet materializes every intermediate, so
-///     this is the per-query admission control knob),
-///   - an RNG seed for operators that sample.
+///     this is the per-query admission control knob).
 ///
 /// Contexts are cheap values: copies share the memory-charge counter (a
 /// statement-scoped copy still charges the query's budget) but may override
@@ -48,10 +46,6 @@ class ExecContext {
   /// context (0 = unlimited). Shared by all copies of this context.
   ExecContext& WithMemoryBudget(uint64_t bytes) {
     budget_ = bytes;
-    return *this;
-  }
-  ExecContext& WithSeed(uint64_t seed) {
-    seed_ = seed;
     return *this;
   }
   /// Per-context degree of parallelism for the parallel-block kernels:
@@ -108,7 +102,6 @@ class ExecContext {
 
   ExecTracer* tracer() const { return tracer_; }
   storage::IoStats* io() const { return io_; }
-  uint64_t seed() const { return seed_; }
   const CancelToken& cancel_token() const { return cancel_; }
   FaultInjector* fault_injector() const { return injector_; }
 
@@ -152,9 +145,6 @@ class ExecContext {
     return plan;
   }
 
-  /// A deterministic generator derived from the context seed.
-  Rng MakeRng() const { return Rng(seed_ ^ 0x9e3779b97f4a7c15ULL); }
-
   uint64_t memory_budget() const { return budget_; }
   uint64_t memory_charged() const { return charged_->load(); }
 
@@ -190,7 +180,6 @@ class ExecContext {
   ExecTracer* tracer_ = nullptr;
   storage::IoStats* io_ = nullptr;
   uint64_t budget_ = 0;  // 0 = unlimited
-  uint64_t seed_ = 0;
   int degree_ = 0;  // 0 = process-wide ParallelDegree()
   uint64_t sched_group_ = 0;
   uint32_t sched_weight_ = 1;
@@ -201,11 +190,15 @@ class ExecContext {
 
 /// Per-operator-call guard used inside every kernel operator. Arms the
 /// context's fault injector for the allocation sites below the context
-/// layer, snapshots time and the fault counter, and emits a TraceRecord
-/// into the context's tracer on Finish().
+/// layer, snapshots time, the fault counter and the memory charge, and
+/// emits a TraceRecord into the context's tracer on Finish(). A call that
+/// never reaches Finish() failed: on destruction the guard refunds every
+/// byte the call charged, so a failed operator leaves the balance where
+/// it found it, however far its blocks got.
 class OpRecorder {
  public:
   OpRecorder(const ExecContext& ctx, const char* op);
+  ~OpRecorder();
 
   /// Records the completed call. `impl` names the chosen algorithm.
   void Finish(const char* impl, size_t out_size);
@@ -220,6 +213,8 @@ class OpRecorder {
   FaultScope fault_scope_;  // arms ctx's injector for alloc sites
   std::chrono::steady_clock::time_point start_;
   uint64_t faults_before_;
+  uint64_t charged_before_;
+  bool finished_ = false;
 };
 
 }  // namespace moaflat::kernel

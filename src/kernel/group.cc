@@ -87,7 +87,7 @@ constexpr size_t kAlignChunk = 16 * 1024;
 /// refines row i into dpos[i - lo], reporting its touches of `d` through
 /// the block's page filter `d_pages`, and returns how many leading rows
 /// found one (a row without one fails the refinement). Runs block-local
-/// RefineTables in parallel and merges them into the serial
+/// RefineTables as a MorselRun and merges them into the serial
 /// first-appearance numbering exactly as HashGroup does for its
 /// GroupTable.
 template <typename AlignFn>
@@ -96,62 +96,36 @@ Result<std::vector<Oid>> ParallelRefine(const ExecContext& ctx, const Bat& ab,
                                         const AlignFn& align) {
   const Column& prev = ab.tail();
   std::vector<Oid> gids(ab.size());
-  const BlockPlan plan = ctx.Plan(ab.size());
-  const auto missing = [] {
-    return Status::ExecutionError(
-        "group refinement: left head value missing on the right");
-  };
-  // Refines rows [begin, end) into `table`; false at the first row with no
-  // refining value.
-  const auto refine = [&](RefineTable& table, size_t begin, size_t end,
-                          storage::ColdPageFilter& d_pages) {
+  internal::MorselRun run(ctx, ab.size());
+  std::vector<std::unique_ptr<RefineTable>> tables(run.plan().blocks);
+  MF_RETURN_NOT_OK(run.Run([&](internal::Morsel& m, internal::ChargeGate&) {
+    tables[m.block] = std::make_unique<RefineTable>();
+    storage::ColdPageFilter d_pages = d.PageFilter(m.io);
     std::vector<uint32_t> dpos;
     std::vector<Oid> prev_gid;
-    for (size_t lo = begin; lo < end; lo += kAlignChunk) {
-      const size_t hi = std::min(end, lo + kAlignChunk);
+    for (size_t lo = m.begin; lo < m.end; lo += kAlignChunk) {
+      const size_t hi = std::min(m.end, lo + kAlignChunk);
       dpos.resize(hi - lo);
       const size_t found = align(lo, hi, d_pages, dpos.data());
       prev_gid.resize(found);
       for (size_t k = 0; k < found; ++k) prev_gid[k] = prev.OidAt(lo + k);
-      table.Add(d, prev_gid.data(), dpos.data(), found, gids.data() + lo);
-      if (found < hi - lo) return false;
+      tables[m.block]->Add(d, prev_gid.data(), dpos.data(), found,
+                           gids.data() + lo);
+      if (found < hi - lo) {
+        m.status = Status::ExecutionError(
+            "group refinement: left head value missing on the right");
+        return;
+      }
     }
-    return true;
-  };
-  if (plan.blocks <= 1) {
-    RefineTable table;
-    storage::ColdPageFilter d_pages = d.PageFilter(ctx.io());
-    if (!refine(table, 0, ab.size(), d_pages)) return missing();
-    return gids;
-  }
+  }));
+  if (run.plan().blocks <= 1) return gids;
 
-  struct alignas(64) Shard {
-    std::unique_ptr<RefineTable> table;
-    storage::IoStats io = storage::IoStats::ForShard();
-    bool missing = false;
-  };
-  std::vector<Shard> shards(plan.blocks);
-  RunBlocks(plan, [&](int block, size_t begin, size_t end) {
-    Shard& mine = shards[block];
-    mine.table = std::make_unique<RefineTable>();
-    storage::ColdPageFilter d_pages =
-        d.PageFilter(internal::ShardIo(ctx, mine.io));
-    mine.missing = !refine(*mine.table, begin, end, d_pages);
-  });
-  for (Shard& s : shards) {
-    if (ctx.io() != nullptr) ctx.io()->MergeFrom(s.io);
-  }
-  for (const Shard& s : shards) {
-    if (s.missing) return missing();
-  }
-  // Interrupted eval leaves null shard tables; bail before the merge.
-  MF_RETURN_NOT_OK(ctx.CheckInterrupt());
   RefineTable global;
-  std::vector<std::vector<Oid>> to_global(plan.blocks);
-  for (size_t b = 0; b < plan.blocks; ++b) {
-    global.AddReps(d, shards[b].table->reps(), to_global[b]);
+  std::vector<std::vector<Oid>> to_global(run.plan().blocks);
+  for (size_t b = 0; b < run.plan().blocks; ++b) {
+    global.AddReps(d, tables[b]->reps(), to_global[b]);
   }
-  RunBlocks(plan, [&](int block, size_t begin, size_t end) {
+  RunBlocks(run.plan(), [&](int block, size_t begin, size_t end) {
     const auto& map = to_global[block];
     for (size_t i = begin; i < end; ++i) gids[i] = map[gids[i]];
   });

@@ -5,9 +5,13 @@
 #include <string>
 #include <string_view>
 #include <type_traits>
+#include <utility>
+#include <vector>
 
 #include "bat/bat.h"
+#include "common/parallel.h"
 #include "kernel/exec_context.h"
+#include "storage/page_accountant.h"
 
 namespace moaflat::kernel::internal {
 
@@ -106,21 +110,128 @@ class TransientCharge {
   uint64_t bytes_ = 0;
 };
 
-/// The accountant a parallel block reports its touches to when the merge
-/// replays shards: the block's `shard`, or none when the context keeps no
-/// accountant (a kernel without one does no accounting work).
-inline storage::IoStats* ShardIo(const ExecContext& ctx,
-                                 storage::IoStats& shard) {
-  return ctx.io() != nullptr ? &shard : nullptr;
-}
+/// One block of a MorselRun: its row range, the accountant its touches
+/// report to, and the rows it emits, on its own cache line so concurrent
+/// blocks never write to a shared one.
+struct alignas(64) Morsel {
+  size_t block = 0;
+  size_t begin = 0;
+  size_t end = 0;
+  /// Where the block's touches go (see MorselRun); null when the context
+  /// keeps no accountant, so a kernel without one does no accounting work.
+  storage::IoStats* io = nullptr;
+  /// Emitted rows in emission order: each row's position in the source of
+  /// the result head and, when the result tail comes from another operand
+  /// (the joins), its position there. Kernels whose result head and tail
+  /// come from one BAT leave `tails` empty.
+  std::vector<uint32_t> heads;
+  std::vector<uint32_t> tails;
+  /// The block's first failure; the body stops emitting at it.
+  Status status = Status::OK();
+  storage::IoStats shard = storage::IoStats::ForShard();
+};
 
-/// Like ShardIo, but a serial plan touches the caller's accountant
-/// directly: a capacity-limited (LRU) pager needs the true touch sequence,
-/// and shard replay carries first-touch faults only.
-inline storage::IoStats* BlockIo(const ExecContext& ctx, const BlockPlan& plan,
-                                 storage::IoStats& shard) {
-  return plan.blocks > 1 ? ShardIo(ctx, shard) : ctx.io();
-}
+/// The morsel runner (Section 2 "parallel block execution") behind every
+/// kernel that evaluates in blocks and materializes in two phases. A kernel
+/// writes its block body; the runner owns the plumbing around it:
+///
+///  (a) Run plans the blocks and runs the body over them on the TaskPool.
+///      Every block gets its accountant by one rule: the caller's in a
+///      one-block plan — a capacity-limited (LRU) pager needs the true
+///      touch sequence, and shard replay carries first touches only — and
+///      an IoStats::ForShard shard otherwise, replayed into the caller's in
+///      block order afterwards, which reproduces the serial run's faults,
+///      their split and logical touches exactly under cold-run accounting.
+///      Every block also gets its own ChargeGate, flushed after the body.
+///      Run returns the first failed block's status, then polls
+///      CheckInterrupt: a cancelled plan skips blocks, and a kernel must
+///      never consume their missing rows.
+///  (b) Stage prefix-sums the blocks' emitted rows and charges their
+///      position lists as transient staging, held until the run dies (the
+///      operator's peak: positions plus result heaps). Scatter then gathers
+///      the result head and tail into pre-sized bat::ColumnScatters, every
+///      block into its own slice, concurrently.
+class MorselRun {
+ public:
+  /// Plans `n` items at the context's degree; each block's gate charges
+  /// `gate_row_bytes` per row its body adds.
+  MorselRun(const ExecContext& ctx, size_t n, uint64_t gate_row_bytes = 0)
+      : ctx_(ctx),
+        plan_(ctx.Plan(n)),
+        gate_row_bytes_(gate_row_bytes),
+        morsels_(plan_.blocks),
+        staging_(ctx) {}
+
+  MorselRun(const MorselRun&) = delete;
+  MorselRun& operator=(const MorselRun&) = delete;
+
+  const BlockPlan& plan() const { return plan_; }
+  const std::vector<Morsel>& morsels() const { return morsels_; }
+
+  /// (a) Runs `body(Morsel&, ChargeGate&)` for every block. The body emits
+  /// rows into its morsel, touches pages through `morsel.io` (its page
+  /// filters must die with the body), and on failure sets
+  /// `morsel.status` and returns.
+  template <typename Body>
+  Status Run(const Body& body) {
+    RunBlocks(plan_, [&](int block, size_t begin, size_t end) {
+      Morsel& m = morsels_[block];
+      m.block = static_cast<size_t>(block);
+      m.begin = begin;
+      m.end = end;
+      m.io = plan_.blocks > 1 && ctx_.io() != nullptr ? &m.shard : ctx_.io();
+      ChargeGate gate(ctx_, gate_row_bytes_);
+      body(m, gate);
+      if (m.status.ok()) m.status = gate.Flush();
+    });
+    MF_RETURN_NOT_OK(Replay());
+    return ctx_.CheckInterrupt();
+  }
+
+  /// (b) Prefix-sums the emitted rows and charges their position lists,
+  /// plus `extra_row_bytes` per row of the kernel's own per-row staging,
+  /// as one transient charge.
+  Status Stage(uint64_t extra_row_bytes = 0);
+
+  /// Rows emitted by all blocks; valid after Stage.
+  size_t total() const { return offset_.back(); }
+
+  /// Gathers the result head from `head` at the emitted head positions and
+  /// the result tail from `tail` at the tail positions (or the head
+  /// positions, when the kernel emits one per row).
+  Result<std::pair<bat::ColumnPtr, bat::ColumnPtr>> Scatter(
+      const bat::Column& head, const bat::Column& tail);
+
+  /// Like Scatter, for a result tail the kernel computes: gathers the head
+  /// and calls `tail(morsel, at)` in every block, which fills the block's
+  /// slice of the tail from result row `at` on and returns its status.
+  template <typename TailFn>
+  Result<bat::ColumnPtr> ScatterHead(const bat::Column& head,
+                                     const TailFn& tail) {
+    bat::ColumnScatter hs(head, total());
+    RunBlocks(plan_, [&](int block, size_t, size_t) {
+      Morsel& m = morsels_[block];
+      hs.Gather(m.heads.data(), m.heads.size(), offset_[block]);
+      m.status = tail(m, offset_[block]);
+    });
+    MF_RETURN_NOT_OK(FirstFailure());
+    MF_RETURN_NOT_OK(ctx_.CheckInterrupt());
+    return hs.Finish();
+  }
+
+ private:
+  /// Replays the shards into the caller's accountant in block order, then
+  /// returns FirstFailure().
+  Status Replay();
+  Status FirstFailure() const;
+
+  const ExecContext& ctx_;
+  const BlockPlan plan_;
+  const uint64_t gate_row_bytes_;
+  std::vector<Morsel> morsels_;
+  std::vector<size_t> offset_;  // exclusive prefix sum, set by Stage
+  TransientCharge staging_;
+};
 
 /// Deterministic combination of sync keys: operators derive the sync key of
 /// a result head column from the operand keys so that structurally

@@ -2,7 +2,6 @@
 #include <utility>
 #include <vector>
 
-#include "common/parallel.h"
 #include "kernel/cost_model.h"
 #include "kernel/internal.h"
 #include "kernel/operators.h"
@@ -125,14 +124,11 @@ Result<Bat> MergeJoin(const ExecContext& ctx, const Bat& ab, const Bat& cd,
 }
 
 /// Hash join, morsel-parallel in both phases. The build side's hash
-/// accelerator is built partitioned at the context degree; probe morsels
-/// collect matching (left, right) positions into cache-line-aligned
-/// per-block shards (with shard-local IoStats and charge gates). The
-/// shards' counts are prefix-summed and every block then scatters its
-/// matches straight into the pre-sized result heaps, concurrently — the
-/// emitted BUN sequence and the merged fault counts stay identical to a
-/// serial probe at any degree. Each block reports its c/a/d touches
-/// through one page filter per heap.
+/// accelerator is built partitioned at the context degree; probe blocks
+/// emit matching (left, right) positions, and the run scatters them
+/// straight into the pre-sized result heaps — the emitted BUN sequence
+/// and the fault counts are those of a serial probe at any degree. Each
+/// block reports its c/a/d touches through one page filter per heap.
 Result<Bat> HashJoin(const ExecContext& ctx, const Bat& ab, const Bat& cd,
                      OpRecorder& rec) {
   const Column& a = ab.head();
@@ -142,77 +138,43 @@ Result<Bat> HashJoin(const ExecContext& ctx, const Bat& ab, const Bat& cd,
   auto hash = cd.EnsureHeadHash(ctx.parallel_degree());
   b.TouchAll(ctx.io());
 
-  struct alignas(64) Shard {
-    std::vector<uint32_t> lefts;   // matching left positions
-    std::vector<uint32_t> rights;  // their right partners, in match order
-    storage::IoStats io = storage::IoStats::ForShard();
-    Status status = Status::OK();
-  };
-  const BlockPlan plan = ctx.Plan(ab.size());
-  std::vector<Shard> shards(plan.blocks);
-  RunBlocks(plan, [&](int block, size_t begin, size_t end) {
-    Shard& mine = shards[block];
-    // The charge counter is shared and atomic, so concurrent shard gates
+  internal::MorselRun run(ctx, ab.size(), internal::ChargeRowBytes(a, d));
+  MF_RETURN_NOT_OK(run.Run([&](internal::Morsel& m, ChargeGate& gate) {
+    // The charge counter is shared and atomic, so concurrent block gates
     // account exactly and an over-budget join stops all blocks early.
     // The gate is fed per match (so a high-fanout probe cannot overshoot
     // the budget by more than the gate's charge chunk) and probing stops
     // at the next chunk boundary once it trips.
-    ChargeGate gate(ctx, a, d);
-    storage::IoStats* io = internal::ShardIo(ctx, mine.io);
-    storage::ColdPageFilter c_pages = c.PageFilter(io);
-    storage::ColdPageFilter a_pages = a.PageFilter(io);
-    storage::ColdPageFilter d_pages = d.PageFilter(io);
+    storage::ColdPageFilter c_pages = c.PageFilter(m.io);
+    storage::ColdPageFilter a_pages = a.PageFilter(m.io);
+    storage::ColdPageFilter d_pages = d.PageFilter(m.io);
     size_t pending = 0;
     constexpr size_t kProbeChunk = 16 * 1024;
-    for (size_t lo = begin; lo < end && mine.status.ok();
+    for (size_t lo = m.begin; lo < m.end && m.status.ok();
          lo += kProbeChunk) {
-      const size_t hi = std::min(end, lo + kProbeChunk);
+      const size_t hi = std::min(m.end, lo + kProbeChunk);
       hash->ForEachMatchRange(b, lo, hi, [&](size_t i, uint32_t pos) {
-        if (!mine.status.ok()) return;
+        if (!m.status.ok()) return;
         c_pages.Touch(pos);
         a_pages.Touch(i);
         d_pages.Touch(pos);
-        mine.lefts.push_back(static_cast<uint32_t>(i));
-        mine.rights.push_back(pos);
-        if (++pending >= internal::ChargeGate::kChunkRows) {
-          mine.status = gate.Add(pending);
+        m.heads.push_back(static_cast<uint32_t>(i));
+        m.tails.push_back(pos);
+        if (++pending >= ChargeGate::kChunkRows) {
+          m.status = gate.Add(pending);
           pending = 0;
         }
       });
     }
-    if (mine.status.ok()) mine.status = gate.Add(pending);
-    if (mine.status.ok()) mine.status = gate.Flush();
-  });
-  for (Shard& s : shards) {
-    if (ctx.io() != nullptr) ctx.io()->MergeFrom(s.io);
-  }
-  for (Shard& s : shards) {
-    MF_RETURN_NOT_OK(s.status);
-  }
-  MF_RETURN_NOT_OK(ctx.CheckInterrupt());
-
-  std::vector<size_t> offset(plan.blocks + 1, 0);
-  for (size_t bl = 0; bl < plan.blocks; ++bl) {
-    offset[bl + 1] = offset[bl] + shards[bl].lefts.size();
-  }
-  // The (left, right) position shards are transient working state: charge
-  // them across the scatter (peak = shards + result heaps), released when
-  // they die with this scope.
-  internal::TransientCharge staging(ctx);
-  MF_RETURN_NOT_OK(staging.Add(offset.back() * 2 * sizeof(uint32_t)));
-  bat::ColumnScatter hs(a, offset.back());
-  bat::ColumnScatter ts(d, offset.back());
-  RunBlocks(plan, [&](int block, size_t, size_t) {
-    const Shard& mine = shards[block];
-    hs.Gather(mine.lefts.data(), mine.lefts.size(), offset[block]);
-    ts.Gather(mine.rights.data(), mine.rights.size(), offset[block]);
-  });
-  MF_RETURN_NOT_OK(ctx.CheckInterrupt());
-  MF_ASSIGN_OR_RETURN(Bat res, FinishJoin(ab, cd, hs.Finish(), ts.Finish()));
+    if (m.status.ok()) m.status = gate.Add(pending);
+  }));
+  MF_RETURN_NOT_OK(run.Stage());
+  MF_ASSIGN_OR_RETURN(auto cols, run.Scatter(a, d));
+  MF_ASSIGN_OR_RETURN(Bat res, FinishJoin(ab, cd, std::move(cols.first),
+                                          std::move(cols.second)));
   rec.Finish("hash_join", res.size());
   return res;
 }
-
 
 }  // namespace
 

@@ -486,10 +486,9 @@ Result<Bat> SyncedMultiplex(const ExecContext& ctx, const std::string& fn,
 /// head values via the hash accelerators, then evaluates complete rows.
 /// Both phases run as morsels: bulk typed first-match probes fill the
 /// per-operand position maps, blocks collect their complete rows (charged
-/// against the memory budget through shard gates — this path used to be
-/// budget-exempt) and evaluate them into shard-local buffers, and the
-/// prefix-summed blocks scatter heads and tails into the pre-sized
-/// result heaps concurrently.
+/// against the memory budget through their gates) and evaluate them into
+/// block-local buffers, and the run scatters heads and tails into the
+/// pre-sized result heaps concurrently.
 Result<Bat> HeadJoinMultiplex(const ExecContext& ctx, const std::string& fn,
                               const std::vector<MxArg>& args,
                               OpRecorder& rec) {
@@ -526,34 +525,29 @@ Result<Bat> HeadJoinMultiplex(const ExecContext& ctx, const std::string& fn,
   const uint64_t row_bytes = static_cast<uint64_t>(
       internal::ChargeWidth(driver->head()) + TypeWidth(sh.out_type));
   const bool str_out = sh.out_type == MonetType::kStr;
-
-  struct alignas(64) Shard {
-    std::vector<uint32_t> keep;  // complete driver rows, ascending
-    std::vector<double> vals;    // typed results
-    std::vector<Value> boxed;    // boxed results (str or exotic fns)
-    storage::IoStats io = storage::IoStats::ForShard();
-    Status status = Status::OK();
-  };
-  const BlockPlan plan = ctx.Plan(n);
-  std::vector<Shard> shards(plan.blocks);
   double probe;
   const bool typed =
       !str_out && TypedEvalRows(fn, args, sh.out_type, 0, 0,
                                 ArgIndexer{&sh}, &probe);
-  RunBlocks(plan, [&](int block, size_t begin, size_t end) {
-    Shard& mine = shards[block];
-    storage::IoStats* io = internal::BlockIo(ctx, plan, mine.io);
-    internal::ChargeGate gate(ctx, row_bytes);
+
+  // Each block keeps its complete driver rows (ascending) as the run's
+  // head positions and evaluates them into its typed or boxed results.
+  internal::MorselRun run(ctx, n, row_bytes);
+  std::vector<std::vector<double>> vals(run.plan().blocks);
+  std::vector<std::vector<Value>> boxed(run.plan().blocks);
+  MF_RETURN_NOT_OK(run.Run([&](internal::Morsel& m,
+                               internal::ChargeGate& gate) {
     for (size_t k = 0; k < nb; ++k) {
       if (sh.bats[k] == driver) continue;
-      storage::ColdPageFilter tail_pages = sh.bats[k]->tail().PageFilter(io);
-      hashes[k]->ForEachFirstMatch(driver->head(), begin, end,
+      storage::ColdPageFilter tail_pages =
+          sh.bats[k]->tail().PageFilter(m.io);
+      hashes[k]->ForEachFirstMatch(driver->head(), m.begin, m.end,
                                    [&](size_t j, uint32_t p) {
                                      tail_pages.Touch(p);
                                      pos[k][j] = p;
                                    });
     }
-    for (size_t i = begin; i < end && mine.status.ok(); ++i) {
+    for (size_t i = m.begin; i < m.end && m.status.ok(); ++i) {
       bool complete = true;
       for (size_t k = 0; k < nb; ++k) {
         if (sh.bats[k] != driver && pos[k][i] < 0) {
@@ -562,75 +556,58 @@ Result<Bat> HeadJoinMultiplex(const ExecContext& ctx, const std::string& fn,
         }
       }
       if (!complete) continue;
-      mine.keep.push_back(static_cast<uint32_t>(i));
-      mine.status = gate.Add(1);
+      m.heads.push_back(static_cast<uint32_t>(i));
+      m.status = gate.Add(1);
     }
-    if (!mine.status.ok()) return;
-    mine.status = gate.Flush();
-    if (!mine.status.ok()) return;
-    const size_t m = mine.keep.size();
-    const ArgIndexer at{&sh, mine.keep.data(), &pos};
+    if (!m.status.ok()) return;
+    m.status = gate.Flush();
+    if (!m.status.ok()) return;
+    const size_t kept = m.heads.size();
+    const ArgIndexer at{&sh, m.heads.data(), &pos};
     if (typed) {
-      mine.vals.resize(m);
-      TypedEvalRows(fn, args, sh.out_type, 0, m, at, mine.vals.data());
+      vals[m.block].resize(kept);
+      TypedEvalRows(fn, args, sh.out_type, 0, kept, at, vals[m.block].data());
     } else {
-      mine.boxed.resize(m);
-      mine.status = BoxedEvalRows(fn, args, sh, 0, m, at,
-                                  mine.boxed.data());
+      boxed[m.block].resize(kept);
+      m.status = BoxedEvalRows(fn, args, sh, 0, kept, at,
+                               boxed[m.block].data());
     }
-  });
-  for (Shard& s : shards) {
-    if (ctx.io() != nullptr) ctx.io()->MergeFrom(s.io);
-  }
-  for (Shard& s : shards) {
-    MF_RETURN_NOT_OK(s.status);
-  }
-  MF_RETURN_NOT_OK(ctx.CheckInterrupt());
-
-  std::vector<size_t> offset(plan.blocks + 1, 0);
-  for (size_t bl = 0; bl < plan.blocks; ++bl) {
-    offset[bl + 1] = offset[bl] + shards[bl].keep.size();
-  }
-  // Kept-row and typed-value shards are further transient staging, live
-  // until the scatter below finishes; released with the alignment maps.
-  MF_RETURN_NOT_OK(staging.Add(
-      offset.back() * (sizeof(uint32_t) + (typed ? sizeof(double) : 0))));
-  bat::ColumnScatter hs(driver->head(), offset.back());
+  }));
+  // The typed values are further transient staging beside the kept-row
+  // lists, live until the scatter below finishes.
+  MF_RETURN_NOT_OK(run.Stage(typed ? sizeof(double) : 0));
+  ColumnPtr out_head;
   ColumnPtr out_tail;
   if (str_out) {
-    RunBlocks(plan, [&](int block, size_t, size_t) {
-      const Shard& mine = shards[block];
-      hs.Gather(mine.keep.data(), mine.keep.size(), offset[block]);
-    });
+    MF_ASSIGN_OR_RETURN(
+        out_head, run.ScatterHead(driver->head(), [](const internal::Morsel&,
+                                                     size_t) {
+          return Status::OK();
+        }));
     ColumnBuilder tb(sh.out_type);
-    tb.Reserve(offset.back());
-    for (size_t bl = 0; bl < plan.blocks; ++bl) {
-      for (const Value& v : shards[bl].boxed) {
+    tb.Reserve(run.total());
+    for (const std::vector<Value>& block : boxed) {
+      for (const Value& v : block) {
         MF_RETURN_NOT_OK(tb.AppendValue(v));
       }
     }
     out_tail = tb.Finish();
   } else {
-    bat::ColumnScatter ts(sh.out_type, offset.back());
-    std::vector<Status> stats(plan.blocks, Status::OK());
-    RunBlocks(plan, [&](int block, size_t, size_t) {
-      const Shard& mine = shards[block];
-      hs.Gather(mine.keep.data(), mine.keep.size(), offset[block]);
-      if (typed) {
-        StoreTyped(mine.vals.data(), sh.out_type, mine.vals.size(),
-                   offset[block], ts);
-      } else {
-        stats[block] = StoreBoxed(mine.boxed.data(), sh.out_type, 0,
-                                  mine.boxed.size(), offset[block], ts);
-      }
-    });
-    for (const Status& s : stats) {
-      MF_RETURN_NOT_OK(s);
-    }
+    bat::ColumnScatter ts(sh.out_type, run.total());
+    MF_ASSIGN_OR_RETURN(
+        out_head,
+        run.ScatterHead(driver->head(), [&](const internal::Morsel& m,
+                                            size_t at) {
+          if (!typed) {
+            return StoreBoxed(boxed[m.block].data(), sh.out_type, 0,
+                              boxed[m.block].size(), at, ts);
+          }
+          StoreTyped(vals[m.block].data(), sh.out_type, vals[m.block].size(),
+                     at, ts);
+          return Status::OK();
+        }));
     out_tail = ts.Finish();
   }
-  MF_RETURN_NOT_OK(ctx.CheckInterrupt());
-  ColumnPtr out_head = hs.Finish();
 
   // The kept-row set is a function of every non-driver operand's head
   // value set, so their sync keys join the derivation — a head-only key

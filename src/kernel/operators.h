@@ -186,9 +186,6 @@ Result<Bat> SetAggregate(const ExecContext& ctx, AggKind kind, const Bat& ab);
 Result<Value> ScalarAggregate(const ExecContext& ctx, AggKind kind,
                               const Bat& ab);
 
-/// Number of BUNs as a Value (Monet `count`).
-Value CountBat(const Bat& ab);
-
 // ---------------------------------------------------------------------
 // Construction helpers used by loaders and the MIL interpreter.
 

@@ -3,7 +3,6 @@
 #include <utility>
 #include <vector>
 
-#include "common/parallel.h"
 #include "kernel/cost_model.h"
 #include "kernel/internal.h"
 #include "kernel/operators.h"
@@ -17,7 +16,6 @@ namespace {
 using bat::Column;
 using bat::ColumnBuilder;
 using bat::ColumnPtr;
-using bat::ColumnScatter;
 using internal::ChargeGather;
 using internal::HashString;
 using internal::MixSync;
@@ -66,92 +64,26 @@ MonetType BuilderType(const Column& c) {
   return c.type() == MonetType::kVoid ? MonetType::kOidT : c.type();
 }
 
-/// One block's match positions, on its own cache line so concurrent
-/// blocks never write to a shared one.
-struct alignas(64) MatchShard {
-  std::vector<uint32_t> idx;
-};
-
-/// Phase 2 of the two-phase morsel output shared by every scan-shaped
-/// selection: exclusive prefix sum over the per-block match counts, one
-/// memory charge, then every block gathers head and tail values directly
-/// into its disjoint slice of the pre-sized result heaps, concurrently.
-/// Head touches are accounted per match under per-block shard IoStats and
-/// merged in block order — the exact serial touch sequence.
-Result<std::pair<ColumnPtr, ColumnPtr>> GatherMatches(
-    const ExecContext& ctx, const Column& head, const Column& tail,
-    const BlockPlan& plan, std::vector<MatchShard>& matches) {
-  // The match shards may be partial if the query was interrupted during
-  // the eval phase; bail before sizing a result from them.
-  MF_RETURN_NOT_OK(ctx.CheckInterrupt());
-  std::vector<size_t> offset(plan.blocks + 1, 0);
-  for (size_t b = 0; b < plan.blocks; ++b) {
-    offset[b + 1] = offset[b] + matches[b].idx.size();
-  }
-  const size_t total = offset.back();
-  // The match lists are transient working state: charge them while the
-  // gather holds both them and the result heaps live (the operator's peak),
-  // release on return when the shards die.
-  internal::TransientCharge staging(ctx);
-  MF_RETURN_NOT_OK(staging.Add(total * sizeof(uint32_t)));
-  MF_RETURN_NOT_OK(ChargeGather(ctx, total, head, tail));
-
-  ColumnScatter hs(head, total);
-  ColumnScatter ts(tail, total);
-  if (plan.blocks <= 1) {
-    // Serial: touch under the caller's accountant directly. A
-    // capacity-limited (LRU) pager must see the true touch sequence —
-    // shard replay only carries first-touch faults and would deflate
-    // the re-fault counts of evicted pages.
-    const std::vector<uint32_t>& idx = matches[0].idx;
-    head.TouchGather(ctx.io(), idx.data(), idx.size());
-    hs.Gather(idx.data(), idx.size(), 0);
-    ts.Gather(idx.data(), idx.size(), 0);
-    return std::make_pair(hs.Finish(), ts.Finish());
-  }
-  struct alignas(64) IoShard {
-    storage::IoStats io = storage::IoStats::ForShard();
-  };
-  std::vector<IoShard> shards(plan.blocks);
-  RunBlocks(plan, [&](int block, size_t, size_t) {
-    const std::vector<uint32_t>& idx = matches[block].idx;
-    head.TouchGather(internal::ShardIo(ctx, shards[block].io), idx.data(),
-                     idx.size());
-    hs.Gather(idx.data(), idx.size(), offset[block]);
-    ts.Gather(idx.data(), idx.size(), offset[block]);
-  });
-  for (IoShard& s : shards) {
-    if (ctx.io() != nullptr) ctx.io()->MergeFrom(s.io);
-  }
-  MF_RETURN_NOT_OK(ctx.CheckInterrupt());
-  return std::make_pair(hs.Finish(), ts.Finish());
-}
-
-/// Morsel-parallel range-predicate evaluation into per-block match lists:
-/// each block visits the tail's value view and both bounds (each lowered
-/// once) and runs one loop over the view's Compare.
-void ScanMatches(const Column& tail, const Bound& lo, const Bound& hi,
-                 const BlockPlan& plan, std::vector<MatchShard>& matches) {
-  RunBlocks(plan, [&](int block, size_t begin, size_t end) {
-    std::vector<uint32_t>& mine = matches[block].idx;
-    tail.VisitValues([&](const auto& v) {
-      bat::VisitBound(v, lo.value, [&](const auto& lov) {
-        bat::VisitBound(v, hi.value, [&](const auto& hiv) {
-          for (size_t i = begin; i < end; ++i) {
-            if (lo.present) {
-              const int c = bat::Compare(v, i, lov, 0);
-              if (c < 0 || (c == 0 && !lo.inclusive)) continue;
-            }
-            if (hi.present) {
-              const int c = bat::Compare(v, i, hiv, 0);
-              if (c > 0 || (c == 0 && !hi.inclusive)) continue;
-            }
-            mine.push_back(static_cast<uint32_t>(i));
-          }
-        });
-      });
-    });
-  });
+/// The two-phase morsel evaluation of every scan-shaped selection: each
+/// block runs `scan(begin, end, out)`, which appends the qualifying
+/// positions of [begin, end) to `out`, and touches the result head at its
+/// matches; then one charge covers the match lists, one the result, and
+/// every block gathers head and tail values into its slice of the
+/// pre-sized result heaps, concurrently.
+template <typename Scan>
+Result<std::pair<ColumnPtr, ColumnPtr>> ScanGather(const ExecContext& ctx,
+                                                   const Column& head,
+                                                   const Column& tail,
+                                                   const Scan& scan) {
+  tail.TouchAll(ctx.io());
+  internal::MorselRun run(ctx, tail.size());
+  MF_RETURN_NOT_OK(run.Run([&](internal::Morsel& m, internal::ChargeGate&) {
+    scan(m.begin, m.end, m.heads);
+    head.TouchGather(m.io, m.heads.data(), m.heads.size());
+  }));
+  MF_RETURN_NOT_OK(run.Stage());
+  MF_RETURN_NOT_OK(ChargeGather(ctx, run.total(), head, tail));
+  return run.Scatter(head, tail);
 }
 
 /// Common epilogue of the range-select variants: sync key derivation and
@@ -211,22 +143,34 @@ Result<Bat> BinsearchSelect(const ExecContext& ctx, const Bat& ab,
 }
 
 /// Scan selection, fully morsel-parallel in both phases (Section 2
-/// parallel block execution): blocks evaluate the typed predicate into
-/// per-block match lists, then — after one prefix sum sizes the result —
-/// gather their matches straight into the final heaps concurrently. The
-/// block plan is computed once and shared by both phases.
+/// parallel block execution): blocks evaluate the range predicate into
+/// per-block match lists — each visits the tail's value view and both
+/// bounds (each lowered once) and runs one loop over the view's Compare —
+/// then gather their matches straight into the final heaps concurrently.
 Result<Bat> ScanSelect(const ExecContext& ctx, const Bat& ab, const Bound& lo,
                        const Bound& hi, OpRecorder& rec) {
-  const Column& head = ab.head();
   const Column& tail = ab.tail();
-  tail.TouchAll(ctx.io());
-  const BlockPlan plan = ctx.Plan(tail.size());
-  std::vector<MatchShard> matches(plan.blocks);
-  ScanMatches(tail, lo, hi, plan, matches);
-  MF_RETURN_NOT_OK(ctx.CheckInterrupt());
-  MF_ASSIGN_OR_RETURN(auto cols,
-                      GatherMatches(ctx, head, tail, plan, matches));
-
+  const auto range = [&](size_t begin, size_t end,
+                         std::vector<uint32_t>& out) {
+    tail.VisitValues([&](const auto& v) {
+      bat::VisitBound(v, lo.value, [&](const auto& lov) {
+        bat::VisitBound(v, hi.value, [&](const auto& hiv) {
+          for (size_t i = begin; i < end; ++i) {
+            if (lo.present) {
+              const int c = bat::Compare(v, i, lov, 0);
+              if (c < 0 || (c == 0 && !lo.inclusive)) continue;
+            }
+            if (hi.present) {
+              const int c = bat::Compare(v, i, hiv, 0);
+              if (c > 0 || (c == 0 && !hi.inclusive)) continue;
+            }
+            out.push_back(static_cast<uint32_t>(i));
+          }
+        });
+      });
+    });
+  };
+  MF_ASSIGN_OR_RETURN(auto cols, ScanGather(ctx, ab.head(), tail, range));
   MF_ASSIGN_OR_RETURN(
       Bat out, FinishRangeSelect(ab, std::move(cols.first),
                                  std::move(cols.second), lo, hi,
@@ -250,10 +194,7 @@ Result<Bat> RangeSelect(const ExecContext& ctx, const Bat& ab,
 }
 
 /// Scan selection with an arbitrary tail predicate; used by != and LIKE.
-/// `scan(begin, end, out)` appends the qualifying positions of [begin,
-/// end) to `out`; it runs as morsels on the TaskPool (the predicates are
-/// pure reads) and materialization is the same two-phase parallel gather
-/// the range scan uses.
+/// `scan` is a ScanGather scan (the predicates are pure reads).
 template <typename Scan>
 Result<Bat> PredicateSelect(const ExecContext& ctx, const Bat& ab,
                             const char* impl, uint64_t pred_hash,
@@ -261,15 +202,7 @@ Result<Bat> PredicateSelect(const ExecContext& ctx, const Bat& ab,
   OpRecorder rec(ctx, "select");
   const Column& head = ab.head();
   const Column& tail = ab.tail();
-  tail.TouchAll(ctx.io());
-  const BlockPlan plan = ctx.Plan(tail.size());
-  std::vector<MatchShard> matches(plan.blocks);
-  RunBlocks(plan, [&](int block, size_t begin, size_t end) {
-    scan(begin, end, matches[block].idx);
-  });
-  MF_RETURN_NOT_OK(ctx.CheckInterrupt());
-  MF_ASSIGN_OR_RETURN(auto cols,
-                      GatherMatches(ctx, head, tail, plan, matches));
+  MF_ASSIGN_OR_RETURN(auto cols, ScanGather(ctx, head, tail, scan));
 
   ColumnPtr out_head = std::move(cols.first);
   // Mix the tail key too: the predicate qualified BUNs by tail value.

@@ -53,12 +53,15 @@ Result<Bat> DatavectorSemijoin(const ExecContext& ctx, const Bat& ab,
     // CD's head in the extent (lines 7-15 of the pseudo-code). The probes
     // are independent, so they run as morsels on the TaskPool; block
     // shards concatenate in block order, reproducing the serial LOOKUP
-    // array (and, via the shard merge, its exact probe faults).
+    // array (and, via the shard merge, its exact probe faults). Unlike the
+    // MorselRun kernels, the probe replays a shard even in a serial plan:
+    // the pinned LOOKUP fault sequence is that of replayed probe paths.
     cd.head().TouchAll(ctx.io());
     const BlockPlan plan = ctx.Plan(cd.size());
     struct Shard {
       std::vector<uint32_t> positions;
-      storage::IoStats io = storage::IoStats::ForShard();
+      storage::IoStats io =
+          storage::IoStats::ForShard();  // lint:allow(shard-replay) LOOKUP
     };
     std::vector<Shard> shards(plan.blocks);
     RunBlocks(plan, [&](int block, size_t begin, size_t end) {
@@ -72,7 +75,9 @@ Result<Bat> DatavectorSemijoin(const ExecContext& ctx, const Bat& ab,
     auto positions = std::make_shared<std::vector<uint32_t>>();
     positions->reserve(cd.size());
     for (Shard& s : shards) {
-      if (ctx.io() != nullptr) ctx.io()->MergeFrom(s.io);
+      if (ctx.io() != nullptr) {
+        ctx.io()->MergeFrom(s.io);  // lint:allow(shard-replay) LOOKUP probe
+      }
       positions->insert(positions->end(), s.positions.begin(),
                         s.positions.end());
     }
@@ -110,15 +115,19 @@ Result<Bat> DatavectorSemijoin(const ExecContext& ctx, const Bat& ab,
     hs.Gather(pos_data, hits, 0);
     ts.Gather(pos_data, hits, 0);
   } else {
+    // Parallel: each block gathers its extent and vector touches in bulk
+    // into a shard, replayed in block order — not a MorselRun, whose
+    // serial body would have to give up the interleaving above.
     struct alignas(64) InsertShard {
-      storage::IoStats io = storage::IoStats::ForShard();
+      storage::IoStats io =
+          storage::IoStats::ForShard();  // lint:allow(shard-replay) insertion
       bool ascending = true;
       uint32_t first = 0, last = 0;
     };
     std::vector<InsertShard> ishards(iplan.blocks);
     RunBlocks(iplan, [&](int block, size_t begin, size_t end) {
       InsertShard& mine = ishards[block];
-      storage::IoStats* io = internal::ShardIo(ctx, mine.io);
+      storage::IoStats* io = ctx.io() != nullptr ? &mine.io : nullptr;
       extent.TouchGather(io, pos_data + begin, end - begin);
       vector.TouchGather(io, pos_data + begin, end - begin);
       hs.Gather(pos_data + begin, end - begin, begin);
@@ -133,9 +142,11 @@ Result<Bat> DatavectorSemijoin(const ExecContext& ctx, const Bat& ab,
       mine.last = pos_data[end - 1];
     });
     for (size_t bl = 0; bl < iplan.blocks; ++bl) {
-      if (ctx.io() != nullptr) ctx.io()->MergeFrom(ishards[bl].io);
-      if (!ishards[bl].ascending ||
-          (bl > 0 && ishards[bl].first < ishards[bl - 1].last)) {
+      const InsertShard& s = ishards[bl];
+      if (ctx.io() != nullptr) {
+        ctx.io()->MergeFrom(s.io);  // lint:allow(shard-replay) insertion
+      }
+      if (!s.ascending || (bl > 0 && s.first < ishards[bl - 1].last)) {
         ascending = false;
       }
     }
@@ -225,12 +236,10 @@ Result<Bat> MergeSemijoin(const ExecContext& ctx, const Bat& ab,
   return res;
 }
 
-/// Hash semijoin, morsel-parallel in both phases: probe morsels record
-/// matching left positions into cache-line-aligned per-block shards
-/// (shard-local IoStats and charge gates, merged serially in block order),
-/// then the prefix-summed blocks scatter their matches straight into the
-/// pre-sized result heaps concurrently — results and fault totals are
-/// identical to the serial probe at any degree.
+/// Hash semijoin, morsel-parallel in both phases: probe blocks emit
+/// matching left positions, and the run scatters them straight into the
+/// pre-sized result heaps — results and fault totals are those of the
+/// serial probe at any degree.
 Result<Bat> HashSemijoin(const ExecContext& ctx, const Bat& ab, const Bat& cd,
                          OpRecorder& rec) {
   const Column& a = ab.head();
@@ -238,111 +247,56 @@ Result<Bat> HashSemijoin(const ExecContext& ctx, const Bat& ab, const Bat& cd,
   auto hash = cd.EnsureHeadHash(ctx.parallel_degree());
   a.TouchAll(ctx.io());
 
-  struct alignas(64) Shard {
-    std::vector<uint32_t> matches;
-    storage::IoStats io = storage::IoStats::ForShard();
-    Status status = Status::OK();
-  };
-  const BlockPlan plan = ctx.Plan(ab.size());
-  std::vector<Shard> shards(plan.blocks);
-  RunBlocks(plan, [&](int block, size_t begin, size_t end) {
-    Shard& mine = shards[block];
-    internal::ChargeGate gate(ctx, a, b);
-    storage::ColdPageFilter b_pages =
-        b.PageFilter(internal::ShardIo(ctx, mine.io));
+  internal::MorselRun run(ctx, ab.size(), internal::ChargeRowBytes(a, b));
+  MF_RETURN_NOT_OK(run.Run([&](internal::Morsel& m,
+                               internal::ChargeGate& gate) {
+    storage::ColdPageFilter b_pages = b.PageFilter(m.io);
     size_t gated = 0;
     constexpr size_t kProbeChunk = 16 * 1024;
-    for (size_t lo = begin; lo < end && mine.status.ok();
+    for (size_t lo = m.begin; lo < m.end && m.status.ok();
          lo += kProbeChunk) {
-      const size_t hi = std::min(end, lo + kProbeChunk);
+      const size_t hi = std::min(m.end, lo + kProbeChunk);
       hash->ForEachContained(a, lo, hi, [&](size_t i) {
         b_pages.Touch(i);
-        mine.matches.push_back(static_cast<uint32_t>(i));
+        m.heads.push_back(static_cast<uint32_t>(i));
       });
-      mine.status = gate.Add(mine.matches.size() - gated);
-      gated = mine.matches.size();
+      m.status = gate.Add(m.heads.size() - gated);
+      gated = m.heads.size();
     }
-    if (mine.status.ok()) mine.status = gate.Flush();
-  });
-  for (Shard& s : shards) {
-    if (ctx.io() != nullptr) ctx.io()->MergeFrom(s.io);
-  }
-  for (Shard& s : shards) {
-    MF_RETURN_NOT_OK(s.status);
-  }
-  MF_RETURN_NOT_OK(ctx.CheckInterrupt());
-
-  std::vector<size_t> offset(plan.blocks + 1, 0);
-  for (size_t bl = 0; bl < plan.blocks; ++bl) {
-    offset[bl + 1] = offset[bl] + shards[bl].matches.size();
-  }
-  // Match-position shards are transient: charged across the scatter
-  // (peak = shards + result heaps), released when this scope frees them.
-  internal::TransientCharge staging(ctx);
-  MF_RETURN_NOT_OK(staging.Add(offset.back() * sizeof(uint32_t)));
-  bat::ColumnScatter hs(a, offset.back());
-  bat::ColumnScatter ts(b, offset.back());
-  RunBlocks(plan, [&](int block, size_t, size_t) {
-    const Shard& mine = shards[block];
-    hs.Gather(mine.matches.data(), mine.matches.size(), offset[block]);
-    ts.Gather(mine.matches.data(), mine.matches.size(), offset[block]);
-  });
-  MF_RETURN_NOT_OK(ctx.CheckInterrupt());
-  MF_ASSIGN_OR_RETURN(Bat res,
-                      FinishSemijoin(ab, cd, hs.Finish(), ts.Finish()));
+  }));
+  MF_RETURN_NOT_OK(run.Stage());
+  MF_ASSIGN_OR_RETURN(auto cols, run.Scatter(a, b));
+  MF_ASSIGN_OR_RETURN(Bat res, FinishSemijoin(ab, cd, std::move(cols.first),
+                                              std::move(cols.second)));
   rec.Finish("hash_semijoin", res.size());
   return res;
 }
-
 
 }  // namespace
 
 namespace {
 
-/// Per-block anti-probe state shared by the kdiff/kunion miss phases.
-struct alignas(64) MissShard {
-  std::vector<uint32_t> misses;
-  storage::IoStats io = storage::IoStats::ForShard();
-  Status status = Status::OK();
-};
-
-/// Morsel-parallel anti-probe: for every probe row in [0, probe.size())
-/// with no match in `hash`, records the position into a per-block shard
-/// (typed bulk ForEachMissing, shard-local IoStats, `touch` reported per
-/// miss through a page filter) and charges `gate_bytes_per_row` against
-/// the budget. Shards merge in block order, reproducing the serial
-/// probe's misses and fault sequence exactly.
-Result<std::vector<MissShard>> ParallelMisses(
-    const ExecContext& ctx, const bat::HashIndex& hash, const Column& probe,
-    const Column& touch, uint64_t gate_bytes_per_row, const BlockPlan& plan) {
-  std::vector<MissShard> shards(plan.blocks);
-  RunBlocks(plan, [&](int block, size_t begin, size_t end) {
-    MissShard& mine = shards[block];
-    storage::ColdPageFilter pages =
-        touch.PageFilter(internal::BlockIo(ctx, plan, mine.io));
-    internal::ChargeGate gate(ctx, gate_bytes_per_row);
+/// Morsel-parallel anti-probe: every block emits the positions of its
+/// probe rows in [0, probe.size()) with no match in `hash` (typed bulk
+/// ForEachMissing), reports `touch` per miss through a page filter and
+/// feeds its gate per miss.
+Status RunMisses(internal::MorselRun& run, const bat::HashIndex& hash,
+                 const Column& probe, const Column& touch) {
+  return run.Run([&](internal::Morsel& m, internal::ChargeGate& gate) {
+    storage::ColdPageFilter pages = touch.PageFilter(m.io);
     constexpr size_t kProbeChunk = 16 * 1024;
     size_t gated = 0;
-    for (size_t lo = begin; lo < end && mine.status.ok();
+    for (size_t lo = m.begin; lo < m.end && m.status.ok();
          lo += kProbeChunk) {
-      const size_t hi = std::min(end, lo + kProbeChunk);
+      const size_t hi = std::min(m.end, lo + kProbeChunk);
       hash.ForEachMissing(probe, lo, hi, [&](size_t i) {
         pages.Touch(i);
-        mine.misses.push_back(static_cast<uint32_t>(i));
+        m.heads.push_back(static_cast<uint32_t>(i));
       });
-      mine.status = gate.Add(mine.misses.size() - gated);
-      gated = mine.misses.size();
+      m.status = gate.Add(m.heads.size() - gated);
+      gated = m.heads.size();
     }
-    if (mine.status.ok()) mine.status = gate.Flush();
   });
-  for (MissShard& s : shards) {
-    if (ctx.io() != nullptr) ctx.io()->MergeFrom(s.io);
-  }
-  for (MissShard& s : shards) {
-    MF_RETURN_NOT_OK(s.status);
-  }
-  MF_RETURN_NOT_OK(ctx.CheckInterrupt());
-  return shards;
 }
 
 /// Anti-semijoin (Monet kdiff): keeps the AB BUNs whose head has no match
@@ -356,27 +310,11 @@ Result<Bat> HashAntiSemijoin(const ExecContext& ctx, const Bat& ab,
   const Column& b = ab.tail();
   auto hash = cd.EnsureHeadHash(ctx.parallel_degree());
   a.TouchAll(ctx.io());
-  const BlockPlan plan = ctx.Plan(ab.size());
-  MF_ASSIGN_OR_RETURN(
-      std::vector<MissShard> shards,
-      ParallelMisses(ctx, *hash, a, b, internal::ChargeRowBytes(a, b), plan));
-  std::vector<size_t> offset(plan.blocks + 1, 0);
-  for (size_t bl = 0; bl < plan.blocks; ++bl) {
-    offset[bl + 1] = offset[bl] + shards[bl].misses.size();
-  }
-  // Miss-position shards are transient: charged across the scatter,
-  // released when this scope frees them.
-  internal::TransientCharge staging(ctx);
-  MF_RETURN_NOT_OK(staging.Add(offset.back() * sizeof(uint32_t)));
-  bat::ColumnScatter hs(a, offset.back());
-  bat::ColumnScatter ts(b, offset.back());
-  RunBlocks(plan, [&](int block, size_t, size_t) {
-    const MissShard& mine = shards[block];
-    hs.Gather(mine.misses.data(), mine.misses.size(), offset[block]);
-    ts.Gather(mine.misses.data(), mine.misses.size(), offset[block]);
-  });
-  MF_RETURN_NOT_OK(ctx.CheckInterrupt());
-  ColumnPtr out_head = hs.Finish();
+  internal::MorselRun run(ctx, ab.size(), internal::ChargeRowBytes(a, b));
+  MF_RETURN_NOT_OK(RunMisses(run, *hash, a, b));
+  MF_RETURN_NOT_OK(run.Stage());
+  MF_ASSIGN_OR_RETURN(auto cols, run.Scatter(a, b));
+  ColumnPtr out_head = std::move(cols.first);
   SetSync(out_head, MixSync(MixSync(a.sync_key(), cd.head().sync_key()),
                             HashString("kdiff")));
   bat::Properties props;
@@ -384,7 +322,8 @@ Result<Bat> HashAntiSemijoin(const ExecContext& ctx, const Bat& ab,
   props.hkey = ab.props().hkey;
   props.tsorted = ab.props().tsorted;
   props.tkey = ab.props().tkey;
-  MF_ASSIGN_OR_RETURN(Bat res, Bat::Make(out_head, ts.Finish(), props));
+  MF_ASSIGN_OR_RETURN(Bat res,
+                      Bat::Make(out_head, std::move(cols.second), props));
   rec.Finish("hash_antisemijoin", res.size());
   return res;
 }
@@ -412,23 +351,14 @@ Result<Bat> HashUnion(const ExecContext& ctx, const Bat& ab, const Bat& cd,
   const Column& c = cd.head();
   const Column& d = cd.tail();
   c.TouchAll(ctx.io());
-  const BlockPlan plan = ctx.Plan(cd.size());
   // The result rows were charged upfront (the ab.size()+cd.size() upper
   // bound above), so the miss gate adds nothing more.
-  MF_ASSIGN_OR_RETURN(std::vector<MissShard> shards,
-                      ParallelMisses(ctx, *hash, c, d, 0, plan));
-  MF_RETURN_NOT_OK(ctx.CheckInterrupt());
-  internal::TransientCharge staging(ctx);
-  {
-    uint64_t miss_bytes = 0;
-    for (const MissShard& s : shards) {
-      miss_bytes += s.misses.size() * sizeof(uint32_t);
-    }
-    MF_RETURN_NOT_OK(staging.Add(miss_bytes));
-  }
-  for (const MissShard& s : shards) {
-    hb.GatherFrom(c, s.misses.data(), s.misses.size());
-    tb.GatherFrom(d, s.misses.data(), s.misses.size());
+  internal::MorselRun run(ctx, cd.size());
+  MF_RETURN_NOT_OK(RunMisses(run, *hash, c, d));
+  MF_RETURN_NOT_OK(run.Stage());
+  for (const internal::Morsel& m : run.morsels()) {
+    hb.GatherFrom(c, m.heads.data(), m.heads.size());
+    tb.GatherFrom(d, m.heads.data(), m.heads.size());
   }
   MF_ASSIGN_OR_RETURN(Bat res,
                       Bat::Make(hb.Finish(), tb.Finish(), bat::Properties{}));

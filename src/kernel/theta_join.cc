@@ -2,7 +2,6 @@
 #include <numeric>
 #include <vector>
 
-#include "common/parallel.h"
 #include "kernel/cost_model.h"
 #include "kernel/internal.h"
 #include "kernel/operators.h"
@@ -57,46 +56,14 @@ Result<Bat> FinishThetaJoin(const Bat& ab, const Bat& cd, CmpOp op,
                    bat::Properties{});
 }
 
-/// Per-block match state of the two-phase theta-join materialization.
-struct alignas(64) ThetaShard {
-  std::vector<uint32_t> lefts;   // matching left positions, i ascending
-  std::vector<uint32_t> rights;  // their right partners, in match order
-  storage::IoStats io = storage::IoStats::ForShard();
-  Status status = Status::OK();
-};
-
-/// Shared tail of both variants: per-block match lists -> prefix sum ->
-/// concurrent scatter into the pre-sized result heaps, with the shard
-/// IoStats merged in block order (reproducing the serial touch sequence
-/// under cold-run accounting).
-Result<Bat> MaterializeThetaMatches(const ExecContext& ctx, const Bat& ab,
-                                    const Bat& cd, CmpOp op,
-                                    const BlockPlan& plan,
-                                    std::vector<ThetaShard>& shards) {
-  for (ThetaShard& s : shards) {
-    if (ctx.io() != nullptr) ctx.io()->MergeFrom(s.io);
-  }
-  for (ThetaShard& s : shards) {
-    MF_RETURN_NOT_OK(s.status);
-  }
-  MF_RETURN_NOT_OK(ctx.CheckInterrupt());
-  std::vector<size_t> offset(plan.blocks + 1, 0);
-  for (size_t bl = 0; bl < plan.blocks; ++bl) {
-    offset[bl + 1] = offset[bl] + shards[bl].lefts.size();
-  }
-  // The (left, right) match shards are transient: charged across the
-  // scatter, released when the caller frees them right after this returns.
-  internal::TransientCharge staging(ctx);
-  MF_RETURN_NOT_OK(staging.Add(offset.back() * 2 * sizeof(uint32_t)));
-  bat::ColumnScatter hs(ab.head(), offset.back());
-  bat::ColumnScatter ts(cd.tail(), offset.back());
-  RunBlocks(plan, [&](int block, size_t, size_t) {
-    const ThetaShard& mine = shards[block];
-    hs.Gather(mine.lefts.data(), mine.lefts.size(), offset[block]);
-    ts.Gather(mine.rights.data(), mine.rights.size(), offset[block]);
-  });
-  MF_RETURN_NOT_OK(ctx.CheckInterrupt());
-  return FinishThetaJoin(ab, cd, op, hs.Finish(), ts.Finish());
+/// Shared tail of both variants: scatters the blocks' (left, right)
+/// matches into the pre-sized result heaps.
+Result<Bat> MaterializeMatches(const Bat& ab, const Bat& cd, CmpOp op,
+                               internal::MorselRun& run) {
+  MF_RETURN_NOT_OK(run.Stage());
+  MF_ASSIGN_OR_RETURN(auto cols, run.Scatter(ab.head(), cd.tail()));
+  return FinishThetaJoin(ab, cd, op, std::move(cols.first),
+                         std::move(cols.second));
 }
 
 /// Band algorithm for the ordered comparisons: sort CD's heads once, then
@@ -123,21 +90,18 @@ Result<Bat> BandThetaJoin(const ExecContext& ctx, const Bat& ab,
   b.TouchAll(ctx.io());
   c.TouchAll(ctx.io());
 
-  const BlockPlan plan = ctx.Plan(ab.size());
-  std::vector<ThetaShard> shards(plan.blocks);
-  RunBlocks(plan, [&](int block, size_t begin, size_t end) {
-    ThetaShard& mine = shards[block];
-    storage::IoStats* io = internal::BlockIo(ctx, plan, mine.io);
-    internal::ChargeGate gate(ctx, a, d);
-    storage::ColdPageFilter a_pages = a.PageFilter(io);
-    storage::ColdPageFilter d_pages = d.PageFilter(io);
+  internal::MorselRun run(ctx, ab.size(), internal::ChargeRowBytes(a, d));
+  MF_RETURN_NOT_OK(run.Run([&](internal::Morsel& m,
+                               internal::ChargeGate& gate) {
+    storage::ColdPageFilter a_pages = a.PageFilter(m.io);
+    storage::ColdPageFilter d_pages = d.PageFilter(m.io);
     auto emit = [&](size_t i, size_t j) {
       const uint32_t pos = order[j];
       a_pages.Touch(i);
       d_pages.Touch(pos);
-      mine.lefts.push_back(static_cast<uint32_t>(i));
-      mine.rights.push_back(pos);
-      mine.status = gate.Add(1);
+      m.heads.push_back(static_cast<uint32_t>(i));
+      m.tails.push_back(pos);
+      m.status = gate.Add(1);
     };
     b.VisitValues([&](const auto& bv) {
       c.VisitValues([&](const auto& cv) {
@@ -145,7 +109,7 @@ Result<Bat> BandThetaJoin(const ExecContext& ctx, const Bat& ab,
         const auto cmp = [&](size_t i, size_t j) {
           return bat::Compare(bv, i, cv, order[j]);
         };
-        for (size_t i = begin; i < end && mine.status.ok(); ++i) {
+        for (size_t i = m.begin; i < m.end && m.status.ok(); ++i) {
           // First position in the sorted right side with c >= b[i].
           size_t lo = 0, hi = order.size();
           while (lo < hi) {
@@ -161,7 +125,7 @@ Result<Bat> BandThetaJoin(const ExecContext& ctx, const Bat& ab,
           if (op == CmpOp::kLt || op == CmpOp::kLe) {
             size_t start = lo;
             while (start > 0 && cmp(i, start - 1) == 0) --start;
-            for (size_t j = start; j < order.size() && mine.status.ok();
+            for (size_t j = start; j < order.size() && m.status.ok();
                  ++j) {
               if (Satisfies(cmp(i, j), op)) emit(i, j);
             }
@@ -170,19 +134,15 @@ Result<Bat> BandThetaJoin(const ExecContext& ctx, const Bat& ab,
             while (run_end < order.size() && cmp(i, run_end) == 0) {
               ++run_end;
             }
-            for (size_t j = 0; j < run_end && mine.status.ok(); ++j) {
+            for (size_t j = 0; j < run_end && m.status.ok(); ++j) {
               if (Satisfies(cmp(i, j), op)) emit(i, j);
             }
           }
         }
       });
     });
-    if (mine.status.ok()) mine.status = gate.Flush();
-  });
-  MF_RETURN_NOT_OK(ctx.CheckInterrupt());
-
-  MF_ASSIGN_OR_RETURN(Bat res,
-                      MaterializeThetaMatches(ctx, ab, cd, op, plan, shards));
+  }));
+  MF_ASSIGN_OR_RETURN(Bat res, MaterializeMatches(ab, cd, op, run));
   rec.Finish("sort_band_thetajoin", res.size());
   return res;
 }
@@ -198,36 +158,29 @@ Result<Bat> NestedThetaJoin(const ExecContext& ctx, const Bat& ab,
   const Column& d = cd.tail();
   b.TouchAll(ctx.io());
   c.TouchAll(ctx.io());
-  const size_t m = cd.size();
+  const size_t n_right = cd.size();
 
-  const BlockPlan plan = ctx.Plan(ab.size());
-  std::vector<ThetaShard> shards(plan.blocks);
-  RunBlocks(plan, [&](int block, size_t begin, size_t end) {
-    ThetaShard& mine = shards[block];
-    storage::IoStats* io = internal::BlockIo(ctx, plan, mine.io);
-    internal::ChargeGate gate(ctx, a, d);
-    storage::ColdPageFilter a_pages = a.PageFilter(io);
-    storage::ColdPageFilter d_pages = d.PageFilter(io);
+  internal::MorselRun run(ctx, ab.size(), internal::ChargeRowBytes(a, d));
+  MF_RETURN_NOT_OK(run.Run([&](internal::Morsel& m,
+                               internal::ChargeGate& gate) {
+    storage::ColdPageFilter a_pages = a.PageFilter(m.io);
+    storage::ColdPageFilter d_pages = d.PageFilter(m.io);
     b.VisitValues([&](const auto& bv) {
       c.VisitValues([&](const auto& cv) {
-        for (size_t i = begin; i < end && mine.status.ok(); ++i) {
-          for (size_t j = 0; j < m && mine.status.ok(); ++j) {
+        for (size_t i = m.begin; i < m.end && m.status.ok(); ++i) {
+          for (size_t j = 0; j < n_right && m.status.ok(); ++j) {
             if (!Satisfies(bat::Compare(bv, i, cv, j), op)) continue;
             a_pages.Touch(i);
             d_pages.Touch(j);
-            mine.lefts.push_back(static_cast<uint32_t>(i));
-            mine.rights.push_back(static_cast<uint32_t>(j));
-            mine.status = gate.Add(1);
+            m.heads.push_back(static_cast<uint32_t>(i));
+            m.tails.push_back(static_cast<uint32_t>(j));
+            m.status = gate.Add(1);
           }
         }
       });
     });
-    if (mine.status.ok()) mine.status = gate.Flush();
-  });
-  MF_RETURN_NOT_OK(ctx.CheckInterrupt());
-
-  MF_ASSIGN_OR_RETURN(Bat res,
-                      MaterializeThetaMatches(ctx, ab, cd, op, plan, shards));
+  }));
+  MF_ASSIGN_OR_RETURN(Bat res, MaterializeMatches(ab, cd, op, run));
   rec.Finish("nested_thetajoin", res.size());
   return res;
 }

@@ -467,7 +467,6 @@ void QueryService::RunQuery(const std::shared_ptr<Query>& q) {
       .WithMemoryBudget(opts.memory_budget)
       .WithParallelDegree(opts.parallel_degree)
       .WithSchedule(q->session, opts.weight)
-      .WithSeed(opts.seed)
       .WithCancelToken(q->token)
       .WithFaultInjector(opts.fault_injector);
   if (opts.default_timeout_ms > 0) ctx.WithTimeout(opts.default_timeout_ms);

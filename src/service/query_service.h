@@ -46,8 +46,6 @@ struct SessionOptions {
   /// Queued (admitted but not yet running) queries allowed on this session
   /// (0 = service default).
   size_t max_queued = 0;
-  /// RNG seed of the session context.
-  uint64_t seed = 0;
   /// Deadline armed on every query of this session at the moment it starts
   /// running (0 = none). A query that outlives it stops at the next block
   /// boundary with kDeadlineExceeded; the session stays reusable.

@@ -263,8 +263,6 @@ std::string WireServer::HandleLine(const std::string& line, ConnState& conn) {
         opts.weight = static_cast<uint32_t>(v);
       } else if (key == "maxcost") {
         opts.max_query_cost = static_cast<double>(v);
-      } else if (key == "seed") {
-        opts.seed = v;
       } else if (key == "timeout") {
         opts.default_timeout_ms = static_cast<int64_t>(v);
       } else if (key == "durable") {

@@ -17,8 +17,8 @@
 /// text line per request, one `OK ...` / `ERR ...` line per reply;
 /// multi-line replies (RESULT, TRACE) end with a lone `.`:
 ///
-///   OPEN [budget=N] [degree=D] [weight=W] [maxcost=C] [seed=S]
-///        [timeout=MS] [durable=1]  -> OK <sid>
+///   OPEN [budget=N] [degree=D] [weight=W] [maxcost=C] [timeout=MS]
+///        [durable=1]               -> OK <sid>
 ///                                     (durable=1 needs EnableDurability on
 ///                                     the service; mutating queries then
 ///                                     report DONE only after their WAL

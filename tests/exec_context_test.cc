@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <thread>
 #include <vector>
 
@@ -205,17 +206,6 @@ TEST(ExecContextTest, CopiesShareTheChargeCounter) {
   EXPECT_EQ(ctx.memory_charged(), 1000u);
 }
 
-TEST(ExecContextTest, SeedDrivesDeterministicRng) {
-  ExecContext a;
-  a.WithSeed(42);
-  ExecContext b;
-  b.WithSeed(42);
-  EXPECT_EQ(a.MakeRng().Next(), b.MakeRng().Next());
-  ExecContext c;
-  c.WithSeed(43);
-  EXPECT_NE(a.MakeRng().Next(), c.MakeRng().Next());
-}
-
 /// Impl sequence of a tracer, for cross-run comparison.
 std::vector<std::string> Impls(const ExecTracer& t) {
   std::vector<std::string> out;
@@ -355,6 +345,69 @@ TEST(ExecContextTest, ExplainMatchesFig10Q13Trace) {
 
 // --------------------------------------------------- cancellation + faults
 
+/// One call of a morsel-run kernel besides select, over operands that make
+/// dispatch pick `impl` for `op`.
+struct MorselKernel {
+  const char* op;
+  const char* impl;
+  std::function<Result<Bat>(const ExecContext&)> run;
+};
+
+/// The hash join, band and nested theta-joins, hash semijoin, kdiff,
+/// kunion, head-join multiplex and hash group refinement over `n`-row
+/// operands.
+std::vector<MorselKernel> MorselKernels(size_t n) {
+  std::vector<Oid> heads(n);
+  std::vector<Oid> reversed_heads(n);
+  std::vector<int32_t> small(n);
+  std::vector<int32_t> values(n);
+  std::vector<Oid> gids(n);
+  std::vector<Oid> evens;
+  for (size_t i = 0; i < n; ++i) {
+    heads[i] = Oid{1} + i;
+    reversed_heads[i] = Oid{n} - i;
+    small[i] = static_cast<int32_t>(i % 8);
+    values[i] = static_cast<int32_t>(i * 7 % 101);
+    gids[i] = i % 5;
+    if (i % 2 == 0) evens.push_back(heads[i]);
+  }
+  const Bat ab(Column::MakeOid(heads), Column::MakeInt(small));
+  const Bat keys(Column::MakeInt({0, 1, 2, 3}),
+                 Column::MakeOid({10, 11, 12, 13}));
+  const Bat half(Column::MakeOid(evens),
+                 Column::MakeInt(std::vector<int32_t>(evens.size(), 5)));
+  const Bat reversed(Column::MakeOid(reversed_heads),
+                     Column::MakeInt(values));
+  const Bat groups(ab.head_col(), Column::MakeOid(gids));
+  using kernel::CmpOp;
+  return {
+      {"join", "hash_join",
+       [=](const ExecContext& c) { return kernel::Join(c, ab, keys); }},
+      {"thetajoin", "sort_band_thetajoin",
+       [=](const ExecContext& c) {
+         return kernel::ThetaJoin(c, ab, keys, CmpOp::kLt);
+       }},
+      {"thetajoin", "nested_thetajoin",
+       [=](const ExecContext& c) {
+         return kernel::ThetaJoin(c, ab, keys, CmpOp::kNe);
+       }},
+      {"semijoin", "hash_semijoin",
+       [=](const ExecContext& c) { return kernel::Semijoin(c, ab, half); }},
+      {"kdiff", "hash_antisemijoin",
+       [=](const ExecContext& c) { return kernel::Diff(c, ab, half); }},
+      {"kunion", "hash_union",
+       [=](const ExecContext& c) { return kernel::Union(c, half, ab); }},
+      {"multiplex", "multiplex_headjoin",
+       [=](const ExecContext& c) {
+         return kernel::Multiplex(c, "+", {ab, reversed});
+       }},
+      {"group", "hash_group_refine",
+       [=](const ExecContext& c) {
+         return kernel::GroupRefine(c, groups, reversed);
+       }},
+  };
+}
+
 TEST(ExecContextTest, CancelledTokenStopsKernelsWithZeroBalance) {
   Bat ab = SmallBat(200000);
   CancelToken token = CancelToken::Make();
@@ -370,6 +423,24 @@ TEST(ExecContextTest, CancelledTokenStopsKernelsWithZeroBalance) {
   // Unwinding is exact: every transient and result charge of the aborted
   // kernel was released.
   EXPECT_EQ(ctx.memory_charged(), 0u);
+
+  // Every other morsel-run kernel, at multi-block plans.
+  SetParallelBlockCap(4);
+  for (const MorselKernel& k : MorselKernels(200000)) {
+    ExecTracer tracer;
+    ExecContext clean;
+    clean.WithTracer(&tracer).WithParallelDegree(4);
+    ASSERT_TRUE(k.run(clean).ok()) << k.impl;
+    EXPECT_EQ(tracer.LastImplOf(k.op), k.impl);
+
+    ExecContext cancelled;
+    cancelled.WithCancelToken(token).WithParallelDegree(4);
+    auto r = k.run(cancelled);
+    ASSERT_FALSE(r.ok()) << k.impl;
+    EXPECT_EQ(r.status().code(), StatusCode::kCancelled) << k.impl;
+    EXPECT_EQ(cancelled.memory_charged(), 0u) << k.impl;
+  }
+  SetParallelBlockCap(0);
 }
 
 TEST(ExecContextTest, ExpiredDeadlineLatchesDeadlineExceeded) {

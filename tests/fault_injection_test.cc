@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <functional>
 #include <new>
 #include <string>
 #include <vector>
@@ -17,6 +18,7 @@
 #include "common/fault_injector.h"
 #include "common/parallel.h"
 #include "kernel/exec_context.h"
+#include "kernel/exec_tracer.h"
 #include "kernel/operators.h"
 #include "mil/interpreter.h"
 #include "mil/parser.h"
@@ -279,6 +281,69 @@ TEST(FaultInjectionTest, SeededServiceSweepHoldsInvariantsAtEverySeed) {
   }
 }
 
+/// One call of a morsel-run kernel besides select, over operands that make
+/// dispatch pick `impl` for `op`.
+struct MorselKernel {
+  const char* op;
+  const char* impl;
+  std::function<Result<Bat>(const ExecContext&)> run;
+};
+
+/// The hash join, band and nested theta-joins, hash semijoin, kdiff,
+/// kunion, head-join multiplex and hash group refinement over `n`-row
+/// operands.
+std::vector<MorselKernel> MorselKernels(size_t n) {
+  std::vector<Oid> heads(n);
+  std::vector<Oid> reversed_heads(n);
+  std::vector<int32_t> small(n);
+  std::vector<int32_t> values(n);
+  std::vector<Oid> gids(n);
+  std::vector<Oid> evens;
+  for (size_t i = 0; i < n; ++i) {
+    heads[i] = Oid{1} + i;
+    reversed_heads[i] = Oid{n} - i;
+    small[i] = static_cast<int32_t>(i % 8);
+    values[i] = static_cast<int32_t>(i * 7 % 101);
+    gids[i] = i % 5;
+    if (i % 2 == 0) evens.push_back(heads[i]);
+  }
+  const Bat ab(Column::MakeOid(heads), Column::MakeInt(small));
+  const Bat keys(Column::MakeInt({0, 1, 2, 3}),
+                 Column::MakeOid({10, 11, 12, 13}));
+  const Bat half(Column::MakeOid(evens),
+                 Column::MakeInt(std::vector<int32_t>(evens.size(), 5)));
+  const Bat reversed(Column::MakeOid(reversed_heads),
+                     Column::MakeInt(values));
+  const Bat groups(ab.head_col(), Column::MakeOid(gids));
+  using kernel::CmpOp;
+  return {
+      {"join", "hash_join",
+       [=](const ExecContext& c) { return kernel::Join(c, ab, keys); }},
+      {"thetajoin", "sort_band_thetajoin",
+       [=](const ExecContext& c) {
+         return kernel::ThetaJoin(c, ab, keys, CmpOp::kLt);
+       }},
+      {"thetajoin", "nested_thetajoin",
+       [=](const ExecContext& c) {
+         return kernel::ThetaJoin(c, ab, keys, CmpOp::kNe);
+       }},
+      {"semijoin", "hash_semijoin",
+       [=](const ExecContext& c) { return kernel::Semijoin(c, ab, half); }},
+      {"kdiff", "hash_antisemijoin",
+       [=](const ExecContext& c) { return kernel::Diff(c, ab, half); }},
+      {"kunion", "hash_union",
+       [=](const ExecContext& c) { return kernel::Union(c, half, ab); }},
+      {"multiplex", "multiplex_headjoin",
+       [=](const ExecContext& c) {
+         return kernel::Multiplex(c, "+", {ab, reversed});
+       }},
+      {"group", "hash_group_refine",
+       [=](const ExecContext& c) {
+         return kernel::GroupRefine(c, groups, reversed);
+       }},
+  };
+}
+
 // Direct-context sweep: a kernel loop under a rate-armed injector. Every
 // failure unwinds to balance zero and the next clean run still matches.
 TEST(FaultInjectionTest, SeededKernelSweepUnwindsCleanly) {
@@ -322,6 +387,34 @@ TEST(FaultInjectionTest, SeededKernelSweepUnwindsCleanly) {
   // outcomes occur for any seed with overwhelming likelihood; the exact
   // split is seed-deterministic.
   EXPECT_GT(failed + succeeded, 0);
+
+  // The same sweep over every other morsel-run kernel, at multi-block
+  // plans.
+  SetParallelBlockCap(4);
+  for (const MorselKernel& k : MorselKernels(100000)) {
+    kernel::ExecTracer tracer;
+    ExecContext clean;
+    clean.WithTracer(&tracer).WithParallelDegree(4);
+    const std::string want = k.run(clean).ValueOrDie().DebugString(1000000);
+    EXPECT_EQ(tracer.LastImplOf(k.op), k.impl);
+    for (int round = 0; round < 20; ++round) {
+      ExecContext ctx;
+      ctx.WithIo(&io).WithFaultInjector(&fi).WithParallelDegree(4);
+      try {
+        auto res = k.run(ctx);
+        if (res.ok()) {
+          EXPECT_EQ(res->DebugString(1000000), want)
+              << k.impl << " round " << round;
+        } else {
+          EXPECT_EQ(ctx.memory_charged(), 0u) << k.impl << " round " << round;
+        }
+      } catch (const std::bad_alloc&) {
+        // As above: only the next round's independence is asserted.
+      }
+      io.Reset();
+    }
+  }
+  SetParallelBlockCap(0);
 }
 
 }  // namespace

@@ -197,6 +197,49 @@ TEST(JoinTest, JoinIsClosedInBinaryModel) {
   EXPECT_EQ(out.tail().Str(0), "x");
 }
 
+TEST(JoinTest, SerialHashJoinReportsEveryTouchToAnLruPager) {
+  // A one-block hash join touches the caller's accountant directly: a
+  // capacity-limited pager must see the probe's true touch sequence, not a
+  // replay of each page's first touch. Reference: the probe tail read
+  // sequentially, then c[pos], a[i], d[pos] for every match in probe order
+  // (heads and tails are oids equal to their positions, so the result rows
+  // spell out i and pos).
+  constexpr size_t kLeft = 40000;
+  constexpr size_t kRight = 20000;
+  Rng rng(29);
+  std::vector<Oid> left_pos(kLeft);
+  std::iota(left_pos.begin(), left_pos.end(), Oid{0});
+  std::vector<int32_t> fks(kLeft);
+  for (auto& v : fks) v = static_cast<int32_t>(rng.Uniform(0, kRight - 1));
+  std::vector<int32_t> keys(kRight);
+  for (auto& v : keys) v = static_cast<int32_t>(rng.Uniform(0, kRight - 1));
+  std::vector<Oid> right_pos(kRight);
+  std::iota(right_pos.begin(), right_pos.end(), Oid{0});
+  const Bat ab(Column::MakeOid(left_pos), Column::MakeInt(fks));
+  const Bat cd(Column::MakeInt(keys), Column::MakeOid(right_pos));
+
+  storage::IoStats io(4);
+  ExecTracer tracer;
+  ExecContext ctx;
+  ctx.WithIo(&io).WithTracer(&tracer).WithParallelDegree(1);
+  const Bat out = Join(ctx, ab, cd).ValueOrDie();
+  ASSERT_EQ(tracer.LastImplOf("join"), "hash_join");
+
+  storage::IoStats ref(4);
+  ab.tail().TouchAll(&ref);
+  for (size_t r = 0; r < out.size(); ++r) {
+    const size_t i = out.head().OidAt(r);
+    const size_t pos = out.tail().OidAt(r);
+    cd.head().TouchAt(&ref, pos);
+    ab.head().TouchAt(&ref, i);
+    cd.tail().TouchAt(&ref, pos);
+  }
+  EXPECT_GT(ref.evictions(), 0u);
+  EXPECT_EQ(io.faults(), ref.faults());
+  EXPECT_EQ(io.evictions(), ref.evictions());
+  EXPECT_EQ(io.logical_touches(), ref.logical_touches());
+}
+
 // ---------------------------------------------------------------- semijoin
 
 TEST(SemijoinTest, HashSemijoinKeepsMatchingHeads) {

@@ -30,7 +30,7 @@ TEST(ParallelTest, BlocksCoverExactlyTheRange) {
   DegreeGuard guard(4);
   std::vector<int> seen(100000, 0);
   std::mutex mu;
-  ParallelBlocks(seen.size(), [&](int, size_t begin, size_t end) {
+  RunBlocks(PlanBlocks(seen.size()), [&](int, size_t begin, size_t end) {
     for (size_t i = begin; i < end; ++i) seen[i]++;
   });
   for (int s : seen) ASSERT_EQ(s, 1);
@@ -39,7 +39,7 @@ TEST(ParallelTest, BlocksCoverExactlyTheRange) {
 TEST(ParallelTest, SmallInputsRunInline) {
   DegreeGuard guard(8);
   int blocks_seen = 0;
-  ParallelBlocks(100, [&](int block, size_t, size_t) {
+  RunBlocks(PlanBlocks(100), [&](int block, size_t, size_t) {
     EXPECT_EQ(block, 0);
     ++blocks_seen;
   });
@@ -200,7 +200,7 @@ TEST(ParallelTest, BlockCapBoundsThePlanToTheHardware) {
 
 TEST(ParallelTest, RunBlocksUsesThePlanNotTheLiveDegree) {
   // The old degree-sampling race: a caller sized its shard buffers with
-  // one ParallelDegree() call while ParallelBlocks re-read the degree
+  // one ParallelDegree() call while the runner re-read the degree
   // internally, so a concurrent SetParallelDegree could index out of
   // range. Now the plan is the single source of truth: re-setting the
   // process degree between planning and running must change nothing.

@@ -460,6 +460,9 @@ TEST(WireProtocolTest, OpenSubmitWaitResultOverSocket) {
                 "ERR ", 0),
             0u);
   EXPECT_EQ(client.Call("NONSENSE").ValueOrDie().rfind("ERR ", 0), 0u);
+  // No operator samples, so sessions take no seed.
+  EXPECT_EQ(client.Call("OPEN seed=1").ValueOrDie(),
+            "ERR unknown option 'seed'");
 
   EXPECT_EQ(client.Call("CLOSE " + sid).ValueOrDie(), "OK");
   EXPECT_EQ(client.Call("BYE").ValueOrDie(), "OK bye");

@@ -103,9 +103,21 @@ boxed-value
     justified exception carries `// lint:allow(boxed-value)` and the
     reason on the same line as the call.
 
+shard-replay
+    An `IoStats::ForShard(` or `MergeFrom(` call in src/kernel/ or
+    src/bat/ outside the morsel runner (kernel/internal.{h,cc}). How a
+    block's touches reach the caller's accountant — the caller's own in a
+    one-block plan, a shard replayed in block order otherwise — is decided
+    once, by kernel::internal::MorselRun; a kernel that builds or replays
+    its own shards is a second copy of that rule, and such copies drifted
+    (hash join and hash semijoin replayed a shard even in a serial plan,
+    so an LRU pager saw only their first touches). A justified exception
+    carries `// lint:allow(shard-replay)` and the reason on the same line
+    as the call.
+
 An allow comment counts when it appears inside the flagged statement or on
 one of the two lines above it (on the flagged line itself for
-boxed-value).
+boxed-value and shard-replay).
 
 Usage
 -----
@@ -461,9 +473,39 @@ def check_boxed_value(path, lines):
     return findings
 
 
+SHARD_REPLAY_DIRS = ("src/kernel/", "src/bat/")
+# The morsel runner: the one place that builds and replays block shards.
+SHARD_REPLAY_EXEMPT = ("src/kernel/internal.h", "src/kernel/internal.cc")
+SHARD_REPLAY_RE = re.compile(r"IoStats::ForShard\(|\bMergeFrom\(")
+
+
+def check_shard_replay(path, lines):
+    norm = "/" + path.replace(os.sep, "/")
+    if (not any("/" + d in norm for d in SHARD_REPLAY_DIRS) or
+            norm.endswith(SHARD_REPLAY_EXEMPT)):
+        return []
+    findings = []
+    for i, line in enumerate(lines):
+        if not SHARD_REPLAY_RE.search(strip_comments(line)):
+            continue
+        comment = line[line.find("//"):] if "//" in line else ""
+        tag = ALLOW_RE.search(comment)
+        if (tag and tag.group(1) == "shard-replay" and
+                re.search(r"[A-Za-z]", comment[tag.end():])):
+            continue
+        findings.append(Finding(
+            path, i + 1, "shard-replay",
+            "block shard built or replayed outside the morsel runner: run "
+            "the blocks through internal::MorselRun, which gives each block "
+            "its accountant, or annotate // lint:allow(shard-replay) with "
+            "the reason on the same line"))
+    return findings
+
+
 CHECKS = [check_sync_head_only, check_uncharged_kernel, check_unpolled_plan,
           check_unsynced_rename, check_naked_mutex, check_thread_local,
-          check_op_dispatch, check_unfiltered_touch, check_boxed_value]
+          check_op_dispatch, check_unfiltered_touch, check_boxed_value,
+          check_shard_replay]
 
 
 def lint_file(path, text=None):
@@ -778,6 +820,34 @@ int Column::CompareAt(size_t i, const Column& other, size_t j) const {
     ("src/relational/row_store.cc", """
 const int cmp = c.CompareValue(order_[mid], v);
 """, {"boxed-value": 0}),
+    # A kernel that builds and replays its own probe shards: the plumbing
+    # the morsel runner owns.
+    ("src/kernel/broken_shard_replay.cc", """
+struct alignas(64) Shard {
+  std::vector<uint32_t> matches;
+  storage::IoStats io = storage::IoStats::ForShard();
+};
+for (Shard& s : shards) {
+  if (ctx.io() != nullptr) ctx.io()->MergeFrom(s.io);
+}
+""", {"shard-replay": 2}),
+    # A justified exception, with the reason on the same line.
+    ("src/kernel/allowed_shard_replay.cc", """
+ctx.io()->MergeFrom(s.io);  // lint:allow(shard-replay) pinned LOOKUP order
+""", {"shard-replay": 0}),
+    # An allow without a reason does not count.
+    ("src/bat/bare_allow_shard_replay.cc", """
+storage::IoStats io = storage::IoStats::ForShard();  // lint:allow(shard-replay)
+""", {"shard-replay": 1}),
+    # The runner itself replays the shards.
+    ("src/kernel/internal.cc", """
+Status MorselRun::Replay() {
+  if (plan_.blocks > 1 && ctx_.io() != nullptr) {
+    for (const Morsel& m : morsels_) ctx_.io()->MergeFrom(m.shard);
+  }
+  return FirstFailure();
+}
+""", {"shard-replay": 0}),
     # A justified exception near the Plan call.
     ("allowed_plan.cc", """
 Result<Bat> TouchOnly(const ExecContext& ctx, const Bat& ab) {
