@@ -11,6 +11,7 @@
 
 #include "common/rng.h"
 #include "kernel/operators.h"
+#include "kernel/scalar_fn.h"
 
 namespace {
 
@@ -98,7 +99,7 @@ void BM_Multiplex_Synced(benchmark::State& state) {
   Bat a(head, Column::MakeDbl(std::vector<double>(n, 2.0)));
   Bat b(head, Column::MakeDbl(std::vector<double>(n, 0.1)));
   for (auto _ : state) {
-    auto out = kernel::Multiplex(ctx, "*", {a, b});
+    auto out = kernel::Multiplex(ctx, *kernel::FindScalarFn("*"), {a, b});
     benchmark::DoNotOptimize(out);
   }
 }
@@ -112,7 +113,7 @@ void BM_Multiplex_HeadJoin(benchmark::State& state) {
   Bat a(Column::MakeOid(oids), Column::MakeDbl(std::vector<double>(n, 2.0)));
   Bat b(Column::MakeOid(oids), Column::MakeDbl(std::vector<double>(n, 0.1)));
   for (auto _ : state) {
-    auto out = kernel::Multiplex(ctx, "*", {a, b});
+    auto out = kernel::Multiplex(ctx, *kernel::FindScalarFn("*"), {a, b});
     benchmark::DoNotOptimize(out);
   }
 }

@@ -29,6 +29,7 @@
 #include "common/rng.h"
 #include "kernel/exec_context.h"
 #include "kernel/operators.h"
+#include "kernel/scalar_fn.h"
 #include "storage/page_accountant.h"
 
 namespace {
@@ -223,7 +224,8 @@ int main(int argc, char** argv) {
        }},
       {"multiplex_mul", rows,
        [&](const kernel::ExecContext& ctx) {
-         return kernel::Multiplex(ctx, "*", {mx_a, mx_b})
+         return kernel::Multiplex(ctx, *kernel::FindScalarFn("*"),
+                                  {mx_a, mx_b})
              .ValueOrDie()
              .size();
        }},
@@ -264,7 +266,8 @@ int main(int argc, char** argv) {
        }},
       {"headjoin_multiplex", small,
        [&](const kernel::ExecContext& ctx) {
-         return kernel::Multiplex(ctx, "+", {hj_driver, hj_other})
+         return kernel::Multiplex(ctx, *kernel::FindScalarFn("+"),
+                                  {hj_driver, hj_other})
              .ValueOrDie()
              .size();
        }},

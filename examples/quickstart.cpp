@@ -9,6 +9,7 @@
 
 #include "bat/bat.h"
 #include "kernel/operators.h"
+#include "kernel/scalar_fn.h"
 
 using namespace moaflat;  // NOLINT
 using bat::Bat;
@@ -47,7 +48,9 @@ int main() {
 
   // Multiplex: bulk scalar computation over synced BATs.
   Bat doubled =
-      kernel::Multiplex(ctx, "*", {acctbal, Value::Dbl(2.0)}).ValueOrDie();
+      kernel::Multiplex(ctx, *kernel::FindScalarFn("*"),
+                        {acctbal, Value::Dbl(2.0)})
+          .ValueOrDie();
   std::printf("[*](Customer_acctbal, 2.0) =\n%s\n",
               doubled.DebugString().c_str());
 

@@ -253,8 +253,7 @@ Column::Repr EmptyRepr(MonetType t) {
 }  // namespace
 
 ColumnBuilder::ColumnBuilder(MonetType type)
-    : type_(type == MonetType::kVoid ? MonetType::kOidT : type),
-      repr_(EmptyRepr(type)) {
+    : type_(StoredType(type)), repr_(EmptyRepr(type_)) {
   if (type_ == MonetType::kStr) {
     heap_ = std::make_shared<storage::StringHeap>();
   }
@@ -262,7 +261,9 @@ ColumnBuilder::ColumnBuilder(MonetType type)
 
 ColumnBuilder::ColumnBuilder(MonetType type,
                              std::shared_ptr<storage::StringHeap> heap)
-    : type_(type), repr_(EmptyRepr(type)), heap_(std::move(heap)) {}
+    : type_(StoredType(type)),
+      repr_(EmptyRepr(type_)),
+      heap_(std::move(heap)) {}
 
 void ColumnBuilder::Reserve(size_t n) {
   MaybeInjectAllocFailure();
@@ -423,7 +424,7 @@ Status ColumnBuilder::AppendRepeat(const Value& v, size_t n) {
 
 ColumnScatter::ColumnScatter(const Column& src, size_t total)
     : src_(&src),
-      type_(src.type() == MonetType::kVoid ? MonetType::kOidT : src.type()),
+      type_(StoredType(src.type())),
       repr_(EmptyRepr(type_)),
       heap_(src.str_heap()),
       total_(total) {
@@ -435,7 +436,7 @@ ColumnScatter::ColumnScatter(const Column& src, size_t total)
 }
 
 ColumnScatter::ColumnScatter(MonetType type, size_t total)
-    : type_(type == MonetType::kVoid ? MonetType::kOidT : type),
+    : type_(StoredType(type)),
       repr_(EmptyRepr(type_)),
       total_(total) {
   MaybeInjectAllocFailure();

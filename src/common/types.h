@@ -41,6 +41,12 @@ const char* TypeName(MonetType t);
 /// half-width.
 int TypeWidth(MonetType t);
 
+/// The type a column of type `t` materializes as, and its values read as:
+/// a void column's values are dense oids. Every other type is itself.
+inline MonetType StoredType(MonetType t) {
+  return t == MonetType::kVoid ? MonetType::kOidT : t;
+}
+
 /// True for the numeric types on which arithmetic multiplex operations are
 /// defined (sht/int/lng/flt/dbl).
 bool IsNumeric(MonetType t);

@@ -64,7 +64,7 @@ MonetType AggOutputType(AggKind kind, const Column& tail) {
       return MonetType::kLng;
     case AggKind::kMin:
     case AggKind::kMax:
-      return tail.type() == MonetType::kVoid ? MonetType::kOidT : tail.type();
+      return StoredType(tail.type());
   }
   return MonetType::kDbl;
 }

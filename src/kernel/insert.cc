@@ -11,10 +11,6 @@ using bat::Column;
 using bat::ColumnBuilder;
 using bat::ColumnPtr;
 
-MonetType BuilderType(const Column& c) {
-  return c.type() == MonetType::kVoid ? MonetType::kOidT : c.type();
-}
-
 }  // namespace
 
 Result<Bat> InsertBuns(const ExecContext& ctx, const Bat& ab,
@@ -29,8 +25,8 @@ Result<Bat> InsertBuns(const ExecContext& ctx, const Bat& ab,
   MF_RETURN_NOT_OK(
       internal::ChargeGather(ctx, ab.size() + heads.size(), h, t));
 
-  ColumnBuilder hb(BuilderType(h));
-  ColumnBuilder tb(BuilderType(t), t.str_heap());
+  ColumnBuilder hb(h.type());
+  ColumnBuilder tb(t.type(), t.str_heap());
   hb.Reserve(ab.size() + heads.size());
   tb.Reserve(ab.size() + heads.size());
   // The carried-over prefix is one contiguous typed copy per column; only

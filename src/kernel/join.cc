@@ -19,15 +19,11 @@ using internal::HashString;
 using internal::MixSync;
 using internal::SetSync;
 
-MonetType BuilderType(const Column& c) {
-  return c.type() == MonetType::kVoid ? MonetType::kOidT : c.type();
-}
-
 struct JoinOut {
   ColumnBuilder heads;
   ColumnBuilder tails;
   JoinOut(const Column& a, const Column& d)
-      : heads(BuilderType(a)), tails(BuilderType(d), d.str_heap()) {}
+      : heads(a.type()), tails(d.type(), d.str_heap()) {}
 };
 
 /// Common epilogue of the materializing join variants.

@@ -1,4 +1,5 @@
 #include <algorithm>
+#include <optional>
 #include <vector>
 
 #include "common/parallel.h"
@@ -19,9 +20,58 @@ using internal::HashString;
 using internal::MixSync;
 using internal::SetSync;
 
-bool NumericTail(const Column& c) {
-  return IsNumeric(c.type()) || c.type() == MonetType::kDate ||
-         c.type() == MonetType::kChr;
+MonetType ArgType(const MxArg& a) {
+  if (const Bat* b = std::get_if<Bat>(&a)) return b->tail().type();
+  return std::get<Value>(a).type();
+}
+
+/// True when the typed loop can read `a` through its numeric view: a
+/// column of any type but str, or a constant with a double value (nil and
+/// str constants have none).
+bool NumViewable(const MxArg& a) {
+  if (const Bat* b = std::get_if<Bat>(&a)) {
+    return b->tail().type() != MonetType::kStr;
+  }
+  return std::get<Value>(a).ToDouble().ok();
+}
+
+/// True when the typed loop computes `fn` over `args` bit-identically to
+/// the boxed apply followed by CastTo(out). Over numeric views,
+/// Value::Compare *is* the double comparison and the arithmetic is double
+/// arithmetic; the logical functions need genuinely bit-typed operands;
+/// ifthen needs both branches already of the result type, and a result
+/// type that round-trips through double exactly; a calendar field needs a
+/// date operand (its one argument is a column).
+bool TypedEval(const ScalarFn& fn, const std::vector<MxArg>& args,
+               MonetType out) {
+  auto bit = [&args](size_t k) {
+    return ArgType(args[k]) == MonetType::kBit;
+  };
+  switch (fn.eval.op) {
+    case RowOp::kAdd:
+    case RowOp::kSub:
+    case RowOp::kMul:
+    case RowOp::kDiv:
+    case RowOp::kCmp:
+      return NumViewable(args[0]) && NumViewable(args[1]);
+    case RowOp::kAnd:
+    case RowOp::kOr:
+      return bit(0) && bit(1);
+    case RowOp::kNot:
+      return bit(0);
+    case RowOp::kIfThen:
+      return bit(0) && ArgType(args[1]) == out && ArgType(args[2]) == out &&
+             (out == MonetType::kBit || out == MonetType::kChr ||
+              out == MonetType::kInt || out == MonetType::kFlt ||
+              out == MonetType::kDbl);
+    case RowOp::kYear:
+    case RowOp::kMonth:
+    case RowOp::kDay:
+      return ArgType(args[0]) == MonetType::kDate;
+    case RowOp::kNone:
+      return false;
+  }
+  return false;
 }
 
 /// Dispatch-relevant shape of one multiplex call, shared by the dispatcher
@@ -32,201 +82,229 @@ struct MxShape {
   std::vector<const Bat*> bats;       // all BAT arguments, in order
   std::vector<int> bat_of_arg;        // arg slot -> index in bats, -1 const
   bool synced = true;                 // all BATs share the driver's heads
-  bool numeric = true;                // every argument is numeric-valued
   MonetType out_type = MonetType::kDbl;
+  bool typed = false;                 // TypedEval holds
 };
 
-Result<MxShape> AnalyzeMx(const std::string& fn,
-                          const std::vector<MxArg>& args) {
+Result<MxShape> AnalyzeMx(const ScalarFn& fn, const std::vector<MxArg>& args) {
   MxShape sh;
   sh.bat_of_arg.assign(args.size(), -1);
   std::vector<MonetType> arg_types;
   for (size_t k = 0; k < args.size(); ++k) {
+    arg_types.push_back(ArgType(args[k]));
     if (const Bat* b = std::get_if<Bat>(&args[k])) {
       if (sh.driver == nullptr) sh.driver = b;
       sh.bat_of_arg[k] = static_cast<int>(sh.bats.size());
       sh.bats.push_back(b);
-      arg_types.push_back(b->tail().type());
-      if (!NumericTail(b->tail())) sh.numeric = false;
-    } else {
-      const Value& v = std::get<Value>(args[k]);
-      arg_types.push_back(v.type());
-      if (!v.ToDouble().ok()) sh.numeric = false;
     }
   }
   if (sh.driver == nullptr) {
-    return Status::Invalid("multiplex [" + fn +
+    return Status::Invalid("multiplex [" + std::string(fn.name) +
                            "] needs at least one BAT argument");
   }
   // The multiplex constructor applies f over the natural join on head
-  // values (Fig. 4). The synced fast path applies it positionally; the
+  // values (Fig. 4). The synced variant applies it positionally; the
   // kernel proves syncedness via the propagated sync keys (Section 5.1),
   // e.g. for [*]( prices, factor ) in Q13.
   for (const Bat* b : sh.bats) {
     if (b != sh.driver && !sh.driver->SyncedWith(*b)) sh.synced = false;
   }
   MF_ASSIGN_OR_RETURN(sh.out_type, ScalarResultType(fn, arg_types));
+  sh.typed = TypedEval(fn, args, sh.out_type);
   return sh;
 }
 
-/// A constant argument's double value, broadcast to every row.
+// --------------------------------------------------------- typed rows
+
+/// A constant's double value, broadcast to every row.
 struct ConstNum {
   double v;
   double operator()(size_t) const { return v; }
 };
 
-/// Lowers one multiplex argument to a numeric accessor and continues with
-/// it: a BAT tail reads Num through its value view (void included), a
-/// constant broadcasts its double value. Callers gate str arguments out
-/// (ArgNumViewable / NumericTail); a str tail would read as Num's 0 and
-/// shares the constant's instantiation. The continuation style lets the
-/// caller instantiate its inner loop once per accessor-type combination.
+/// A column's numeric view (bat::Num), read by row from row `first` on.
+template <typename View>
+struct ColumnNum {
+  View view;
+  size_t first;
+  double operator()(size_t i) const { return bat::Num(view, first + i); }
+};
+
+/// One operand of the typed loop: a column, a buffer of numeric values
+/// (head-join rows gathered into driver order) or a constant.
+struct NumSource {
+  const Column* col = nullptr;
+  const double* vals = nullptr;
+  double c = 0;
+};
+
+std::vector<NumSource> NumSources(const std::vector<MxArg>& args) {
+  std::vector<NumSource> src(args.size());
+  for (size_t k = 0; k < args.size(); ++k) {
+    if (const Bat* b = std::get_if<Bat>(&args[k])) {
+      src[k].col = &b->tail();
+    } else {
+      const Result<double> c = std::get<Value>(args[k]).ToDouble();
+      src[k].c = c.ok() ? *c : 0.0;
+    }
+  }
+  return src;
+}
+
+/// Lowers `s` from row `first` on to a numeric accessor and continues with
+/// it, so the caller's loop is instantiated once per accessor type. A
+/// buffer reads as a dbl column does and adds no instantiation; a str
+/// column (TypedEval keeps them out) would read as Num's 0.
 template <typename Cont>
-decltype(auto) WithNumAccessor(const MxArg& arg, Cont&& cont) {
-  if (const Bat* b = std::get_if<Bat>(&arg)) {
-    return b->tail().VisitValues([&](const auto& view) -> decltype(auto) {
-      if constexpr (std::is_same_v<std::decay_t<decltype(view)>,
-                                   bat::StrValues>) {
-        return cont(ConstNum{0.0});  // Num of any str value
+void WithNum(const NumSource& s, size_t first, Cont&& cont) {
+  if (s.vals != nullptr) {
+    cont(ColumnNum<bat::NativeValues<double>>{{s.vals}, first});
+  } else if (s.col == nullptr) {
+    cont(ConstNum{s.c});
+  } else {
+    s.col->VisitValues([&](const auto& view) {
+      using View = std::decay_t<decltype(view)>;
+      if constexpr (std::is_same_v<View, bat::StrValues>) {
+        cont(ConstNum{0.0});
       } else {
-        return cont([view](size_t i) { return bat::Num(view, i); });
+        cont(ColumnNum<View>{view, first});
       }
     });
   }
-  return cont(ConstNum{std::get<Value>(arg).ToDouble().ValueOrDie()});
 }
 
-/// Bit-gated twin of WithNumAccessor for arguments the caller has proved
-/// kBit-typed (two shapes instead of one per storage type — this keeps
-/// the 3-argument ifthen from cubing the instantiation count).
-template <typename Cont>
-decltype(auto) WithBitAccessor(const MxArg& arg, Cont&& cont) {
-  if (const Bat* b = std::get_if<Bat>(&arg)) {
-    return cont([p = b->tail().Data<uint8_t>().data()](size_t i) {
-      return p[i] != 0;
-    });
+/// The one-operand row loops: not, a calendar field, and the first pass of
+/// ifthen (its then-branch, copied).
+template <typename X>
+void UnaryRows(RowOp op, X x, size_t n, double* o) {
+  switch (op) {
+    case RowOp::kNot:
+      for (size_t i = 0; i < n; ++i) o[i] = x(i) != 0 ? 0.0 : 1.0;
+      break;
+    case RowOp::kYear:
+    case RowOp::kMonth:
+    case RowOp::kDay:
+      for (size_t i = 0; i < n; ++i) {
+        const Date d(static_cast<int32_t>(x(i)));
+        o[i] = op == RowOp::kYear    ? d.Year()
+               : op == RowOp::kMonth ? d.Month()
+                                     : d.Day();
+      }
+      break;
+    case RowOp::kIfThen:
+      for (size_t i = 0; i < n; ++i) o[i] = x(i);
+      break;
+    default:
+      break;
   }
-  const bool v = std::get<Value>(arg).AsBit();
-  return cont([v](size_t) { return v; });
 }
 
-enum class NumOp { kAdd, kSub, kMul, kDiv, kNone };
-
-NumOp NumOpOf(const std::string& fn) {
-  if (fn == "+") return NumOp::kAdd;
-  if (fn == "-") return NumOp::kSub;
-  if (fn == "*") return NumOp::kMul;
-  if (fn == "/") return NumOp::kDiv;
-  return NumOp::kNone;
-}
-
-/// Unboxed fast path: binary arithmetic over synced numeric operands,
-/// parallel-block executed (Section 2). The operator and both operand
-/// types are resolved once; the inner loop is a zero-dispatch typed pass
-/// writing disjoint slices of the pre-sized output vector. A block that
-/// meets a zero divisor flags it, and the call then fails with the
-/// "division by zero" error ScalarApply reports for the boxed variants.
-Result<Bat> SyncedNumericMultiplex(const ExecContext& ctx,
-                                   const std::string& fn,
-                                   const std::vector<MxArg>& args,
-                                   OpRecorder& rec) {
-  MF_ASSIGN_OR_RETURN(MxShape sh, AnalyzeMx(fn, args));
-  for (const Bat* b : sh.bats) b->tail().TouchAll(ctx.io());
-  const Bat* driver = sh.driver;
-  const size_t n = driver->size();
-  MF_RETURN_NOT_OK(ctx.ChargeMemory(n * sizeof(double)));
-  std::vector<double> out(n);
-  const NumOp op = NumOpOf(fn);
-  const BlockPlan plan = ctx.Plan(n);
-  std::vector<uint8_t> zero_divisor(plan.blocks, 0);
-  WithNumAccessor(args[0], [&](auto ax) {
-    WithNumAccessor(args[1], [&](auto ay) {
-      RunBlocks(plan, [&](int block, size_t begin, size_t end) {
-        double* o = out.data();
-        switch (op) {
-          case NumOp::kAdd:
-            for (size_t i = begin; i < end; ++i) o[i] = ax(i) + ay(i);
-            break;
-          case NumOp::kSub:
-            for (size_t i = begin; i < end; ++i) o[i] = ax(i) - ay(i);
-            break;
-          case NumOp::kMul:
-            for (size_t i = begin; i < end; ++i) o[i] = ax(i) * ay(i);
-            break;
-          case NumOp::kDiv: {
-            bool zero = false;
-            for (size_t i = begin; i < end; ++i) {
-              const double y = ay(i);
-              zero |= y == 0;
-              o[i] = y == 0 ? 0 : ax(i) / y;
-            }
-            zero_divisor[block] = zero;
-            break;
-          }
-          case NumOp::kNone:  // unreachable: the variant predicate gates
-            break;
-        }
-      });
-    });
-  });
-  for (const uint8_t zero : zero_divisor) {
-    if (zero != 0) return Status::ExecutionError("division by zero");
+/// The two-operand row loops, one per operation and accessor pair. The
+/// second pass of ifthen keeps the then-branch where the condition x
+/// holds and takes y elsewhere. Returns false when a divisor was zero.
+template <typename X, typename Y>
+bool BinaryRows(const RowEval& e, X x, Y y, size_t n, double* o) {
+  switch (e.op) {
+    case RowOp::kAdd:
+      for (size_t i = 0; i < n; ++i) o[i] = x(i) + y(i);
+      break;
+    case RowOp::kSub:
+      for (size_t i = 0; i < n; ++i) o[i] = x(i) - y(i);
+      break;
+    case RowOp::kMul:
+      for (size_t i = 0; i < n; ++i) o[i] = x(i) * y(i);
+      break;
+    case RowOp::kDiv: {
+      bool zero = false;
+      for (size_t i = 0; i < n; ++i) {
+        const double d = y(i);
+        zero |= d == 0;
+        o[i] = d == 0 ? 0 : x(i) / d;
+      }
+      return !zero;
+    }
+    case RowOp::kCmp:
+      // The wanted outcomes of the three-way comparison: Value::Compare
+      // over numbers, NaN reading as "equal".
+      for (size_t i = 0; i < n; ++i) {
+        const double a = x(i);
+        const double b = y(i);
+        o[i] = (a < b ? e.lt : a > b ? e.gt : e.eq) ? 1.0 : 0.0;
+      }
+      break;
+    case RowOp::kAnd:
+    case RowOp::kOr: {
+      const bool conj = e.op == RowOp::kAnd;
+      for (size_t i = 0; i < n; ++i) {
+        const bool a = x(i) != 0;
+        const bool b = y(i) != 0;
+        o[i] = (conj ? a && b : a || b) ? 1.0 : 0.0;
+      }
+      break;
+    }
+    case RowOp::kIfThen:
+      for (size_t i = 0; i < n; ++i) o[i] = x(i) != 0 ? o[i] : y(i);
+      break;
+    default:
+      break;
   }
-  MF_RETURN_NOT_OK(ctx.CheckInterrupt());
-  MF_ASSIGN_OR_RETURN(
-      Bat res, Bat::Make(driver->head_col(), Column::MakeDbl(std::move(out)),
-                         bat::Properties{driver->props().hkey, false,
-                                         driver->props().hsorted, false}));
-  rec.Finish("multiplex_synced_numeric", res.size());
-  return res;
+  return true;
 }
 
-/// Converts a double evaluation result to the native storage type — the
-/// static_cast twin of Value::CastTo's numeric casts (which is why the
-/// typed paths are gated to types that round-trip through double
-/// exactly).
-template <typename T>
-T FromDouble(double v) {
-  if constexpr (std::is_same_v<T, Date>) {
-    return Date(static_cast<int32_t>(v));
-  } else if constexpr (std::is_same_v<T, uint8_t>) {
-    return v != 0 ? 1 : 0;
+/// Typed evaluation of rows [first, first + n) of the operands into
+/// out[0, n). Returns false when a divisor was zero.
+bool EvalRows(const RowEval& e, const std::vector<NumSource>& src,
+              size_t first, size_t n, double* out) {
+  bool ok = true;
+  if (src.size() == 1) {
+    WithNum(src[0], first, [&](auto x) { UnaryRows(e.op, x, n, out); });
+  } else if (e.op == RowOp::kIfThen) {
+    WithNum(src[1], first, [&](auto x) { UnaryRows(e.op, x, n, out); });
+    WithNum(src[0], first, [&](auto c) {
+      WithNum(src[2], first, [&](auto y) { BinaryRows(e, c, y, n, out); });
+    });
   } else {
-    return static_cast<T>(v);
+    WithNum(src[0], first, [&](auto x) {
+      WithNum(src[1], first, [&](auto y) { ok = BinaryRows(e, x, y, n, out); });
+    });
   }
+  return ok;
 }
 
-bool ArgNumViewable(const MxArg& a) {
-  if (const Bat* b = std::get_if<Bat>(&a)) {
-    return b->tail().type() != MonetType::kStr;
-  }
-  return std::get<Value>(a).ToDouble().ok();
+Status DivisionByZero() { return Status::ExecutionError("division by zero"); }
+
+/// Converts typed (double) results into the fixed-width scatter slice:
+/// the static_cast twin of Value::CastTo's numeric casts (exact for the
+/// types TypedEval admits), one type dispatch, then a tight loop.
+void StoreTyped(const double* vals, MonetType out_type, size_t n, size_t at,
+                bat::ColumnScatter& ts) {
+  Column::VisitType(out_type, [&](auto tag) {
+    using T = typename decltype(tag)::type;
+    T* out = ts.Slot<T>() + at;
+    for (size_t r = 0; r < n; ++r) {
+      if constexpr (std::is_same_v<T, Date>) {
+        out[r] = Date(static_cast<int32_t>(vals[r]));
+      } else if constexpr (std::is_same_v<T, uint8_t>) {
+        out[r] = vals[r] != 0 ? 1 : 0;
+      } else {
+        out[r] = static_cast<T>(vals[r]);
+      }
+    }
+  });
 }
 
-bool ArgBitTyped(const MxArg& a) {
-  if (const Bat* b = std::get_if<Bat>(&a)) {
-    return b->tail().type() == MonetType::kBit;
-  }
-  return std::get<Value>(a).type() == MonetType::kBit;
-}
+// --------------------------------------------------------- boxed rows
 
-MonetType ArgType(const MxArg& a) {
-  if (const Bat* b = std::get_if<Bat>(&a)) return b->tail().type();
-  return std::get<Value>(a).type();
-}
-
-/// Per-arg position resolution shared by the evaluation loops: output row
-/// r reads source row rows[r] (identity when rows == nullptr), and arg k
-/// reads its BAT's tail there directly (synced) or through the head-join
-/// alignment map `pos` when given.
+/// Where output row r reads argument k: its BAT's tail at the row's driver
+/// position (rows[r], or r itself when rows is null) or, for a non-driver
+/// BAT of a head-join, at that position's aligned match in `pos`.
 struct ArgIndexer {
   const MxShape* sh;
-  const uint32_t* rows = nullptr;                      // kept source rows
+  const uint32_t* rows = nullptr;                      // kept driver rows
   const std::vector<std::vector<int64_t>>* pos = nullptr;  // alignment
-  size_t base = 0;  // identity mapping offset (block-local staging)
 
   size_t operator()(size_t k, size_t r) const {
-    const size_t src = rows != nullptr ? rows[r] : base + r;
+    const size_t src = rows != nullptr ? rows[r] : r;
     if (pos == nullptr) return src;
     const int bi = sh->bat_of_arg[k];
     if (bi < 0 || sh->bats[bi] == sh->driver) return src;
@@ -234,120 +312,22 @@ struct ArgIndexer {
   }
 };
 
-/// Attempts the unboxed row evaluation of `fn`: for output rows r in
-/// [begin, end), argument k reads its value at position at(k, r) and the
-/// double result lands in out[r]. Covers arithmetic (except "/", whose
-/// division-by-zero error a value-producing loop cannot report), the
-/// comparisons, and/or/not, ifthen and the calendar functions, each gated
-/// so the result is bit-identical to ScalarApply + CastTo
-/// (Value::Compare over numeric operands *is* the double comparison; the
-/// logical functions require genuinely bit-typed operands; ifthen
-/// requires both branches to already carry the result type, and a result
-/// type that round-trips through double exactly). Returns false — nothing
-/// evaluated — when the function or argument shapes need the boxed path;
-/// calling with begin == end is the eligibility probe.
-bool TypedEvalRows(const std::string& fn, const std::vector<MxArg>& args,
-                   MonetType out_type, size_t begin, size_t end,
-                   const ArgIndexer& at, double* out) {
-  const NumOp arith = NumOpOf(fn);
-  if (arith != NumOp::kNone && arith != NumOp::kDiv && args.size() == 2 &&
-      out_type == MonetType::kDbl && ArgNumViewable(args[0]) &&
-      ArgNumViewable(args[1])) {
-    WithNumAccessor(args[0], [&](auto ax) {
-      WithNumAccessor(args[1], [&](auto ay) {
-        for (size_t r = begin; r < end; ++r) {
-          const double x = ax(at(0, r));
-          const double y = ay(at(1, r));
-          out[r] = arith == NumOp::kAdd   ? x + y
-                   : arith == NumOp::kSub ? x - y
-                                          : x * y;
-        }
-      });
-    });
-    return true;
-  }
-  const bool cmp = fn == "=" || fn == "!=" || fn == "<" || fn == "<=" ||
-                   fn == ">" || fn == ">=";
-  if (cmp && args.size() == 2 && ArgNumViewable(args[0]) &&
-      ArgNumViewable(args[1])) {
-    // One loop instantiation per accessor pair: the comparison is encoded
-    // as the wanted outcomes of the three-way result, exactly mirroring
-    // Value::Compare (including its NaN => "equal" behavior).
-    const bool lt = fn == "<" || fn == "<=" || fn == "!=";
-    const bool eq = fn == "=" || fn == "<=" || fn == ">=";
-    const bool gt = fn == ">" || fn == ">=" || fn == "!=";
-    WithNumAccessor(args[0], [&](auto ax) {
-      WithNumAccessor(args[1], [&](auto ay) {
-        for (size_t r = begin; r < end; ++r) {
-          const double x = ax(at(0, r));
-          const double y = ay(at(1, r));
-          out[r] = (x < y ? lt : x > y ? gt : eq) ? 1.0 : 0.0;
-        }
-      });
-    });
-    return true;
-  }
-  if ((fn == "and" || fn == "or") && args.size() == 2 &&
-      ArgBitTyped(args[0]) && ArgBitTyped(args[1])) {
-    WithBitAccessor(args[0], [&](auto ax) {
-      WithBitAccessor(args[1], [&](auto ay) {
-        const bool conj = fn == "and";
-        for (size_t r = begin; r < end; ++r) {
-          const bool a = ax(at(0, r));
-          const bool b = ay(at(1, r));
-          out[r] = (conj ? (a && b) : (a || b)) ? 1.0 : 0.0;
-        }
-      });
-    });
-    return true;
-  }
-  if (fn == "not" && args.size() == 1 && ArgBitTyped(args[0])) {
-    WithBitAccessor(args[0], [&](auto ax) {
-      for (size_t r = begin; r < end; ++r) {
-        out[r] = ax(at(0, r)) ? 0.0 : 1.0;
-      }
-    });
-    return true;
-  }
-  if (fn == "ifthen" && args.size() == 3 && ArgBitTyped(args[0]) &&
-      ArgType(args[1]) == out_type && ArgType(args[2]) == out_type &&
-      (out_type == MonetType::kBit || out_type == MonetType::kChr ||
-       out_type == MonetType::kInt || out_type == MonetType::kFlt ||
-       out_type == MonetType::kDbl)) {
-    WithBitAccessor(args[0], [&](auto ac) {
-      WithNumAccessor(args[1], [&](auto ax) {
-        WithNumAccessor(args[2], [&](auto ay) {
-          for (size_t r = begin; r < end; ++r) {
-            out[r] = ac(at(0, r)) ? ax(at(1, r)) : ay(at(2, r));
-          }
-        });
-      });
-    });
-    return true;
-  }
-  if ((fn == "year" || fn == "month" || fn == "day") && args.size() == 1) {
-    const Bat* b = std::get_if<Bat>(&args[0]);
-    if (b != nullptr && b->tail().type() == MonetType::kDate) {
-      const Date* dv = b->tail().Data<Date>().data();
-      const int which = fn == "year" ? 0 : fn == "month" ? 1 : 2;
-      for (size_t r = begin; r < end; ++r) {
-        const Date d = dv[at(0, r)];
-        out[r] = static_cast<double>(which == 0   ? d.Year()
-                                     : which == 1 ? d.Month()
-                                                  : d.Day());
-      }
-      return true;
-    }
-  }
-  return false;
-}
-
-/// Boxed evaluation of output rows [begin, end): one ScalarApply per row
-/// into out[r] — the fallback for the scalar functions TypedEvalRows does
-/// not cover (strings, exotic casts, "/" with its error reporting).
-Status BoxedEvalRows(const std::string& fn, const std::vector<MxArg>& args,
+/// Boxed evaluation of output rows [begin, end) into `out`: the entry's
+/// apply per row, for what the typed loop cannot produce exactly (str
+/// results, str operands, ifthen over types that do not round-trip
+/// through double). A column has one type, so each argument's class is
+/// checked once, and only when there is a row to evaluate.
+Status BoxedEvalRows(const ScalarFn& fn, const std::vector<MxArg>& args,
                      const MxShape& sh, size_t begin, size_t end,
-                     const ArgIndexer& at, Value* out) {
+                     const ArgIndexer& at, std::vector<Value>& out) {
+  if (begin == end) return Status::OK();
+  for (size_t k = 0; k < args.size(); ++k) {
+    const int bi = sh.bat_of_arg[k];
+    MF_RETURN_NOT_OK(ScalarArgCheck(
+        fn, k,
+        bi >= 0 ? StoredType(sh.bats[bi]->tail().type()) : ArgType(args[k])));
+  }
+  out.reserve(end - begin);
   std::vector<Value> row(args.size());
   for (size_t r = begin; r < end; ++r) {
     for (size_t k = 0; k < args.size(); ++k) {
@@ -355,122 +335,105 @@ Status BoxedEvalRows(const std::string& fn, const std::vector<MxArg>& args,
       row[k] = bi >= 0 ? sh.bats[bi]->tail().GetValue(at(k, r))
                        : std::get<Value>(args[k]);
     }
-    Result<Value> v = ScalarApply(fn, row);
-    if (!v.ok()) return v.status();
-    out[r] = std::move(v).Value();
+    MF_ASSIGN_OR_RETURN(Value v, fn.apply(row.data()));
+    out.push_back(std::move(v));
   }
   return Status::OK();
 }
 
-/// Writes boxed results [begin, end) into the fixed-width scatter slice:
-/// the CastTo + native store the old per-row AppendValue loop performed,
-/// without the builder.
-Status StoreBoxed(const Value* vals, MonetType out_type, size_t begin,
-                  size_t end, size_t at, bat::ColumnScatter& ts) {
+/// Writes boxed results into the fixed-width scatter slice at `at`, each
+/// through CastTo to the result type.
+Status StoreBoxed(const std::vector<Value>& vals, MonetType out_type,
+                  size_t at, bat::ColumnScatter& ts) {
   Status status = Status::OK();
   Column::VisitType(out_type, [&](auto tag) {
     using T = typename decltype(tag)::type;
     T* out = ts.Slot<T>() + at;
-    for (size_t r = begin; r < end; ++r) {
+    for (size_t r = 0; r < vals.size(); ++r) {
       Result<Value> cast = vals[r].CastTo(out_type);
       if (!cast.ok()) {
         status = cast.status();
         return;
       }
-      out[r - begin] = bat::NativeValueOf<T>(*cast);
+      out[r] = bat::NativeValueOf<T>(*cast);
     }
   });
   return status;
 }
 
-/// Converts typed (double) results into the fixed-width scatter slice:
-/// one type dispatch, then a tight cast loop.
-void StoreTyped(const double* vals, MonetType out_type, size_t n, size_t at,
-                bat::ColumnScatter& ts) {
-  Column::VisitType(out_type, [&](auto tag) {
-    using T = typename decltype(tag)::type;
-    T* out = ts.Slot<T>() + at;
-    for (size_t r = 0; r < n; ++r) out[r] = FromDouble<T>(vals[r]);
-  });
+/// The str result tail of either variant: the blocks' boxed values in
+/// block order, interned by one serial builder (interning into the shared
+/// heap is not concurrent).
+Result<ColumnPtr> StrTail(const std::vector<std::vector<Value>>& blocks,
+                          size_t total) {
+  ColumnBuilder tb(MonetType::kStr);
+  tb.Reserve(total);
+  for (const std::vector<Value>& block : blocks) {
+    for (const Value& v : block) {
+      MF_RETURN_NOT_OK(tb.AppendValue(v));
+    }
+  }
+  return tb.Finish();
 }
+
+// ----------------------------------------------------------- variants
 
 /// Synced multiplex: rows are positionally independent, so evaluation
 /// morsels run on the TaskPool writing results straight into disjoint
-/// slices of the pre-sized result heap — typed zero-dispatch loops where
-/// TypedEvalRows covers the function, one boxed ScalarApply per row
-/// otherwise (str results keep a serial builder: interning into the
-/// shared heap is not concurrent). Every row emits, so the result head
-/// is the driver's head column, shared zero-copy.
-Result<Bat> SyncedMultiplex(const ExecContext& ctx, const std::string& fn,
+/// slices of the pre-sized result heap — the typed row loops where
+/// TypedEval holds (a dbl result in place, no staging), the boxed apply
+/// otherwise. Every row emits, so the result head is the driver's head
+/// column, shared zero-copy.
+Result<Bat> SyncedMultiplex(const ExecContext& ctx, const ScalarFn& fn,
                             const std::vector<MxArg>& args, OpRecorder& rec) {
   MF_ASSIGN_OR_RETURN(MxShape sh, AnalyzeMx(fn, args));
   const Bat* driver = sh.driver;
   for (const Bat* b : sh.bats) b->tail().TouchAll(ctx.io());
   const size_t n = driver->size();
   // The result tail materializes n values of the scalar result type; the
-  // head is zero-copy. This path used to charge nothing — a large synced
-  // multiplex bypassed admission entirely.
+  // head is zero-copy.
   MF_RETURN_NOT_OK(ctx.ChargeMemory(
       static_cast<uint64_t>(n) *
       static_cast<uint64_t>(TypeWidth(sh.out_type))));
 
   const BlockPlan plan = ctx.Plan(n);
-  const ArgIndexer ident{&sh};
-  ColumnPtr out_tail;
-  if (sh.out_type == MonetType::kStr) {
-    std::vector<Value> vals(n);  // blocks fill disjoint [begin, end) slices
-    std::vector<Status> stats(plan.blocks, Status::OK());
-    RunBlocks(plan, [&](int block, size_t begin, size_t end) {
-      stats[block] =
-          BoxedEvalRows(fn, args, sh, begin, end, ident, vals.data());
-    });
-    for (const Status& s : stats) {
-      MF_RETURN_NOT_OK(s);
-    }
-    MF_RETURN_NOT_OK(ctx.CheckInterrupt());
-    ColumnBuilder tb(sh.out_type);
-    tb.Reserve(n);
-    for (size_t i = 0; i < n; ++i) {
-      MF_RETURN_NOT_OK(tb.AppendValue(vals[i]));
-    }
-    out_tail = tb.Finish();
-  } else {
-    bat::ColumnScatter ts(sh.out_type, n);
-    std::vector<Status> stats(plan.blocks, Status::OK());
-    double probe;
-    if (TypedEvalRows(fn, args, sh.out_type, 0, 0, ident, &probe)) {
-      if (sh.out_type == MonetType::kDbl) {
-        // The hot arithmetic shape: evaluation writes the result heap
-        // directly, no staging buffer and no conversion pass.
-        double* out = ts.Slot<double>();
-        RunBlocks(plan, [&](int, size_t begin, size_t end) {
-          TypedEvalRows(fn, args, sh.out_type, begin, end, ident, out);
-        });
-      } else {
-        RunBlocks(plan, [&](int, size_t begin, size_t end) {
-          std::vector<double> tmp(end - begin);
-          const ArgIndexer shifted{&sh, nullptr, nullptr, begin};
-          TypedEvalRows(fn, args, sh.out_type, 0, end - begin, shifted,
-                        tmp.data());
-          StoreTyped(tmp.data(), sh.out_type, end - begin, begin, ts);
-        });
+  const bool str_out = sh.out_type == MonetType::kStr;
+  std::optional<bat::ColumnScatter> ts;
+  if (!str_out) ts.emplace(sh.out_type, n);
+  const std::vector<NumSource> src =
+      sh.typed ? NumSources(args) : std::vector<NumSource>();
+  std::vector<std::vector<Value>> boxed(plan.blocks);
+  std::vector<Status> stats(plan.blocks, Status::OK());
+  RunBlocks(plan, [&](int block, size_t begin, size_t end) {
+    Status& st = stats[block];
+    if (!sh.typed) {
+      st = BoxedEvalRows(fn, args, sh, begin, end, ArgIndexer{&sh},
+                         boxed[block]);
+      if (st.ok() && !str_out) {
+        st = StoreBoxed(boxed[block], sh.out_type, begin, *ts);
       }
+      return;
+    }
+    bool ok;
+    if (sh.out_type == MonetType::kDbl) {
+      ok = EvalRows(fn.eval, src, begin, end - begin,
+                    ts->Slot<double>() + begin);
     } else {
-      std::vector<Value> vals(n);
-      RunBlocks(plan, [&](int block, size_t begin, size_t end) {
-        stats[block] =
-            BoxedEvalRows(fn, args, sh, begin, end, ident, vals.data());
-        if (stats[block].ok()) {
-          stats[block] =
-              StoreBoxed(vals.data(), sh.out_type, begin, end, begin, ts);
-        }
-      });
+      std::vector<double> tmp(end - begin);
+      ok = EvalRows(fn.eval, src, begin, end - begin, tmp.data());
+      StoreTyped(tmp.data(), sh.out_type, end - begin, begin, *ts);
     }
-    for (const Status& s : stats) {
-      MF_RETURN_NOT_OK(s);
-    }
-    MF_RETURN_NOT_OK(ctx.CheckInterrupt());
-    out_tail = ts.Finish();
+    if (!ok) st = DivisionByZero();
+  });
+  for (const Status& st : stats) {
+    MF_RETURN_NOT_OK(st);
+  }
+  MF_RETURN_NOT_OK(ctx.CheckInterrupt());
+  ColumnPtr out_tail;
+  if (str_out) {
+    MF_ASSIGN_OR_RETURN(out_tail, StrTail(boxed, n));
+  } else {
+    out_tail = ts->Finish();
   }
 
   bat::Properties props;
@@ -482,6 +445,45 @@ Result<Bat> SyncedMultiplex(const ExecContext& ctx, const std::string& fn,
   return res;
 }
 
+/// Typed evaluation of a head-join block's kept driver rows into
+/// out[0, kept): chunk by chunk, every BAT operand's values at the rows'
+/// aligned positions are gathered into a buffer, and the synced row loops
+/// run over the buffers. Returns false when a divisor was zero.
+bool EvalAligned(const ScalarFn& fn, const MxShape& sh,
+                 const std::vector<NumSource>& src,
+                 const std::vector<std::vector<int64_t>>& pos,
+                 const uint32_t* rows, size_t kept, double* out) {
+  constexpr size_t kChunk = 1024;
+  std::vector<double> buf(src.size() * kChunk);
+  std::vector<NumSource> gathered = src;
+  for (size_t k = 0; k < src.size(); ++k) {
+    if (src[k].col != nullptr) gathered[k] = {nullptr, &buf[k * kChunk], 0};
+  }
+  bool ok = true;
+  for (size_t lo = 0; lo < kept; lo += kChunk) {
+    const size_t n = std::min(kChunk, kept - lo);
+    const uint32_t* at = rows + lo;
+    for (size_t k = 0; k < src.size(); ++k) {
+      if (src[k].col == nullptr) continue;
+      const int bi = sh.bat_of_arg[k];
+      const int64_t* align =
+          sh.bats[bi] == sh.driver ? nullptr : pos[bi].data();
+      double* b = &buf[k * kChunk];
+      WithNum(src[k], 0, [&](auto x) {
+        if (align == nullptr) {
+          for (size_t r = 0; r < n; ++r) b[r] = x(at[r]);
+        } else {
+          for (size_t r = 0; r < n; ++r) {
+            b[r] = x(static_cast<size_t>(align[at[r]]));
+          }
+        }
+      });
+    }
+    ok &= EvalRows(fn.eval, gathered, 0, n, out + lo);
+  }
+  return ok;
+}
+
 /// Head-join multiplex: aligns every non-driver operand to the driver's
 /// head values via the hash accelerators, then evaluates complete rows.
 /// Both phases run as morsels: bulk typed first-match probes fill the
@@ -489,7 +491,7 @@ Result<Bat> SyncedMultiplex(const ExecContext& ctx, const std::string& fn,
 /// against the memory budget through their gates) and evaluate them into
 /// block-local buffers, and the run scatters heads and tails into the
 /// pre-sized result heaps concurrently.
-Result<Bat> HeadJoinMultiplex(const ExecContext& ctx, const std::string& fn,
+Result<Bat> HeadJoinMultiplex(const ExecContext& ctx, const ScalarFn& fn,
                               const std::vector<MxArg>& args,
                               OpRecorder& rec) {
   MF_ASSIGN_OR_RETURN(MxShape sh, AnalyzeMx(fn, args));
@@ -524,11 +526,8 @@ Result<Bat> HeadJoinMultiplex(const ExecContext& ctx, const std::string& fn,
 
   const uint64_t row_bytes = static_cast<uint64_t>(
       internal::ChargeWidth(driver->head()) + TypeWidth(sh.out_type));
-  const bool str_out = sh.out_type == MonetType::kStr;
-  double probe;
-  const bool typed =
-      !str_out && TypedEvalRows(fn, args, sh.out_type, 0, 0,
-                                ArgIndexer{&sh}, &probe);
+  const std::vector<NumSource> src =
+      sh.typed ? NumSources(args) : std::vector<NumSource>();
 
   // Each block keeps its complete driver rows (ascending) as the run's
   // head positions and evaluates them into its typed or boxed results.
@@ -563,50 +562,39 @@ Result<Bat> HeadJoinMultiplex(const ExecContext& ctx, const std::string& fn,
     m.status = gate.Flush();
     if (!m.status.ok()) return;
     const size_t kept = m.heads.size();
-    const ArgIndexer at{&sh, m.heads.data(), &pos};
-    if (typed) {
+    if (sh.typed) {
       vals[m.block].resize(kept);
-      TypedEvalRows(fn, args, sh.out_type, 0, kept, at, vals[m.block].data());
+      if (!EvalAligned(fn, sh, src, pos, m.heads.data(), kept,
+                       vals[m.block].data())) {
+        m.status = DivisionByZero();
+      }
     } else {
-      boxed[m.block].resize(kept);
-      m.status = BoxedEvalRows(fn, args, sh, 0, kept, at,
-                               boxed[m.block].data());
+      m.status = BoxedEvalRows(fn, args, sh, 0, kept,
+                               ArgIndexer{&sh, m.heads.data(), &pos},
+                               boxed[m.block]);
     }
   }));
   // The typed values are further transient staging beside the kept-row
   // lists, live until the scatter below finishes.
-  MF_RETURN_NOT_OK(run.Stage(typed ? sizeof(double) : 0));
-  ColumnPtr out_head;
+  MF_RETURN_NOT_OK(run.Stage(sh.typed ? sizeof(double) : 0));
+  const bool str_out = sh.out_type == MonetType::kStr;
+  std::optional<bat::ColumnScatter> ts;
+  if (!str_out) ts.emplace(sh.out_type, run.total());
+  MF_ASSIGN_OR_RETURN(
+      ColumnPtr out_head,
+      run.ScatterHead(driver->head(), [&](const internal::Morsel& m,
+                                          size_t at) {
+        if (str_out) return Status::OK();
+        if (!sh.typed) return StoreBoxed(boxed[m.block], sh.out_type, at, *ts);
+        StoreTyped(vals[m.block].data(), sh.out_type, vals[m.block].size(), at,
+                   *ts);
+        return Status::OK();
+      }));
   ColumnPtr out_tail;
   if (str_out) {
-    MF_ASSIGN_OR_RETURN(
-        out_head, run.ScatterHead(driver->head(), [](const internal::Morsel&,
-                                                     size_t) {
-          return Status::OK();
-        }));
-    ColumnBuilder tb(sh.out_type);
-    tb.Reserve(run.total());
-    for (const std::vector<Value>& block : boxed) {
-      for (const Value& v : block) {
-        MF_RETURN_NOT_OK(tb.AppendValue(v));
-      }
-    }
-    out_tail = tb.Finish();
+    MF_ASSIGN_OR_RETURN(out_tail, StrTail(boxed, run.total()));
   } else {
-    bat::ColumnScatter ts(sh.out_type, run.total());
-    MF_ASSIGN_OR_RETURN(
-        out_head,
-        run.ScatterHead(driver->head(), [&](const internal::Morsel& m,
-                                            size_t at) {
-          if (!typed) {
-            return StoreBoxed(boxed[m.block].data(), sh.out_type, 0,
-                              boxed[m.block].size(), at, ts);
-          }
-          StoreTyped(vals[m.block].data(), sh.out_type, vals[m.block].size(),
-                     at, ts);
-          return Status::OK();
-        }));
-    out_tail = ts.Finish();
+    out_tail = ts->Finish();
   }
 
   // The kept-row set is a function of every non-driver operand's head
@@ -618,7 +606,7 @@ Result<Bat> HeadJoinMultiplex(const ExecContext& ctx, const std::string& fn,
     if (b != driver) key = MixSync(key, b->head().sync_key());
   }
   SetSync(out_head, MixSync(key, MixSync(HashString("multiplex"),
-                                         HashString(fn))));
+                                         HashString(fn.name))));
   bat::Properties props;
   props.hsorted = driver->props().hsorted;
   props.hkey = driver->props().hkey;
@@ -627,7 +615,7 @@ Result<Bat> HeadJoinMultiplex(const ExecContext& ctx, const std::string& fn,
   return res;
 }
 
-/// All variants read every operand tail once; the dispatch input carries
+/// Both variants read every operand tail once; the dispatch input carries
 /// the driver (left) and the first non-driver BAT (right) views.
 double MxTailPages(const DispatchInput& in) {
   double pages = HeapPages(in.left.size, in.left.tail_width);
@@ -639,7 +627,7 @@ double MxTailPages(const DispatchInput& in) {
 
 }  // namespace
 
-Result<Bat> Multiplex(const ExecContext& ctx, const std::string& fn,
+Result<Bat> Multiplex(const ExecContext& ctx, const ScalarFn& fn,
                       const std::vector<MxArg>& args) {
   OpRecorder rec(ctx, "multiplex");
   MF_ASSIGN_OR_RETURN(MxShape sh, AnalyzeMx(fn, args));
@@ -653,7 +641,6 @@ Result<Bat> Multiplex(const ExecContext& ctx, const std::string& fn,
     }
   }
   in.synced = sh.synced;
-  in.param = OpParam{static_cast<int64_t>(args.size()), fn, sh.numeric};
   in.degree = ctx.parallel_degree();
   return KernelRegistry::Global().Dispatch<MultiplexImplSig>("multiplex", in,
                                                              ctx, fn, args,
@@ -663,15 +650,6 @@ Result<Bat> Multiplex(const ExecContext& ctx, const std::string& fn,
 namespace internal {
 
 void RegisterMultiplexKernels(KernelRegistry& r) {
-  r.Register<MultiplexImplSig>(
-      "multiplex", "multiplex_synced_numeric",
-      [](const DispatchInput& in) {
-        return in.synced && in.param.has_value() && in.param->flag &&
-               in.param->code == 2 && IsNumericBinary(in.param->name);
-      },
-      [](const DispatchInput& in) { return MxTailPages(in); },
-      std::function<MultiplexImplSig>(SyncedNumericMultiplex),
-      "unboxed parallel-block arithmetic over synced numeric operands");
   r.Register<MultiplexImplSig>(
       "multiplex", "multiplex_synced",
       [](const DispatchInput& in) { return in.synced; },

@@ -168,9 +168,12 @@ Result<Bat> GroupRefine(const ExecContext& ctx, const Bat& ab, const Bat& cd);
 /// One multiplex argument: a BAT or a constant.
 using MxArg = std::variant<Bat, Value>;
 
+struct ScalarFn;  // defined in scalar_fn.h; resolve one with FindScalarFn
+
 /// [f](args...): at least one argument must be a Bat; Bat arguments must
 /// share their head value set (synced fast path, head-join otherwise).
-Result<Bat> Multiplex(const ExecContext& ctx, const std::string& fn,
+/// Registered variants: multiplex_synced, multiplex_headjoin.
+Result<Bat> Multiplex(const ExecContext& ctx, const ScalarFn& fn,
                       const std::vector<MxArg>& args);
 
 // ---------------------------------------------------------------------

@@ -39,7 +39,7 @@ std::string DispatchInput::ToString() const {
   if (tail_head_aligned) out += "; aligned";
   if (param.has_value()) {
     out += "; param=";
-    out += param->name.empty() ? std::to_string(param->code) : param->name;
+    out += std::to_string(param->code);
   }
   if (degree > 1) out += "; deg=" + std::to_string(degree);
   if (est_selectivity >= 0) {

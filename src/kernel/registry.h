@@ -49,13 +49,11 @@ struct OperandView {
 
 /// Operator-specific dispatch parameter: the Section 5.1 run-time choice
 /// sometimes depends on the requested operation itself, not only on the
-/// operand properties (the theta-join's comparison, the multiplexed
-/// function). Each operator family defines what the fields mean; its
-/// registered predicates and cost functions read them back.
+/// operand properties (the theta-join's comparison). Each operator family
+/// defines what `code` means; its registered predicates and cost
+/// functions read it back.
 struct OpParam {
-  int64_t code = 0;   // e.g. the CmpOp of a theta-join, a multiplex arity
-  std::string name;   // e.g. the multiplex scalar function
-  bool flag = false;  // e.g. "every multiplex argument is numeric"
+  int64_t code = 0;  // e.g. the CmpOp of a theta-join
 };
 
 /// Input of one dispatch decision: one or two operand views plus the
@@ -96,7 +94,8 @@ DispatchInput MakeInput(const ExecContext& ctx, const Bat& ab, const Bat& cd);
 /// Exec signatures of the registered operator families. Every variant
 /// finishes its own OpRecorder (so it can refine the reported name, e.g.
 /// "datavector_semijoin(cached)").
-struct Bound;  // defined in operators.h
+struct Bound;     // defined in operators.h
+struct ScalarFn;  // defined in scalar_fn.h
 enum class AggKind;
 enum class CmpOp;
 using SelectImplSig = Result<Bat>(const ExecContext&, const Bat&,
@@ -111,7 +110,7 @@ using ThetaImplSig = Result<Bat>(const ExecContext&, const Bat&, const Bat&,
                                  CmpOp, OpRecorder&);
 /// The argument vector element is operators.h's MxArg spelled out (the
 /// alias lives there; redeclaring it here would couple the headers).
-using MultiplexImplSig = Result<Bat>(const ExecContext&, const std::string&,
+using MultiplexImplSig = Result<Bat>(const ExecContext&, const ScalarFn&,
                                      const std::vector<std::variant<
                                          Bat, Value>>&,
                                      OpRecorder&);

@@ -17,10 +17,6 @@ using internal::HashString;
 using internal::MixSync;
 using internal::SetSync;
 
-MonetType BuilderType(const Column& c) {
-  return c.type() == MonetType::kVoid ? MonetType::kOidT : c.type();
-}
-
 /// Copies the BUNs at `positions` (in order) into a fresh BAT: one bulk
 /// typed gather per column (the hoisted replacement for the old per-row
 /// AppendFrom loop), with the touches batched per heap.
@@ -32,8 +28,8 @@ Result<Bat> GatherPositions(const ExecContext& ctx, const Bat& ab,
   MF_RETURN_NOT_OK(ChargeGather(ctx, pos.size(), head, tail));
   head.TouchGather(ctx.io(), pos.data(), pos.size());
   tail.TouchGather(ctx.io(), pos.data(), pos.size());
-  ColumnBuilder hb(BuilderType(head));
-  ColumnBuilder tb(BuilderType(tail), tail.str_heap());
+  ColumnBuilder hb(head.type());
+  ColumnBuilder tb(tail.type(), tail.str_heap());
   hb.Reserve(pos.size());
   tb.Reserve(pos.size());
   hb.GatherFrom(head, pos.data(), pos.size());
@@ -203,8 +199,7 @@ Result<Bat> TopN(const ExecContext& ctx, const Bat& ab, size_t n,
 Result<Bat> ProjectConst(const ExecContext& ctx, const Bat& ab,
                          const Value& v) {
   OpRecorder rec(ctx, "project");
-  const MonetType out_type =
-      v.type() == MonetType::kVoid ? MonetType::kOidT : v.type();
+  const MonetType out_type = StoredType(v.type());
   // The constant tail materializes ab.size() values (the head is shared
   // zero-copy); this path used to charge nothing against the budget.
   MF_RETURN_NOT_OK(ctx.ChargeMemory(static_cast<uint64_t>(ab.size()) *
@@ -228,12 +223,13 @@ Result<Bat> Append(const ExecContext& ctx, const Bat& ab, const Bat& cd) {
   const Column& b = ab.tail();
   const Column& c = cd.head();
   const Column& d = cd.tail();
-  if (BuilderType(a) != BuilderType(c) || BuilderType(b) != BuilderType(d)) {
+  if (StoredType(a.type()) != StoredType(c.type()) ||
+      StoredType(b.type()) != StoredType(d.type())) {
     return Status::TypeError("append requires matching column types");
   }
   MF_RETURN_NOT_OK(ChargeGather(ctx, ab.size() + cd.size(), a, b));
-  ColumnBuilder hb(BuilderType(a));
-  ColumnBuilder tb(BuilderType(b), b.str_heap());
+  ColumnBuilder hb(a.type());
+  ColumnBuilder tb(b.type(), b.str_heap());
   hb.Reserve(ab.size() + cd.size());
   tb.Reserve(ab.size() + cd.size());
   hb.AppendRange(a, 0, ab.size());

@@ -5,10 +5,6 @@
 namespace moaflat::kernel {
 namespace {
 
-MonetType Norm(MonetType t) {
-  return t == MonetType::kVoid ? MonetType::kOidT : t;
-}
-
 template <char Op>
 Result<Value> Arith(const Value* a) {
   MF_ASSIGN_OR_RETURN(double x, a[0].ToDouble());
@@ -51,45 +47,47 @@ Result<Value> Concat(const Value* a) {
 Result<Value> IfThen(const Value* a) { return a[0].AsBit() ? a[1] : a[2]; }
 
 using C = ScalarClass;
+using R = RowOp;
 constexpr MonetType kBitT = MonetType::kBit;
 constexpr MonetType kIntT = MonetType::kInt;
 
+/// A comparison entry: the boxed Cmp and the typed loop's outcomes agree
+/// by construction.
+template <bool kLt, bool kEq, bool kGt>
+constexpr ScalarFn CmpFn(std::string_view name) {
+  return {name, 2, {C::kCmp, C::kCmp}, kBitT, -1, Cmp<kLt, kEq, kGt>,
+          {R::kCmp, kLt, kEq, kGt}};
+}
+
 constexpr ScalarFn kScalarFns[] = {
-    {"+", 2, {C::kNum, C::kNum}, MonetType::kDbl, -1, Arith<'+'>},
-    {"-", 2, {C::kNum, C::kNum}, MonetType::kDbl, -1, Arith<'-'>},
-    {"*", 2, {C::kNum, C::kNum}, MonetType::kDbl, -1, Arith<'*'>},
-    {"/", 2, {C::kNum, C::kNum}, MonetType::kDbl, -1, Arith<'/'>},
-    {"=", 2, {C::kCmp, C::kCmp}, kBitT, -1, Cmp<false, true, false>},
-    {"!=", 2, {C::kCmp, C::kCmp}, kBitT, -1, Cmp<true, false, true>},
-    {"<", 2, {C::kCmp, C::kCmp}, kBitT, -1, Cmp<true, false, false>},
-    {"<=", 2, {C::kCmp, C::kCmp}, kBitT, -1, Cmp<true, true, false>},
-    {">", 2, {C::kCmp, C::kCmp}, kBitT, -1, Cmp<false, false, true>},
-    {">=", 2, {C::kCmp, C::kCmp}, kBitT, -1, Cmp<false, true, true>},
-    {"and", 2, {C::kBit, C::kBit}, kBitT, -1, And},
-    {"or", 2, {C::kBit, C::kBit}, kBitT, -1, Or},
-    {"not", 1, {C::kBit}, kBitT, -1, Not},
-    {"year", 1, {C::kDate}, kIntT, -1, Year},
-    {"month", 1, {C::kDate}, kIntT, -1, Month},
-    {"day", 1, {C::kDate}, kIntT, -1, Day},
-    {"like", 2, {C::kStr, C::kStr}, kBitT, -1, Like},
-    {"length", 1, {C::kStr}, kIntT, -1, Length},
-    {"concat", 2, {C::kStr, C::kStr}, MonetType::kStr, -1, Concat},
-    {"ifthen", 3, {C::kBit, C::kSame, C::kSame}, MonetType::kVoid, 1, IfThen},
+    {"+", 2, {C::kNum, C::kNum}, MonetType::kDbl, -1, Arith<'+'>, {R::kAdd}},
+    {"-", 2, {C::kNum, C::kNum}, MonetType::kDbl, -1, Arith<'-'>, {R::kSub}},
+    {"*", 2, {C::kNum, C::kNum}, MonetType::kDbl, -1, Arith<'*'>, {R::kMul}},
+    {"/", 2, {C::kNum, C::kNum}, MonetType::kDbl, -1, Arith<'/'>, {R::kDiv}},
+    CmpFn<false, true, false>("="),
+    CmpFn<true, false, true>("!="),
+    CmpFn<true, false, false>("<"),
+    CmpFn<true, true, false>("<="),
+    CmpFn<false, false, true>(">"),
+    CmpFn<false, true, true>(">="),
+    {"and", 2, {C::kBit, C::kBit}, kBitT, -1, And, {R::kAnd}},
+    {"or", 2, {C::kBit, C::kBit}, kBitT, -1, Or, {R::kOr}},
+    {"not", 1, {C::kBit}, kBitT, -1, Not, {R::kNot}},
+    {"year", 1, {C::kDate}, kIntT, -1, Year, {R::kYear}},
+    {"month", 1, {C::kDate}, kIntT, -1, Month, {R::kMonth}},
+    {"day", 1, {C::kDate}, kIntT, -1, Day, {R::kDay}},
+    {"like", 2, {C::kStr, C::kStr}, kBitT, -1, Like, {}},
+    {"length", 1, {C::kStr}, kIntT, -1, Length, {}},
+    {"concat", 2, {C::kStr, C::kStr}, MonetType::kStr, -1, Concat, {}},
+    {"ifthen", 3, {C::kBit, C::kSame, C::kSame}, MonetType::kVoid, 1, IfThen,
+     {R::kIfThen}},
 };
 
-Status ArityError(const ScalarFn& f, size_t got) {
+Status CheckArity(const ScalarFn& f, size_t got) {
+  if (got == f.arity) return Status::OK();
   return Status::Invalid("scalar fn '" + std::string(f.name) + "' expects " +
                          std::to_string(f.arity) + " args, got " +
                          std::to_string(got));
-}
-
-Result<const ScalarFn*> Lookup(const std::string& fn, size_t arity) {
-  const ScalarFn* f = FindScalarFn(fn);
-  if (f == nullptr) {
-    return Status::NotImplemented("unknown scalar fn '" + fn + "'");
-  }
-  if (arity != f->arity) return ArityError(*f, arity);
-  return f;
 }
 
 }  // namespace
@@ -104,7 +102,7 @@ const ScalarFn* FindScalarFn(std::string_view name) {
 }
 
 bool ScalarArgFits(const ScalarFn& f, size_t pos, MonetType t) {
-  t = Norm(t);
+  t = StoredType(t);
   switch (f.args[pos]) {
     case ScalarClass::kNum:
       return t != MonetType::kStr;
@@ -127,37 +125,34 @@ std::string ScalarArgError(const ScalarFn& f, size_t pos, MonetType t) {
   return "'" + std::string(f.name) + "' needs " +
          (c < std::size(kWanted) ? kWanted[c] : "other") +
          " operands, argument " + std::to_string(pos + 1) + " is " +
-         TypeName(Norm(t));
+         TypeName(StoredType(t));
 }
 
-bool IsNumericBinary(const std::string& fn) {
-  const ScalarFn* f = FindScalarFn(fn);
-  return f != nullptr && f->arity == 2 && f->args[0] == ScalarClass::kNum &&
-         f->args[1] == ScalarClass::kNum;
-}
-
-Result<MonetType> ScalarResultType(const std::string& fn,
+Result<MonetType> ScalarResultType(const ScalarFn& fn,
                                    const std::vector<MonetType>& args) {
-  MF_ASSIGN_OR_RETURN(const ScalarFn* f, Lookup(fn, args.size()));
+  MF_RETURN_NOT_OK(CheckArity(fn, args.size()));
   // A void operand contributes dense oids, so the result is oid.
-  if (f->result_arg < 0) return f->result;
-  const MonetType t = args[f->result_arg];
-  return t == MonetType::kVoid ? MonetType::kOidT : t;
+  if (fn.result_arg < 0) return fn.result;
+  return StoredType(args[fn.result_arg]);
 }
 
-Result<Value> ScalarApply(const std::string& fn,
-                          const std::vector<Value>& args) {
-  MF_ASSIGN_OR_RETURN(const ScalarFn* f, Lookup(fn, args.size()));
-  for (size_t i = 0; i < args.size(); ++i) {
-    if (args[i].type() == MonetType::kVoid) {  // nil: no column is void-valued
-      return Status::TypeError("'" + fn + "' argument " +
-                               std::to_string(i + 1) + " is nil");
-    }
-    if (!ScalarArgFits(*f, i, args[i].type())) {
-      return Status::TypeError(ScalarArgError(*f, i, args[i].type()));
-    }
+Status ScalarArgCheck(const ScalarFn& fn, size_t pos, MonetType t) {
+  if (t == MonetType::kVoid) {
+    return Status::TypeError("'" + std::string(fn.name) + "' argument " +
+                             std::to_string(pos + 1) + " is nil");
   }
-  return f->apply(args.data());
+  if (!ScalarArgFits(fn, pos, t)) {
+    return Status::TypeError(ScalarArgError(fn, pos, t));
+  }
+  return Status::OK();
+}
+
+Result<Value> ScalarApply(const ScalarFn& fn, const std::vector<Value>& args) {
+  MF_RETURN_NOT_OK(CheckArity(fn, args.size()));
+  for (size_t i = 0; i < args.size(); ++i) {
+    MF_RETURN_NOT_OK(ScalarArgCheck(fn, i, args[i].type()));
+  }
+  return fn.apply(args.data());
 }
 
 bool LikeMatch(std::string_view text, std::string_view pattern) {

@@ -29,6 +29,32 @@ enum class ScalarClass : uint8_t {
   kSame,  // any type, the same as the other kSame operand
 };
 
+/// The row evaluation multiplex's typed loop runs for a function
+/// (kernel/multiplex.cc): an arithmetic operator, a comparison, a logical
+/// connective, ifthen or a calendar field. kNone leaves the function to
+/// the boxed `apply`.
+enum class RowOp : uint8_t {
+  kNone,
+  kAdd,
+  kSub,
+  kMul,
+  kDiv,
+  kCmp,
+  kAnd,
+  kOr,
+  kNot,
+  kIfThen,
+  kYear,
+  kMonth,
+  kDay,
+};
+
+struct RowEval {
+  RowOp op = RowOp::kNone;
+  /// kCmp: the outcomes of the three-way comparison that yield true.
+  bool lt = false, eq = false, gt = false;
+};
+
 struct ScalarFn {
   std::string_view name;
   size_t arity;
@@ -39,12 +65,15 @@ struct ScalarFn {
   int result_arg;
   /// Boxed application to `arity` arguments that passed ScalarArgFits.
   Result<Value> (*apply)(const Value* args);
+  /// The typed row evaluation of the same function.
+  RowEval eval;
 };
 
 /// Every scalar function, in table order.
 std::span<const ScalarFn> AllScalarFns();
 
-/// The entry named `name`, or null.
+/// The entry named `name`, or null: the one name -> entry lookup. Callers
+/// resolve a function once and pass the entry on.
 const ScalarFn* FindScalarFn(std::string_view name);
 
 /// True when a value of type `t` may stand at argument `pos` of `f`.
@@ -53,18 +82,19 @@ bool ScalarArgFits(const ScalarFn& f, size_t pos, MonetType t);
 /// The diagnostic for an argument ScalarArgFits rejects.
 std::string ScalarArgError(const ScalarFn& f, size_t pos, MonetType t);
 
-/// Result type of `fn` applied to arguments of the given types.
-Result<MonetType> ScalarResultType(const std::string& fn,
+/// Result type of `fn` applied to arguments of the given types; a wrong
+/// argument count is Invalid.
+Result<MonetType> ScalarResultType(const ScalarFn& fn,
                                    const std::vector<MonetType>& args);
 
-/// Applies `fn` to boxed arguments; a wrongly typed argument is a
-/// TypeError.
-Result<Value> ScalarApply(const std::string& fn,
-                          const std::vector<Value>& args);
+/// Checks that a value of type `t` may stand at argument `pos` of `fn`:
+/// a nil (a kVoid value; a void column's values are oids) or a value
+/// ScalarArgFits rejects is a TypeError.
+Status ScalarArgCheck(const ScalarFn& fn, size_t pos, MonetType t);
 
-/// True if `fn` is a pure numeric binary operator eligible for the
-/// unboxed multiplex fast path.
-bool IsNumericBinary(const std::string& fn);
+/// Applies `fn` to boxed arguments; a wrong argument count is Invalid, a
+/// nil or wrongly typed argument a TypeError.
+Result<Value> ScalarApply(const ScalarFn& fn, const std::vector<Value>& args);
 
 /// SQL LIKE matching with '%' (any run) and '_' (any single char).
 bool LikeMatch(std::string_view text, std::string_view pattern);

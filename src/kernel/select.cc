@@ -60,10 +60,6 @@ uint64_t BoundSyncHash(const Bound& lo, const Bound& hi) {
   return h;
 }
 
-MonetType BuilderType(const Column& c) {
-  return c.type() == MonetType::kVoid ? MonetType::kOidT : c.type();
-}
-
 /// The two-phase morsel evaluation of every scan-shaped selection: each
 /// block runs `scan(begin, end, out)`, which appends the qualifying
 /// positions of [begin, end) to `out`, and touches the result head at its
@@ -129,8 +125,8 @@ Result<Bat> BinsearchSelect(const ExecContext& ctx, const Bat& ab,
   // loads sort stably, so the heads inside one tail run are typically
   // ascending, which later enables merge joins.
   const bool heads_ascending = head.RangeSorted(begin, end);
-  ColumnBuilder hb(BuilderType(head));
-  ColumnBuilder tb(BuilderType(tail), tail.str_heap());
+  ColumnBuilder hb(head.type());
+  ColumnBuilder tb(tail.type(), tail.str_heap());
   hb.Reserve(end - begin);
   tb.Reserve(end - begin);
   hb.AppendRange(head, begin, end);

@@ -20,10 +20,6 @@ using internal::HashString;
 using internal::MixSync;
 using internal::SetSync;
 
-MonetType BuilderType(const Column& c) {
-  return c.type() == MonetType::kVoid ? MonetType::kOidT : c.type();
-}
-
 /// syncsemijoin (Section 5.1): the operands' BUNs correspond by position,
 /// so the result is simply a copy (here: a zero-copy view) of AB.
 Result<Bat> SyncSemijoin(const ExecContext& ctx, const Bat& ab, const Bat& cd,
@@ -192,8 +188,8 @@ Result<Bat> MergeSemijoin(const ExecContext& ctx, const Bat& ab,
   const Column& a = ab.head();
   const Column& b = ab.tail();
   const Column& c = cd.head();
-  ColumnBuilder hb(BuilderType(a));
-  ColumnBuilder tb(BuilderType(b), b.str_heap());
+  ColumnBuilder hb(a.type());
+  ColumnBuilder tb(b.type(), b.str_heap());
   internal::ChargeGate gate(ctx, a, b);
   a.TouchAll(ctx.io());
   c.TouchAll(ctx.io());
@@ -329,18 +325,18 @@ Result<Bat> HashAntiSemijoin(const ExecContext& ctx, const Bat& ab,
 }
 
 /// Set union on heads (Monet kunion): all of AB, plus the CD BUNs whose
-/// head is absent from AB. The CD anti-probe runs as morsels; the result
+/// head is absent from AB. AB's rows are charged upfront and each CD miss
+/// through its block's gate. The CD anti-probe runs as morsels; the result
 /// assembles through bulk typed appends (one contiguous range copy per AB
 /// column, one gather per miss list) — mixed source columns rule out a
 /// single-column scatter.
 Result<Bat> HashUnion(const ExecContext& ctx, const Bat& ab, const Bat& cd,
                       OpRecorder& rec) {
-  MF_RETURN_NOT_OK(
-      ChargeGather(ctx, ab.size() + cd.size(), ab.head(), ab.tail()));
   const Column& a = ab.head();
   const Column& b = ab.tail();
-  ColumnBuilder hb(BuilderType(a));
-  ColumnBuilder tb(BuilderType(b), b.str_heap());
+  MF_RETURN_NOT_OK(ChargeGather(ctx, ab.size(), a, b));
+  ColumnBuilder hb(a.type());
+  ColumnBuilder tb(b.type(), b.str_heap());
   a.TouchAll(ctx.io());
   b.TouchAll(ctx.io());
   hb.Reserve(ab.size());
@@ -351,9 +347,7 @@ Result<Bat> HashUnion(const ExecContext& ctx, const Bat& ab, const Bat& cd,
   const Column& c = cd.head();
   const Column& d = cd.tail();
   c.TouchAll(ctx.io());
-  // The result rows were charged upfront (the ab.size()+cd.size() upper
-  // bound above), so the miss gate adds nothing more.
-  internal::MorselRun run(ctx, cd.size());
+  internal::MorselRun run(ctx, cd.size(), internal::ChargeRowBytes(a, b));
   MF_RETURN_NOT_OK(RunMisses(run, *hash, c, d));
   MF_RETURN_NOT_OK(run.Stage());
   for (const internal::Morsel& m : run.morsels()) {
@@ -381,12 +375,9 @@ Result<Bat> Diff(const ExecContext& ctx, const Bat& ab, const Bat& cd) {
 }
 
 Result<Bat> Union(const ExecContext& ctx, const Bat& ab, const Bat& cd) {
-  // The result concatenates both operands' columns (void stores as oid).
-  auto stored = [](const Column& c) {
-    return c.is_void() ? MonetType::kOidT : c.type();
-  };
-  if (stored(ab.head()) != stored(cd.head()) ||
-      stored(ab.tail()) != stored(cd.tail())) {
+  // The result concatenates both operands' columns.
+  if (StoredType(ab.head().type()) != StoredType(cd.head().type()) ||
+      StoredType(ab.tail().type()) != StoredType(cd.tail().type())) {
     return Status::TypeError("kunion requires matching column types");
   }
   OpRecorder rec(ctx, "kunion");

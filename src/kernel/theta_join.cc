@@ -18,10 +18,6 @@ using internal::HashString;
 using internal::MixSync;
 using internal::SetSync;
 
-MonetType BuilderType(const Column& c) {
-  return c.type() == MonetType::kVoid ? MonetType::kOidT : c.type();
-}
-
 /// The theta predicate over the three-way Compare of b and c: NaN reads
 /// as "equal" (so kLe/kGe are the negations of >/<, not <=/>=).
 bool Satisfies(int cmp, CmpOp op) {
@@ -211,7 +207,7 @@ Result<Bat> ThetaJoin(const ExecContext& ctx, const Bat& ab, const Bat& cd,
   if (op == CmpOp::kEq) return Join(ctx, ab, cd);
   OpRecorder rec(ctx, "thetajoin");
   DispatchInput in = MakeInput(ctx, ab, cd);
-  in.param = OpParam{static_cast<int64_t>(op), "", false};
+  in.param = OpParam{static_cast<int64_t>(op)};
   return KernelRegistry::Global().Dispatch<ThetaImplSig>("thetajoin", in, ctx,
                                                          ab, cd, op, rec);
 }
@@ -237,7 +233,7 @@ Result<Bat> Fetch(const ExecContext& ctx, const Bat& ab,
   head.TouchGather(ctx.io(), pos.data(), pos.size());
   tail.TouchGather(ctx.io(), pos.data(), pos.size());
   ColumnBuilder hb(MonetType::kOidT);
-  ColumnBuilder tb(BuilderType(tail), tail.str_heap());
+  ColumnBuilder tb(tail.type(), tail.str_heap());
   hb.Reserve(pos.size());
   tb.Reserve(pos.size());
   for (uint32_t p : pos) hb.AppendOid(p);

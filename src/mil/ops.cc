@@ -38,12 +38,6 @@ constexpr kernel::AggKind kAggs[] = {
 
 // ---------------------------------------------------------------- typing
 
-/// Void columns carry dense oids; every type comparison first folds them
-/// into kOidT so `join(x, extent)` style plans type-check.
-MonetType Norm(MonetType t) {
-  return t == MonetType::kVoid ? MonetType::kOidT : t;
-}
-
 /// How two key types relate for equality-style matching (join heads,
 /// select values): exact same normalized type, comparable-but-lossy
 /// (differing numeric representations hash/compare differently), or
@@ -52,8 +46,8 @@ MonetType Norm(MonetType t) {
 enum class TypeMatch { kExact, kLossy, kIncomparable };
 
 TypeMatch MatchTypes(MonetType a, MonetType b) {
-  const MonetType na = Norm(a);
-  const MonetType nb = Norm(b);
+  const MonetType na = StoredType(a);
+  const MonetType nb = StoredType(b);
   if (na == nb) return TypeMatch::kExact;
   if ((na == MonetType::kStr) != (nb == MonetType::kStr)) {
     return TypeMatch::kIncomparable;
@@ -235,7 +229,7 @@ AbstractBinding TypeThetaJoin(StaticStmt& s) {
 
 AbstractBinding TypeFetch(StaticStmt& s) {
   const AbstractBinding& pos = s.arg[1];
-  if (Norm(pos.tail) != MonetType::kOidT) {
+  if (StoredType(pos.tail) != MonetType::kOidT) {
     s.Error("fetch positions need an oid (or void) tail, '" +
             s.stmt.args[1].ToString() + "' has a " + Name(pos.tail) +
             " tail");
@@ -254,7 +248,7 @@ AbstractBinding TypeUnique(StaticStmt& s) {
 AbstractBinding TypeGroup(StaticStmt& s) {
   const AbstractBinding& in = s.arg[0];
   // A refinement extends the group oids in argument 1's tail.
-  if (s.stmt.args.size() == 2 && Norm(in.tail) != MonetType::kOidT) {
+  if (s.stmt.args.size() == 2 && StoredType(in.tail) != MonetType::kOidT) {
     s.Error("group refinement needs an oid (or void) tail on argument 1, '" +
             s.stmt.args[0].ToString() + "' has a " + Name(in.tail) + " tail");
     return UnknownBinding();
@@ -307,8 +301,8 @@ AbstractBinding TypeInsert(StaticStmt& s) {
   const AbstractBinding& in = s.arg[0];
   // The kernel materializes void columns as oid when inserting (a dense
   // sequence plus an arbitrary BUN is no longer dense).
-  const MonetType head_t = Norm(in.head);
-  const MonetType tail_t = Norm(in.tail);
+  const MonetType head_t = StoredType(in.head);
+  const MonetType tail_t = StoredType(in.tail);
   // A value computed at run time must be of a type that always casts.
   auto check = [&](size_t i, MonetType want, const char* side) {
     const Value* v = s.known[i];
@@ -399,7 +393,7 @@ AbstractBinding TypeMultiplex(StaticStmt& s) {
     s.Error("multiplex " + s.stmt.op + " has no BAT operand");
     return UnknownBinding();
   }
-  auto rt = kernel::ScalarResultType(std::string(s.op.fn->name), els);
+  auto rt = kernel::ScalarResultType(*s.op.fn, els);
   if (!rt.ok()) {
     s.Error(rt.status().message());
     return UnknownBinding();
@@ -414,7 +408,7 @@ AbstractBinding TypeCalc(StaticStmt& s) {
     els.push_back(s.arg[i].scalar);
   }
   if (!CheckScalarArgs(s, els)) return UnknownBinding();
-  auto rt = kernel::ScalarResultType(std::string(s.op.fn->name), els);
+  auto rt = kernel::ScalarResultType(*s.op.fn, els);
   if (!rt.ok()) {
     s.Error(rt.status().message());
     return UnknownBinding();
@@ -436,19 +430,19 @@ std::optional<MonetType> AggType(const StaticStmt& s,
   }
   if (agg == kernel::AggKind::kCount) return MonetType::kLng;
   if (numeric) return MonetType::kDbl;
-  return Norm(in.tail);  // min / max
+  return StoredType(in.tail);  // min / max
 }
 
 AbstractBinding TypeSetAgg(StaticStmt& s) {
   const AbstractBinding& in = s.arg[0];
-  if (Norm(in.head) != MonetType::kOidT) {
+  if (StoredType(in.head) != MonetType::kOidT) {
     s.Error("'" + s.stmt.op + "' groups over an oid head, '" +
             s.stmt.args[0].ToString() + "' has a " + Name(in.head) + " head");
     return UnknownBinding();
   }
   const std::optional<MonetType> out = AggType(s, in);
   if (!out) return UnknownBinding();
-  return BatBinding(Norm(in.head), *out, Distinct(in), true);
+  return BatBinding(StoredType(in.head), *out, Distinct(in), true);
 }
 
 AbstractBinding TypeScalarAgg(StaticStmt& s) {
@@ -487,7 +481,7 @@ OperandView ViewAt(const AbstractBinding& b, bool hi_end) {
   v.tail_width = TypeWidth(b.tail);
   v.head_void = b.head == MonetType::kVoid;
   v.tail_void = b.tail == MonetType::kVoid;
-  v.head_oidlike = Norm(b.head) == MonetType::kOidT;
+  v.head_oidlike = StoredType(b.head) == MonetType::kOidT;
   v.props.hkey = b.head_key;
   return v;
 }
@@ -555,11 +549,9 @@ double PriceMultiplex(const StaticStmt& s, bool hi_end) {
     }
   }
   if (driver == nullptr) return 0;
-  DispatchInput in = other != nullptr ? InputAt(*driver, *other, hi_end)
-                                      : InputAt(*driver, hi_end);
-  in.param = OpParam{static_cast<int64_t>(s.stmt.args.size()),
-                     std::string(s.op.fn->name), false};
-  return FamilyPrice("multiplex", in);
+  return FamilyPrice("multiplex", other != nullptr
+                                      ? InputAt(*driver, *other, hi_end)
+                                      : InputAt(*driver, hi_end));
 }
 
 // ------------------------------------------------------------- execution
@@ -643,7 +635,7 @@ constexpr OpDecl kOps[] = {
     {"thetajoin.", Sx::kCmp, "", A(2), {B, B}, false, TypeThetaJoin,
      [](const StaticStmt& s, bool hi_end) {
        DispatchInput in = InputAt(s.arg[0], s.arg[1], hi_end);
-       in.param = OpParam{static_cast<int64_t>(s.op.cmp), "", false};
+       in.param = OpParam{static_cast<int64_t>(s.op.cmp)};
        return FamilyPrice("thetajoin", in);
      },
      [](const ExecArgs& a) {
@@ -755,8 +747,7 @@ constexpr OpDecl kOps[] = {
        for (size_t i = 0; i < a.stmt.args.size(); ++i) {
          margs.push_back(*a.arg[i]);
        }
-       return AsBinding(
-           kernel::Multiplex(a.ctx, std::string(a.op.fn->name), margs));
+       return AsBinding(kernel::Multiplex(a.ctx, *a.op.fn, margs));
      }},
     {"calc.", Sx::kFn, "", 0, {S, S, S}, false, TypeCalc, PriceFree,
      [](const ExecArgs& a) {
@@ -764,7 +755,7 @@ constexpr OpDecl kOps[] = {
        for (size_t i = 0; i < a.stmt.args.size(); ++i) {
          args.push_back(a.ValAt(i));
        }
-       return AsBinding(kernel::ScalarApply(std::string(a.op.fn->name), args));
+       return AsBinding(kernel::ScalarApply(*a.op.fn, args));
      }},
     // Set-aggregates {g} (grouped by head) and whole-tail aggregates.
     {"{", Sx::kAgg, "}", A(1), {B}, false, TypeSetAgg,

@@ -38,12 +38,6 @@ void IoStats::TouchPageColdSlow(uint64_t heap, uint64_t page, Access acc) {
   RecordFault(PageKey(heap, page), acc);
 }
 
-void IoStats::AdmitCold(uint64_t heap, uint64_t page, Access acc) {
-  // Replay path: bypass the memos (they are maintained by RecordFault /
-  // TouchPageColdSlow anyway) but share the bitmap residency state.
-  TouchPageCold(heap, page, acc);
-}
-
 void IoStats::AdmitLru(uint64_t key, Access acc) {
   auto it = resident_.find(key);
   if (it != resident_.end()) {
@@ -76,7 +70,7 @@ void IoStats::MergeFrom(const IoStats& shard) {
     return;
   }
   for (const auto& [key, acc] : shard.fault_log_) {
-    AdmitCold(key >> 22, key & kPageMask, acc);
+    TouchPageCold(key >> 22, key & kPageMask, acc);
   }
 }
 

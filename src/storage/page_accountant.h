@@ -182,8 +182,6 @@ class IoStats {
 
   /// LRU-mode admission (the only path that pays for the recency map).
   void AdmitLru(uint64_t key, Access acc);
-  /// Cold-mode admission of one page, bypassing the memos.
-  void AdmitCold(uint64_t heap, uint64_t page, Access acc);
   /// Cold-mode slow path of TouchPage: resolve the heap bitmap.
   void TouchPageColdSlow(uint64_t heap, uint64_t page, Access acc);
 

@@ -14,6 +14,7 @@
 #include "kernel/exec_context.h"
 #include "kernel/operators.h"
 #include "kernel/registry.h"
+#include "kernel/scalar_fn.h"
 #include "tpcd/loader.h"
 #include "tpcd/queries.h"
 
@@ -135,7 +136,8 @@ TEST(ExecContextTest, BudgetGatesBoxedMultiplexAndProjectPaths) {
   ExecContext tight;
   tight.WithMemoryBudget(1024);
   auto synced =
-      kernel::Multiplex(tight, "ifthen", {flags, price, Value::Int(0)});
+      kernel::Multiplex(tight, *kernel::FindScalarFn("ifthen"),
+                        {flags, price, Value::Int(0)});
   ASSERT_FALSE(synced.ok());
   EXPECT_EQ(synced.status().code(), StatusCode::kResourceExhausted);
 
@@ -148,7 +150,8 @@ TEST(ExecContextTest, BudgetGatesBoxedMultiplexAndProjectPaths) {
             price.tail_col());
   ExecContext tight2;
   tight2.WithMemoryBudget(1024);
-  auto headjoin = kernel::Multiplex(tight2, "+", {price, other});
+  auto headjoin =
+      kernel::Multiplex(tight2, *kernel::FindScalarFn("+"), {price, other});
   ASSERT_FALSE(headjoin.ok());
   EXPECT_EQ(headjoin.status().code(), StatusCode::kResourceExhausted);
 
@@ -163,8 +166,12 @@ TEST(ExecContextTest, BudgetGatesBoxedMultiplexAndProjectPaths) {
   ExecContext roomy;
   roomy.WithMemoryBudget(10u << 20);
   ASSERT_TRUE(
-      kernel::Multiplex(roomy, "ifthen", {flags, price, Value::Int(0)}).ok());
-  ASSERT_TRUE(kernel::Multiplex(roomy, "+", {price, other}).ok());
+      kernel::Multiplex(roomy, *kernel::FindScalarFn("ifthen"),
+                        {flags, price, Value::Int(0)})
+          .ok());
+  ASSERT_TRUE(
+      kernel::Multiplex(roomy, *kernel::FindScalarFn("+"), {price, other})
+          .ok());
   ASSERT_TRUE(kernel::ProjectConst(roomy, price, Value::Int(7)).ok());
   EXPECT_GT(roomy.memory_charged(), 0u);
 }
@@ -399,7 +406,8 @@ std::vector<MorselKernel> MorselKernels(size_t n) {
        [=](const ExecContext& c) { return kernel::Union(c, half, ab); }},
       {"multiplex", "multiplex_headjoin",
        [=](const ExecContext& c) {
-         return kernel::Multiplex(c, "+", {ab, reversed});
+         return kernel::Multiplex(c, *kernel::FindScalarFn("+"),
+                                  {ab, reversed});
        }},
       {"group", "hash_group_refine",
        [=](const ExecContext& c) {
@@ -439,6 +447,29 @@ TEST(ExecContextTest, CancelledTokenStopsKernelsWithZeroBalance) {
     ASSERT_FALSE(r.ok()) << k.impl;
     EXPECT_EQ(r.status().code(), StatusCode::kCancelled) << k.impl;
     EXPECT_EQ(cancelled.memory_charged(), 0u) << k.impl;
+  }
+  SetParallelBlockCap(0);
+}
+
+TEST(ExecContextTest, UnionChargesOnlyTheRowsItEmits) {
+  // kunion keeps all of AB and adds CD's head misses: 100,000 [oid,int]
+  // rows in AB and 200,000 in CD, half of whose heads AB holds, give
+  // 200,000 rows of 12 bytes. The upper bound of 300,000 rows is never
+  // charged, so a budget between the two admits the union.
+  std::vector<Oid> odd(100000);
+  for (size_t i = 0; i < odd.size(); ++i) odd[i] = 2 * i + 1;
+  const Bat ab(Column::MakeOid(odd),
+               Column::MakeInt(std::vector<int32_t>(odd.size(), 5)));
+  const Bat cd = SmallBat(200000);  // heads 1..200000
+  SetParallelBlockCap(4);
+  for (const int degree : {1, 4}) {
+    ExecContext ctx;
+    ctx.WithMemoryBudget(3000000).WithParallelDegree(degree);
+    auto res = kernel::Union(ctx, ab, cd);
+    ASSERT_TRUE(res.ok()) << "degree " << degree << ": "
+                          << res.status().ToString();
+    EXPECT_EQ(res->size(), 200000u);
+    EXPECT_EQ(ctx.memory_charged(), 2400000u) << "degree " << degree;
   }
   SetParallelBlockCap(0);
 }

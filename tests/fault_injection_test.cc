@@ -20,6 +20,7 @@
 #include "kernel/exec_context.h"
 #include "kernel/exec_tracer.h"
 #include "kernel/operators.h"
+#include "kernel/scalar_fn.h"
 #include "mil/interpreter.h"
 #include "mil/parser.h"
 #include "service/query_service.h"
@@ -335,7 +336,8 @@ std::vector<MorselKernel> MorselKernels(size_t n) {
        [=](const ExecContext& c) { return kernel::Union(c, half, ab); }},
       {"multiplex", "multiplex_headjoin",
        [=](const ExecContext& c) {
-         return kernel::Multiplex(c, "+", {ab, reversed});
+         return kernel::Multiplex(c, *kernel::FindScalarFn("+"),
+                                  {ab, reversed});
        }},
       {"group", "hash_group_refine",
        [=](const ExecContext& c) {

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <any>
 #include <cstdio>
 #include <cstring>
@@ -372,9 +373,11 @@ TEST(GroupTest, RefiningANonOidTailIsATypeError) {
 TEST(MultiplexTest, VoidTailUnderAStringFunctionIsATypeError) {
   ExecContext ctx;
   Bat ext = VoidTail(ctx, AttrBat({1, 2}, {10, 20})).ValueOrDie();
-  EXPECT_EQ(Multiplex(ctx, "concat", {ext, Value::Str("x")}).status().code(),
+  EXPECT_EQ(Multiplex(ctx, *FindScalarFn("concat"), {ext, Value::Str("x")})
+                .status()
+                .code(),
             StatusCode::kTypeError);
-  EXPECT_EQ(Multiplex(ctx, "not", {ext}).status().code(),
+  EXPECT_EQ(Multiplex(ctx, *FindScalarFn("not"), {ext}).status().code(),
             StatusCode::kTypeError);
 }
 
@@ -385,8 +388,8 @@ TEST(MultiplexTest, SyncedNumericFastPath) {
   Bat disc(head, Column::MakeDbl({0.1, 0.2, 0.3}));
   ExecTracer tracer;
   ctx.WithTracer(&tracer);
-  Bat out = Multiplex(ctx, "*", {price, disc}).ValueOrDie();
-  EXPECT_EQ(tracer.LastImplOf("multiplex"), "multiplex_synced_numeric");
+  Bat out = Multiplex(ctx, *FindScalarFn("*"), {price, disc}).ValueOrDie();
+  EXPECT_EQ(tracer.LastImplOf("multiplex"), "multiplex_synced");
   EXPECT_DOUBLE_EQ(out.tail().NumAt(1), 4.0);
   EXPECT_TRUE(out.SyncedWith(price));
 }
@@ -394,7 +397,8 @@ TEST(MultiplexTest, SyncedNumericFastPath) {
 TEST(MultiplexTest, ConstantArgumentBroadcasts) {
   ExecContext ctx;
   Bat disc(Column::MakeOid({1, 2}), Column::MakeDbl({0.1, 0.25}));
-  Bat out = Multiplex(ctx, "-", {Value::Dbl(1.0), disc}).ValueOrDie();
+  Bat out =
+      Multiplex(ctx, *FindScalarFn("-"), {Value::Dbl(1.0), disc}).ValueOrDie();
   EXPECT_DOUBLE_EQ(out.tail().NumAt(0), 0.9);
   EXPECT_DOUBLE_EQ(out.tail().NumAt(1), 0.75);
 }
@@ -404,7 +408,7 @@ TEST(MultiplexTest, YearExtraction) {
   Bat dates(Column::MakeOid({1, 2}),
             Column::MakeDate({Date::FromYmd(1994, 3, 1),
                               Date::FromYmd(1996, 7, 9)}));
-  Bat out = Multiplex(ctx, "year", {dates}).ValueOrDie();
+  Bat out = Multiplex(ctx, *FindScalarFn("year"), {dates}).ValueOrDie();
   EXPECT_EQ(IntTails(out), (std::vector<int32_t>{1994, 1996}));
 }
 
@@ -414,7 +418,7 @@ TEST(MultiplexTest, HeadJoinAlignmentWhenNotSynced) {
   Bat b(Column::MakeOid({3, 1}), Column::MakeDbl({30, 10}));
   ExecTracer tracer;
   ctx.WithTracer(&tracer);
-  Bat out = Multiplex(ctx, "+", {a, b}).ValueOrDie();
+  Bat out = Multiplex(ctx, *FindScalarFn("+"), {a, b}).ValueOrDie();
   EXPECT_EQ(tracer.LastImplOf("multiplex"), "multiplex_headjoin");
   // Only heads 1 and 3 exist on both sides.
   EXPECT_EQ(Heads(out), (std::vector<Oid>{1, 3}));
@@ -444,10 +448,9 @@ TEST(MultiplexTest, DivisionByZeroFailsOnEveryVariant) {
     const char* impl;
   };
   const Case cases[] = {
-      {"synced", synced_twos, synced_zero, "multiplex_synced_numeric"},
+      {"synced", synced_twos, synced_zero, "multiplex_synced"},
       {"head-join", joined_twos, joined_zero, "multiplex_headjoin"},
-      {"constant", Value::Dbl(2.0), Value::Dbl(0.0),
-       "multiplex_synced_numeric"},
+      {"constant", Value::Dbl(2.0), Value::Dbl(0.0), "multiplex_synced"},
   };
   for (int degree : {1, 4}) {
     for (const Case& c : cases) {
@@ -456,9 +459,10 @@ TEST(MultiplexTest, DivisionByZeroFailsOnEveryVariant) {
       ExecTracer tracer;
       ExecContext ctx;
       ctx.WithTracer(&tracer).WithParallelDegree(degree);
-      EXPECT_TRUE(Multiplex(ctx, "/", {x, c.ok}).ok()) << what;
+      EXPECT_TRUE(Multiplex(ctx, *FindScalarFn("/"), {x, c.ok}).ok()) << what;
       EXPECT_EQ(tracer.LastImplOf("multiplex"), c.impl) << what;
-      const Status s = Multiplex(ctx, "/", {x, c.zero}).status();
+      const Status s =
+          Multiplex(ctx, *FindScalarFn("/"), {x, c.zero}).status();
       EXPECT_EQ(s.code(), StatusCode::kExecutionError) << what;
       EXPECT_EQ(s.message(), "division by zero") << what;
     }
@@ -469,7 +473,8 @@ TEST(MultiplexTest, DivisionByZeroFailsOnEveryVariant) {
 TEST(MultiplexTest, ComparisonYieldsBits) {
   ExecContext ctx;
   Bat a(Column::MakeOid({1, 2}), Column::MakeInt({5, 9}));
-  Bat out = Multiplex(ctx, "<", {a, Value::Int(7)}).ValueOrDie();
+  Bat out =
+      Multiplex(ctx, *FindScalarFn("<"), {a, Value::Int(7)}).ValueOrDie();
   EXPECT_EQ(out.tail().type(), MonetType::kBit);
   EXPECT_EQ(out.tail().GetValue(0).AsBit(), true);
   EXPECT_EQ(out.tail().GetValue(1).AsBit(), false);
@@ -618,9 +623,12 @@ TEST(ScalarFnTest, LikePatterns) {
 
 TEST(ScalarFnTest, ArithmeticAndDivisionByZero) {
   EXPECT_DOUBLE_EQ(
-      ScalarApply("+", {Value::Int(2), Value::Dbl(0.5)}).ValueOrDie().AsDbl(),
+      ScalarApply(*FindScalarFn("+"), {Value::Int(2), Value::Dbl(0.5)})
+          .ValueOrDie()
+          .AsDbl(),
       2.5);
-  EXPECT_FALSE(ScalarApply("/", {Value::Int(1), Value::Int(0)}).ok());
+  EXPECT_FALSE(
+      ScalarApply(*FindScalarFn("/"), {Value::Int(1), Value::Int(0)}).ok());
 }
 
 TEST(ScalarFnTest, WronglyTypedArgumentsAreTypeErrors) {
@@ -637,23 +645,27 @@ TEST(ScalarFnTest, WronglyTypedArgumentsAreTypeErrors) {
       {"+", {Value::Str("x"), Value::Int(1)}},
   };
   for (const auto& [fn, args] : calls) {
-    EXPECT_EQ(ScalarApply(fn, args).status().code(), StatusCode::kTypeError)
+    EXPECT_EQ(ScalarApply(*FindScalarFn(fn), args).status().code(),
+              StatusCode::kTypeError)
         << fn;
   }
-  EXPECT_EQ(ScalarApply("not", {}).status().code(),
+  EXPECT_EQ(ScalarApply(*FindScalarFn("not"), {}).status().code(),
             StatusCode::kInvalidArgument);
 }
 
 TEST(ScalarFnTest, ResultTypes) {
-  EXPECT_EQ(ScalarResultType("*", {MonetType::kFlt, MonetType::kDbl})
+  EXPECT_EQ(ScalarResultType(*FindScalarFn("*"),
+                             {MonetType::kFlt, MonetType::kDbl})
                 .ValueOrDie(),
             MonetType::kDbl);
-  EXPECT_EQ(ScalarResultType("=", {MonetType::kStr, MonetType::kStr})
+  EXPECT_EQ(ScalarResultType(*FindScalarFn("="),
+                             {MonetType::kStr, MonetType::kStr})
                 .ValueOrDie(),
             MonetType::kBit);
-  EXPECT_EQ(ScalarResultType("year", {MonetType::kDate}).ValueOrDie(),
-            MonetType::kInt);
-  EXPECT_FALSE(ScalarResultType("bogus", {}).ok());
+  EXPECT_EQ(
+      ScalarResultType(*FindScalarFn("year"), {MonetType::kDate}).ValueOrDie(),
+      MonetType::kInt);
+  EXPECT_EQ(FindScalarFn("bogus"), nullptr);
 }
 
 // ------------------------------------------------------------ golden table
@@ -983,7 +995,7 @@ std::vector<std::string> GoldenTable(int degree) {
                 {CmpOp::kGe, "ge"}};
     for (const auto& [op, opn] : cmps) {
       DispatchInput in = MakeInput(ctx, left, right);
-      in.param = OpParam{static_cast<int64_t>(op), "", false};
+      in.param = OpParam{static_cast<int64_t>(op)};
       for (const char* impl : {"sort_band_thetajoin", "nested_thetajoin"}) {
         add("theta/" + pn + "/" + opn + "/" + impl,
             RunVariant<ThetaImplSig>(ctx, "thetajoin", impl, in, left, right,
@@ -1582,7 +1594,7 @@ TEST(ValueViewKernelTest, LngBeyond2p53StaysDistinct) {
     const Bat one(IotaOids(1), BigLngs(1, 1, 1));
     const Bat other(BigLngs(1), IotaOids(1));
     DispatchInput in = MakeInput(ctx, one, other);
-    in.param = OpParam{static_cast<int64_t>(CmpOp::kGt), "", false};
+    in.param = OpParam{static_cast<int64_t>(CmpOp::kGt)};
     for (const char* impl : {"sort_band_thetajoin", "nested_thetajoin"}) {
       EXPECT_EQ(RunSize(RunVariant<ThetaImplSig>(ctx, "thetajoin", impl, in,
                                                  one, other, CmpOp::kGt)),
@@ -1614,7 +1626,7 @@ TEST(ValueViewKernelTest, OidBeyond2p53AndSignedAgainstOid) {
     const Bat top(Column::MakeOid({~Oid{0}}), IotaOids(1));
     EXPECT_EQ(Join(ctx, neg, top).ValueOrDie().size(), 0u);
     DispatchInput in = MakeInput(ctx, neg, top);
-    in.param = OpParam{static_cast<int64_t>(CmpOp::kLt), "", false};
+    in.param = OpParam{static_cast<int64_t>(CmpOp::kLt)};
     for (const char* impl : {"sort_band_thetajoin", "nested_thetajoin"}) {
       EXPECT_EQ(RunSize(RunVariant<ThetaImplSig>(ctx, "thetajoin", impl, in,
                                                  neg, top, CmpOp::kLt)),
@@ -1674,6 +1686,945 @@ TEST(ValueViewKernelTest, StrNeverMatchesNonStrOnAnyJoinVariant) {
               "hash_join");
     EXPECT_EQ(Join(ctx, strs_u, ints_u).ValueOrDie().size(), 0u);
   });
+}
+
+// ------------------------------------------------- multiplex golden table
+//
+// Every scalar function of AllScalarFns() through the multiplex dispatch,
+// over the operand types its argument classes admit, in four shapes:
+// synced BAT x BAT, head-join BAT x BAT (the right operand's heads shuffled
+// and overlapping the driver's only in part), BAT x constant and
+// constant x BAT. Each row is pinned like the kernel golden table above
+// (size, head and tail digests, properties, or the error) at degrees 1 and
+// 4, block cap 4. Keys name the function, shape and operand types, never
+// the variant dispatch picks. Operands carry lng values at and above 2^53,
+// dbl NaN, -0.0 and 0.0, bit and chr zeros and str on one heap ("str") and
+// on two ("str2"); a void constant is nil. "/" divisors are drawn nonzero,
+// and each shape has one more "/" row whose divisor is zero in the last
+// block only.
+
+struct MxType {
+  const char* name;
+  MonetType type;
+  bool own_heap;  // str interned into a heap of its own
+};
+
+constexpr MxType kMxTypes[] = {
+    {"void", MonetType::kVoid, false}, {"oid", MonetType::kOidT, false},
+    {"int", MonetType::kInt, false},   {"lng", MonetType::kLng, false},
+    {"flt", MonetType::kFlt, false},   {"dbl", MonetType::kDbl, false},
+    {"date", MonetType::kDate, false}, {"bit", MonetType::kBit, false},
+    {"chr", MonetType::kChr, false},   {"str", MonetType::kStr, false},
+    {"str2", MonetType::kStr, true},
+};
+constexpr size_t kMxTypeCount = std::size(kMxTypes);
+
+/// Seeded multiplex operands: a draw v in [0, 97) maps to one value per
+/// type, so equal draws give equal values within a type.
+struct MxGen {
+  std::shared_ptr<storage::StringHeap> heap =
+      std::make_shared<storage::StringHeap>();
+
+  static Value At(MonetType t, int64_t v) {
+    switch (t) {
+      case MonetType::kOidT: return Value::MakeOid(static_cast<Oid>(v));
+      case MonetType::kInt: return Value::Int(static_cast<int32_t>(v - 48));
+      case MonetType::kLng:
+        return Value::Lng(v % 2 != 0 ? k2p53 + v : v - 48);
+      case MonetType::kFlt:
+        return Value::Flt(0.25f * static_cast<float>(v - 48));
+      case MonetType::kDbl:
+        return Value::Dbl(0.5 * static_cast<double>(v - 48));
+      case MonetType::kDate:
+        return Value::MakeDate(Date(9000 + 37 * static_cast<int32_t>(v)));
+      case MonetType::kBit: return Value::Bit(v % 2 != 0);
+      case MonetType::kChr: return Value::Chr(static_cast<char>(v % 20));
+      case MonetType::kStr: return Value::Str("k" + std::to_string(v));
+      default: return Value();  // void: nil
+    }
+  }
+
+  static bool IsZero(const Value& v) {
+    const Result<double> d = v.ToDouble();
+    return d.ok() && *d == 0.0;
+  }
+
+  /// `nonzero` skips draws whose numeric view is zero; `zero_at` then
+  /// places one zero at that row.
+  ColumnPtr Make(const MxType& t, size_t n, uint64_t seed,
+                 bool nonzero = false, size_t zero_at = SIZE_MAX) const {
+    if (t.type == MonetType::kVoid) return Column::MakeVoid(7, n);
+    Rng rng(seed);
+    bat::ColumnBuilder b(t.type, t.own_heap
+                                     ? std::make_shared<storage::StringHeap>()
+                                     : heap);
+    b.Reserve(n);
+    for (size_t i = 0; i < n; ++i) {
+      int64_t v = rng.Uniform(0, 96);
+      Value x = At(t.type, v);
+      if (t.type == MonetType::kDbl && rng.Chance(1.0 / 16)) {
+        x = Value::Dbl(rng.Chance(0.5)
+                           ? -0.0
+                           : std::numeric_limits<double>::quiet_NaN());
+      }
+      while (nonzero && IsZero(x)) x = At(t.type, ++v);
+      if (i == zero_at) x = Value::Int(0).CastTo(t.type).ValueOrDie();
+      EXPECT_TRUE(b.AppendValue(x).ok());
+    }
+    return b.Finish();
+  }
+};
+
+std::vector<std::string> MxGoldenTable(int degree) {
+  ExecContext ctx;
+  ctx.WithParallelDegree(degree);
+  const MxGen gen;
+  const size_t n = kGoldenRows;
+  std::vector<std::string> rows;
+  // A row key starts with the function, as in "[+] synced int-dbl".
+  auto add = [&](const std::string& name, const std::vector<MxArg>& args) {
+    const std::string fn = name.substr(1, name.find(']') - 1);
+    rows.push_back(GoldenRow(name, Multiplex(ctx, *FindScalarFn(fn), args)));
+  };
+
+  // The synced operands share one void head; the head-join right operand's
+  // heads are [n/8, n + n/8) shuffled, so the driver's first eighth drops.
+  const ColumnPtr head = Column::MakeVoid(0, n);
+  const Properties keyed{true, false, true, false};
+  std::vector<Oid> shuffled(n);
+  std::iota(shuffled.begin(), shuffled.end(), Oid{n / 8});
+  Rng rng(41);
+  for (size_t i = n - 1; i > 0; --i) {
+    std::swap(shuffled[i], shuffled[rng.Uniform(0, static_cast<int64_t>(i))]);
+  }
+  const ColumnPtr other_head = Column::MakeOid(shuffled);
+  ColumnPtr left[kMxTypeCount], right[kMxTypeCount], divisor[kMxTypeCount];
+  for (size_t t = 0; t < kMxTypeCount; ++t) {
+    left[t] = gen.Make(kMxTypes[t], n, 100 + t);
+    right[t] = gen.Make(kMxTypes[t], n, 200 + t);
+    divisor[t] = gen.Make(kMxTypes[t], n, 300 + t, true);
+  }
+  auto synced = [&](const ColumnPtr& tail) { return Bat(head, tail, keyed); };
+  auto joined = [&](const ColumnPtr& tail) { return Bat(other_head, tail); };
+  // Constants: draws 13 and 61 are nonzero in every type.
+  auto lconst = [](size_t t) { return MxGen::At(kMxTypes[t].type, 13); };
+  auto rconst = [](size_t t) { return MxGen::At(kMxTypes[t].type, 61); };
+
+  // Binary functions over type pairs (a, b) in every shape.
+  auto binary = [&](const std::string& fn, size_t a, size_t b) {
+    const std::string types =
+        std::string(kMxTypes[a].name) + "-" + kMxTypes[b].name;
+    const ColumnPtr& r = fn == "/" ? divisor[b] : right[b];
+    add("[" + fn + "] synced " + types, {synced(left[a]), synced(r)});
+    add("[" + fn + "] headjoin " + types, {synced(left[a]), joined(r)});
+    add("[" + fn + "] bat-const " + types, {synced(left[a]), rconst(b)});
+    add("[" + fn + "] const-bat " + types, {lconst(a), synced(r)});
+  };
+  // The type indexes a class admits: kNum everything but str, kCmp all.
+  std::vector<size_t> num, all;
+  for (size_t t = 0; t < kMxTypeCount; ++t) {
+    all.push_back(t);
+    if (kMxTypes[t].type != MonetType::kStr) num.push_back(t);
+  }
+  auto pairs = [&](const std::string& fn, const std::vector<size_t>& types,
+                   bool rotate) {
+    for (size_t i = 0; i < types.size(); ++i) {
+      binary(fn, types[i], types[i]);
+      if (rotate) binary(fn, types[i], types[(i + 1) % types.size()]);
+    }
+  };
+  constexpr size_t kDbl = 5, kInt = 2, kBit = 7, kDate = 6, kStr = 9,
+                   kStr2 = 10;
+  for (const ScalarFn& f : AllScalarFns()) {
+    const std::string fn(f.name);
+    switch (f.args[0]) {
+      case ScalarClass::kNum:
+        pairs(fn, num, fn == "+" || fn == "/");
+        binary(fn, kStr, kInt);  // misfit
+        break;
+      case ScalarClass::kCmp:
+        pairs(fn, all, fn == "<" || fn == "=");
+        break;
+      case ScalarClass::kBit:
+        if (f.arity == 1) {
+          add("[" + fn + "] bat bit", {synced(left[kBit])});
+          add("[" + fn + "] bat int", {synced(left[kInt])});  // misfit
+        } else if (f.arity == 2) {
+          binary(fn, kBit, kBit);
+          binary(fn, kInt, kBit);  // misfit
+        } else {
+          // ifthen: a bit condition, both branches of one type.
+          for (size_t t = 0; t < kMxTypeCount; ++t) {
+            const std::string tn = std::string("bit-") + kMxTypes[t].name +
+                                   "-" + kMxTypes[t].name;
+            add("[" + fn + "] synced " + tn,
+                {synced(left[kBit]), synced(left[t]), synced(right[t])});
+            add("[" + fn + "] headjoin " + tn,
+                {synced(left[kBit]), joined(left[t]), joined(right[t])});
+            add("[" + fn + "] bat-const " + tn,
+                {synced(left[kBit]), lconst(t), rconst(t)});
+            add("[" + fn + "] const-bat " + tn,
+                {Value::Bit(true), synced(left[t]), synced(right[t])});
+          }
+          add("[" + fn + "] synced bit-int-dbl",  // branches differ
+              {synced(left[kBit]), synced(left[kInt]), synced(right[kDbl])});
+          add("[" + fn + "] synced int-int-int",  // misfit condition
+              {synced(left[kInt]), synced(left[kInt]), synced(right[kInt])});
+        }
+        break;
+      case ScalarClass::kDate:
+        add("[" + fn + "] bat date", {synced(left[kDate])});
+        add("[" + fn + "] bat int", {synced(left[kInt])});  // misfit
+        break;
+      case ScalarClass::kStr:
+        if (f.arity == 1) {
+          add("[" + fn + "] bat str", {synced(left[kStr])});
+          add("[" + fn + "] bat str2", {synced(left[kStr2])});
+          add("[" + fn + "] bat int", {synced(left[kInt])});  // misfit
+        } else {
+          binary(fn, kStr, kStr);
+          binary(fn, kStr, kStr2);
+          binary(fn, kInt, kStr);  // misfit
+        }
+        break;
+      case ScalarClass::kSame:
+        break;
+    }
+  }
+
+  // "/" with one zero divisor in the last block, per shape (the head-join
+  // divisor's zero sits where the driver's row n - 5 aligns).
+  const size_t joined_zero = static_cast<size_t>(
+      std::find(shuffled.begin(), shuffled.end(), Oid{n - 5}) -
+      shuffled.begin());
+  const ColumnPtr zero_late = gen.Make(kMxTypes[kInt], n, 400, true, n - 5);
+  const ColumnPtr zero_joined =
+      gen.Make(kMxTypes[kInt], n, 400, true, joined_zero);
+  add("[/] synced dbl-int zero", {synced(left[kDbl]), synced(zero_late)});
+  add("[/] headjoin dbl-int zero", {synced(left[kDbl]), joined(zero_joined)});
+  add("[/] bat-const dbl-int zero", {synced(left[kDbl]), Value::Int(0)});
+  add("[/] const-bat dbl-int zero", {rconst(kDbl), synced(zero_late)});
+  // No BAT operand, and empty operands.
+  add("[+] const-const int-int", {lconst(kInt), rconst(kInt)});
+  add("[year] const date", {lconst(kDate)});
+  const ColumnPtr empty_head = Column::MakeVoid(0, 0);
+  add("[*] synced dbl-dbl empty",
+      {Bat(empty_head, Column::MakeDbl({})),
+       Bat(empty_head, Column::MakeDbl({}))});
+  return rows;
+}
+
+constexpr const char* kMxGolden[] = {
+    "[+] synced void-void n=66000 void:6b9843b0e132aeb3 dbl:dfb3142ecf277203 1100",
+    "[+] headjoin void-void n=57750 oid:38f1911f634cd0d2 dbl:2e9b91794099b5d5 1100",
+    "[+] bat-const void-void error Type error: '+' argument 2 is nil",
+    "[+] const-bat void-void error Type error: '+' argument 1 is nil",
+    "[+] synced void-oid n=66000 void:6b9843b0e132aeb3 dbl:80cddeb90026fe18 1100",
+    "[+] headjoin void-oid n=57750 oid:38f1911f634cd0d2 dbl:d90d6a33c0e7bf5c 1100",
+    "[+] bat-const void-oid n=66000 void:6b9843b0e132aeb3 dbl:213bc97fe0440303 1100",
+    "[+] const-bat void-oid error Type error: '+' argument 1 is nil",
+    "[+] synced oid-oid n=66000 void:6b9843b0e132aeb3 dbl:823188608bf52c69 1100",
+    "[+] headjoin oid-oid n=57750 oid:38f1911f634cd0d2 dbl:09b2c8feecf83180 1100",
+    "[+] bat-const oid-oid n=66000 void:6b9843b0e132aeb3 dbl:ed7b45627ae1a5b0 1100",
+    "[+] const-bat oid-oid n=66000 void:6b9843b0e132aeb3 dbl:d47ddec4fd79b39d 1100",
+    "[+] synced oid-int n=66000 void:6b9843b0e132aeb3 dbl:42feeebf16a13e67 1100",
+    "[+] headjoin oid-int n=57750 oid:38f1911f634cd0d2 dbl:1bf897ca046ee408 1100",
+    "[+] bat-const oid-int n=66000 void:6b9843b0e132aeb3 dbl:c5ec997767a1455e 1100",
+    "[+] const-bat oid-int n=66000 void:6b9843b0e132aeb3 dbl:0c73a9c5e7373923 1100",
+    "[+] synced int-int n=66000 void:6b9843b0e132aeb3 dbl:19401630b01a95df 1100",
+    "[+] headjoin int-int n=57750 oid:38f1911f634cd0d2 dbl:fcd88019ce09f3c0 1100",
+    "[+] bat-const int-int n=66000 void:6b9843b0e132aeb3 dbl:cecf0854f0167b17 1100",
+    "[+] const-bat int-int n=66000 void:6b9843b0e132aeb3 dbl:b8bc87e4959f74db 1100",
+    "[+] synced int-lng n=66000 void:6b9843b0e132aeb3 dbl:f3da73e3a8fcef6f 1100",
+    "[+] headjoin int-lng n=57750 oid:38f1911f634cd0d2 dbl:6b0ec034d2134f82 1100",
+    "[+] bat-const int-lng n=66000 void:6b9843b0e132aeb3 dbl:858388214c56ae0a 1100",
+    "[+] const-bat int-lng n=66000 void:6b9843b0e132aeb3 dbl:3b07decb2b14d1c9 1100",
+    "[+] synced lng-lng n=66000 void:6b9843b0e132aeb3 dbl:6faeef946b1efc96 1100",
+    "[+] headjoin lng-lng n=57750 oid:38f1911f634cd0d2 dbl:48a180fa24efaba2 1100",
+    "[+] bat-const lng-lng n=66000 void:6b9843b0e132aeb3 dbl:2bf16ca29fc0cc89 1100",
+    "[+] const-bat lng-lng n=66000 void:6b9843b0e132aeb3 dbl:e44d5a6971cb3344 1100",
+    "[+] synced lng-flt n=66000 void:6b9843b0e132aeb3 dbl:b955656999c7281e 1100",
+    "[+] headjoin lng-flt n=57750 oid:38f1911f634cd0d2 dbl:7c85b895f075982e 1100",
+    "[+] bat-const lng-flt n=66000 void:6b9843b0e132aeb3 dbl:fa0b1b79cd000b22 1100",
+    "[+] const-bat lng-flt n=66000 void:6b9843b0e132aeb3 dbl:3083cf4aaa59e14e 1100",
+    "[+] synced flt-flt n=66000 void:6b9843b0e132aeb3 dbl:94ff3819f1bcfabd 1100",
+    "[+] headjoin flt-flt n=57750 oid:38f1911f634cd0d2 dbl:2be35c2a97ba1144 1100",
+    "[+] bat-const flt-flt n=66000 void:6b9843b0e132aeb3 dbl:86221b36d1e0ed2c 1100",
+    "[+] const-bat flt-flt n=66000 void:6b9843b0e132aeb3 dbl:fdd5011d6defec52 1100",
+    "[+] synced flt-dbl n=66000 void:6b9843b0e132aeb3 dbl:8d4019b633acded4 1100",
+    "[+] headjoin flt-dbl n=57750 oid:38f1911f634cd0d2 dbl:7bcd1b7de9ea4b63 1100",
+    "[+] bat-const flt-dbl n=66000 void:6b9843b0e132aeb3 dbl:81d45a35ca10a8c9 1100",
+    "[+] const-bat flt-dbl n=66000 void:6b9843b0e132aeb3 dbl:dc298a9c21ffe060 1100",
+    "[+] synced dbl-dbl n=66000 void:6b9843b0e132aeb3 dbl:0f2682b3f5f91789 1100",
+    "[+] headjoin dbl-dbl n=57750 oid:38f1911f634cd0d2 dbl:26bf050cb9281ce3 1100",
+    "[+] bat-const dbl-dbl n=66000 void:6b9843b0e132aeb3 dbl:b7151d19b0703e6f 1100",
+    "[+] const-bat dbl-dbl n=66000 void:6b9843b0e132aeb3 dbl:f912a3bb7290fea5 1100",
+    "[+] synced dbl-date n=66000 void:6b9843b0e132aeb3 dbl:259f4752670bd548 1100",
+    "[+] headjoin dbl-date n=57750 oid:38f1911f634cd0d2 dbl:344a5acf3a272cd2 1100",
+    "[+] bat-const dbl-date n=66000 void:6b9843b0e132aeb3 dbl:0c15b7d7c8e6364b 1100",
+    "[+] const-bat dbl-date n=66000 void:6b9843b0e132aeb3 dbl:10e21e7074e76144 1100",
+    "[+] synced date-date n=66000 void:6b9843b0e132aeb3 dbl:a2b3400809dd7cf3 1100",
+    "[+] headjoin date-date n=57750 oid:38f1911f634cd0d2 dbl:f4d85732e2aa4879 1100",
+    "[+] bat-const date-date n=66000 void:6b9843b0e132aeb3 dbl:5bde6037d7c34107 1100",
+    "[+] const-bat date-date n=66000 void:6b9843b0e132aeb3 dbl:6a8b0fefd905662b 1100",
+    "[+] synced date-bit n=66000 void:6b9843b0e132aeb3 dbl:e3422722e7d0d342 1100",
+    "[+] headjoin date-bit n=57750 oid:38f1911f634cd0d2 dbl:8749c9eca85a26de 1100",
+    "[+] bat-const date-bit n=66000 void:6b9843b0e132aeb3 dbl:40f034d80106cd2e 1100",
+    "[+] const-bat date-bit n=66000 void:6b9843b0e132aeb3 dbl:69c0970caa62ab13 1100",
+    "[+] synced bit-bit n=66000 void:6b9843b0e132aeb3 dbl:9942601216eab583 1100",
+    "[+] headjoin bit-bit n=57750 oid:38f1911f634cd0d2 dbl:07a99ca1d1cb369a 1100",
+    "[+] bat-const bit-bit n=66000 void:6b9843b0e132aeb3 dbl:0cdfff6b07810d43 1100",
+    "[+] const-bat bit-bit n=66000 void:6b9843b0e132aeb3 dbl:d2e7d21890aa5dc3 1100",
+    "[+] synced bit-chr n=66000 void:6b9843b0e132aeb3 dbl:692c98c00e298725 1100",
+    "[+] headjoin bit-chr n=57750 oid:38f1911f634cd0d2 dbl:c4b87a0ae223c145 1100",
+    "[+] bat-const bit-chr n=66000 void:6b9843b0e132aeb3 dbl:0cdfff6b07810d43 1100",
+    "[+] const-bat bit-chr n=66000 void:6b9843b0e132aeb3 dbl:92d9d45ab0bfb7bd 1100",
+    "[+] synced chr-chr n=66000 void:6b9843b0e132aeb3 dbl:1d25c444bef594c5 1100",
+    "[+] headjoin chr-chr n=57750 oid:38f1911f634cd0d2 dbl:46f254d3dbbaecbc 1100",
+    "[+] bat-const chr-chr n=66000 void:6b9843b0e132aeb3 dbl:b617530cce8f4d49 1100",
+    "[+] const-bat chr-chr n=66000 void:6b9843b0e132aeb3 dbl:5a77c48f57faf524 1100",
+    "[+] synced chr-void n=66000 void:6b9843b0e132aeb3 dbl:aa0a9fdff4b50db5 1100",
+    "[+] headjoin chr-void n=57750 oid:38f1911f634cd0d2 dbl:701f3ed92f4d44ca 1100",
+    "[+] bat-const chr-void error Type error: '+' argument 2 is nil",
+    "[+] const-bat chr-void n=66000 void:6b9843b0e132aeb3 dbl:ca47650196971543 1100",
+    "[+] synced str-int error Type error: '+' needs numeric operands, argument 1 is str",
+    "[+] headjoin str-int error Type error: '+' needs numeric operands, argument 1 is str",
+    "[+] bat-const str-int error Type error: '+' needs numeric operands, argument 1 is str",
+    "[+] const-bat str-int error Type error: '+' needs numeric operands, argument 1 is str",
+    "[-] synced void-void n=66000 void:6b9843b0e132aeb3 dbl:1db931703cd23183 1100",
+    "[-] headjoin void-void n=57750 oid:38f1911f634cd0d2 dbl:9aa2b8ebf2d95427 1100",
+    "[-] bat-const void-void error Type error: '-' argument 2 is nil",
+    "[-] const-bat void-void error Type error: '-' argument 1 is nil",
+    "[-] synced oid-oid n=66000 void:6b9843b0e132aeb3 dbl:76bdee21479bc3a3 1100",
+    "[-] headjoin oid-oid n=57750 oid:38f1911f634cd0d2 dbl:21c63b066eab84dd 1100",
+    "[-] bat-const oid-oid n=66000 void:6b9843b0e132aeb3 dbl:2e769c57ded3613b 1100",
+    "[-] const-bat oid-oid n=66000 void:6b9843b0e132aeb3 dbl:2663198e7c7da490 1100",
+    "[-] synced int-int n=66000 void:6b9843b0e132aeb3 dbl:a260942b6bcee7e9 1100",
+    "[-] headjoin int-int n=57750 oid:38f1911f634cd0d2 dbl:50cce49179333ffd 1100",
+    "[-] bat-const int-int n=66000 void:6b9843b0e132aeb3 dbl:5711fc63b5dfa7c7 1100",
+    "[-] const-bat int-int n=66000 void:6b9843b0e132aeb3 dbl:ab2b91878ee76762 1100",
+    "[-] synced lng-lng n=66000 void:6b9843b0e132aeb3 dbl:1257db680b4fdaf5 1100",
+    "[-] headjoin lng-lng n=57750 oid:38f1911f634cd0d2 dbl:f74bfcf8c970e4e6 1100",
+    "[-] bat-const lng-lng n=66000 void:6b9843b0e132aeb3 dbl:e965e735abad7a0d 1100",
+    "[-] const-bat lng-lng n=66000 void:6b9843b0e132aeb3 dbl:f3560f20178ab9d2 1100",
+    "[-] synced flt-flt n=66000 void:6b9843b0e132aeb3 dbl:474c21874cf35e57 1100",
+    "[-] headjoin flt-flt n=57750 oid:38f1911f634cd0d2 dbl:c3bfbbfc86cd97d1 1100",
+    "[-] bat-const flt-flt n=66000 void:6b9843b0e132aeb3 dbl:070a53f56a322d67 1100",
+    "[-] const-bat flt-flt n=66000 void:6b9843b0e132aeb3 dbl:5f1b3f451ecca9db 1100",
+    "[-] synced dbl-dbl n=66000 void:6b9843b0e132aeb3 dbl:79d889b5a126cc26 1100",
+    "[-] headjoin dbl-dbl n=57750 oid:38f1911f634cd0d2 dbl:361cdd9eea8dec22 1100",
+    "[-] bat-const dbl-dbl n=66000 void:6b9843b0e132aeb3 dbl:add93518b4228bd6 1100",
+    "[-] const-bat dbl-dbl n=66000 void:6b9843b0e132aeb3 dbl:86ae55e21166348b 1100",
+    "[-] synced date-date n=66000 void:6b9843b0e132aeb3 dbl:7b197916488b3c5d 1100",
+    "[-] headjoin date-date n=57750 oid:38f1911f634cd0d2 dbl:c98c440d7ce688b1 1100",
+    "[-] bat-const date-date n=66000 void:6b9843b0e132aeb3 dbl:5eda34f28bfdf505 1100",
+    "[-] const-bat date-date n=66000 void:6b9843b0e132aeb3 dbl:7dbbb5407ffbdaaf 1100",
+    "[-] synced bit-bit n=66000 void:6b9843b0e132aeb3 dbl:f3479e6f7e3cd6c3 1100",
+    "[-] headjoin bit-bit n=57750 oid:38f1911f634cd0d2 dbl:d5ea73fe074ec7da 1100",
+    "[-] bat-const bit-bit n=66000 void:6b9843b0e132aeb3 dbl:c97745faed13d043 1100",
+    "[-] const-bat bit-bit n=66000 void:6b9843b0e132aeb3 dbl:580199d3ec64dbc3 1100",
+    "[-] synced chr-chr n=66000 void:6b9843b0e132aeb3 dbl:4e719d9ec32365ac 1100",
+    "[-] headjoin chr-chr n=57750 oid:38f1911f634cd0d2 dbl:af8b54a9e542aa30 1100",
+    "[-] bat-const chr-chr n=66000 void:6b9843b0e132aeb3 dbl:f57d8210575edf8c 1100",
+    "[-] const-bat chr-chr n=66000 void:6b9843b0e132aeb3 dbl:1863f01a4b5a9711 1100",
+    "[-] synced str-int error Type error: '-' needs numeric operands, argument 1 is str",
+    "[-] headjoin str-int error Type error: '-' needs numeric operands, argument 1 is str",
+    "[-] bat-const str-int error Type error: '-' needs numeric operands, argument 1 is str",
+    "[-] const-bat str-int error Type error: '-' needs numeric operands, argument 1 is str",
+    "[*] synced void-void n=66000 void:6b9843b0e132aeb3 dbl:0365ee20e954c245 1100",
+    "[*] headjoin void-void n=57750 oid:38f1911f634cd0d2 dbl:e791e1379c64b886 1100",
+    "[*] bat-const void-void error Type error: '*' argument 2 is nil",
+    "[*] const-bat void-void error Type error: '*' argument 1 is nil",
+    "[*] synced oid-oid n=66000 void:6b9843b0e132aeb3 dbl:6e7fe5a068b7acce 1100",
+    "[*] headjoin oid-oid n=57750 oid:38f1911f634cd0d2 dbl:0deda75a2213924b 1100",
+    "[*] bat-const oid-oid n=66000 void:6b9843b0e132aeb3 dbl:7cb5c2e487ecaf01 1100",
+    "[*] const-bat oid-oid n=66000 void:6b9843b0e132aeb3 dbl:b67a1c765b5586ad 1100",
+    "[*] synced int-int n=66000 void:6b9843b0e132aeb3 dbl:61f09af81a8cc81c 1100",
+    "[*] headjoin int-int n=57750 oid:38f1911f634cd0d2 dbl:bd11aba40400ddbe 1100",
+    "[*] bat-const int-int n=66000 void:6b9843b0e132aeb3 dbl:cb8f145734d139f6 1100",
+    "[*] const-bat int-int n=66000 void:6b9843b0e132aeb3 dbl:72b11e2caa566994 1100",
+    "[*] synced lng-lng n=66000 void:6b9843b0e132aeb3 dbl:e672ca3dacb27f21 1100",
+    "[*] headjoin lng-lng n=57750 oid:38f1911f634cd0d2 dbl:f29f1d8a7c9835cd 1100",
+    "[*] bat-const lng-lng n=66000 void:6b9843b0e132aeb3 dbl:3b1d5284b7d23155 1100",
+    "[*] const-bat lng-lng n=66000 void:6b9843b0e132aeb3 dbl:9a925b1f897d8374 1100",
+    "[*] synced flt-flt n=66000 void:6b9843b0e132aeb3 dbl:e7b14d64e08d4790 1100",
+    "[*] headjoin flt-flt n=57750 oid:38f1911f634cd0d2 dbl:945671da61c1e982 1100",
+    "[*] bat-const flt-flt n=66000 void:6b9843b0e132aeb3 dbl:82204fff6ca44c6e 1100",
+    "[*] const-bat flt-flt n=66000 void:6b9843b0e132aeb3 dbl:aa68e83bc89a6426 1100",
+    "[*] synced dbl-dbl n=66000 void:6b9843b0e132aeb3 dbl:b8fabc6aec98deef 1100",
+    "[*] headjoin dbl-dbl n=57750 oid:38f1911f634cd0d2 dbl:90bb086737a5b831 1100",
+    "[*] bat-const dbl-dbl n=66000 void:6b9843b0e132aeb3 dbl:5fc8c9e9ecc09292 1100",
+    "[*] const-bat dbl-dbl n=66000 void:6b9843b0e132aeb3 dbl:01ea167f70185f29 1100",
+    "[*] synced date-date n=66000 void:6b9843b0e132aeb3 dbl:1cf9f3014349a73c 1100",
+    "[*] headjoin date-date n=57750 oid:38f1911f634cd0d2 dbl:f2c37d3259817840 1100",
+    "[*] bat-const date-date n=66000 void:6b9843b0e132aeb3 dbl:6fee4ccbcf0694ca 1100",
+    "[*] const-bat date-date n=66000 void:6b9843b0e132aeb3 dbl:5521b036a4acdc69 1100",
+    "[*] synced bit-bit n=66000 void:6b9843b0e132aeb3 dbl:035b613eab9387fa 1100",
+    "[*] headjoin bit-bit n=57750 oid:38f1911f634cd0d2 dbl:bfe27580486e063a 1100",
+    "[*] bat-const bit-bit n=66000 void:6b9843b0e132aeb3 dbl:467800097fae9c03 1100",
+    "[*] const-bat bit-bit n=66000 void:6b9843b0e132aeb3 dbl:81e4544106a53203 1100",
+    "[*] synced chr-chr n=66000 void:6b9843b0e132aeb3 dbl:0c80255a955993f1 1100",
+    "[*] headjoin chr-chr n=57750 oid:38f1911f634cd0d2 dbl:334f62c752109db7 1100",
+    "[*] bat-const chr-chr n=66000 void:6b9843b0e132aeb3 dbl:7520a02a6177cd1d 1100",
+    "[*] const-bat chr-chr n=66000 void:6b9843b0e132aeb3 dbl:1e274902175aa068 1100",
+    "[*] synced str-int error Type error: '*' needs numeric operands, argument 1 is str",
+    "[*] headjoin str-int error Type error: '*' needs numeric operands, argument 1 is str",
+    "[*] bat-const str-int error Type error: '*' needs numeric operands, argument 1 is str",
+    "[*] const-bat str-int error Type error: '*' needs numeric operands, argument 1 is str",
+    "[/] synced void-void n=66000 void:6b9843b0e132aeb3 dbl:0f1bc05da11e0883 1100",
+    "[/] headjoin void-void n=57750 oid:38f1911f634cd0d2 dbl:efa77595e580676f 1100",
+    "[/] bat-const void-void error Type error: '/' argument 2 is nil",
+    "[/] const-bat void-void error Type error: '/' argument 1 is nil",
+    "[/] synced void-oid n=66000 void:6b9843b0e132aeb3 dbl:cc84b5f9cc07022c 1100",
+    "[/] headjoin void-oid n=57750 oid:38f1911f634cd0d2 dbl:791c7f1473ad0131 1100",
+    "[/] bat-const void-oid n=66000 void:6b9843b0e132aeb3 dbl:81c937694d6c18d6 1100",
+    "[/] const-bat void-oid error Type error: '/' argument 1 is nil",
+    "[/] synced oid-oid n=66000 void:6b9843b0e132aeb3 dbl:262fb65cc5eb0339 1100",
+    "[/] headjoin oid-oid n=57750 oid:38f1911f634cd0d2 dbl:2c45c837c7b7e259 1100",
+    "[/] bat-const oid-oid n=66000 void:6b9843b0e132aeb3 dbl:5d921cb67ae8e75e 1100",
+    "[/] const-bat oid-oid n=66000 void:6b9843b0e132aeb3 dbl:3f5e5c5c500d4dbf 1100",
+    "[/] synced oid-int n=66000 void:6b9843b0e132aeb3 dbl:f6f3bd9440c167e4 1100",
+    "[/] headjoin oid-int n=57750 oid:38f1911f634cd0d2 dbl:f3f40d3dcd26dc1d 1100",
+    "[/] bat-const oid-int n=66000 void:6b9843b0e132aeb3 dbl:ea52ef887bc251e4 1100",
+    "[/] const-bat oid-int n=66000 void:6b9843b0e132aeb3 dbl:a44dc3114b9ca176 1100",
+    "[/] synced int-int n=66000 void:6b9843b0e132aeb3 dbl:01e116e1afbbe3c5 1100",
+    "[/] headjoin int-int n=57750 oid:38f1911f634cd0d2 dbl:ca63d862f143d268 1100",
+    "[/] bat-const int-int n=66000 void:6b9843b0e132aeb3 dbl:7302442b39f4e416 1100",
+    "[/] const-bat int-int n=66000 void:6b9843b0e132aeb3 dbl:d4a2796dbaca48c0 1100",
+    "[/] synced int-lng n=66000 void:6b9843b0e132aeb3 dbl:a84164be3e0f02cc 1100",
+    "[/] headjoin int-lng n=57750 oid:38f1911f634cd0d2 dbl:911d9690a9dad8f9 1100",
+    "[/] bat-const int-lng n=66000 void:6b9843b0e132aeb3 dbl:60a9226ca9096b40 1100",
+    "[/] const-bat int-lng n=66000 void:6b9843b0e132aeb3 dbl:ea4710381d77af8a 1100",
+    "[/] synced lng-lng n=66000 void:6b9843b0e132aeb3 dbl:e3a9816537e4bd2e 1100",
+    "[/] headjoin lng-lng n=57750 oid:38f1911f634cd0d2 dbl:8be6cab8e70bb9be 1100",
+    "[/] bat-const lng-lng n=66000 void:6b9843b0e132aeb3 dbl:1ec7691f5e732f42 1100",
+    "[/] const-bat lng-lng n=66000 void:6b9843b0e132aeb3 dbl:175f7c726feec4e1 1100",
+    "[/] synced lng-flt n=66000 void:6b9843b0e132aeb3 dbl:e90146e4c50e6ae3 1100",
+    "[/] headjoin lng-flt n=57750 oid:38f1911f634cd0d2 dbl:f56167016b27cb9c 1100",
+    "[/] bat-const lng-flt n=66000 void:6b9843b0e132aeb3 dbl:9be7b41a44d7cd2e 1100",
+    "[/] const-bat lng-flt n=66000 void:6b9843b0e132aeb3 dbl:55cde37f6a8f0f5e 1100",
+    "[/] synced flt-flt n=66000 void:6b9843b0e132aeb3 dbl:27a2fd794181b330 1100",
+    "[/] headjoin flt-flt n=57750 oid:38f1911f634cd0d2 dbl:abea6a775a22182d 1100",
+    "[/] bat-const flt-flt n=66000 void:6b9843b0e132aeb3 dbl:4944d300ae18cf91 1100",
+    "[/] const-bat flt-flt n=66000 void:6b9843b0e132aeb3 dbl:d28ae5aca8e0c48c 1100",
+    "[/] synced flt-dbl n=66000 void:6b9843b0e132aeb3 dbl:4dea3a7fadda415b 1100",
+    "[/] headjoin flt-dbl n=57750 oid:38f1911f634cd0d2 dbl:746457ca0baaac1e 1100",
+    "[/] bat-const flt-dbl n=66000 void:6b9843b0e132aeb3 dbl:2be6dbac624bf70c 1100",
+    "[/] const-bat flt-dbl n=66000 void:6b9843b0e132aeb3 dbl:c20ce8bd59efc5af 1100",
+    "[/] synced dbl-dbl n=66000 void:6b9843b0e132aeb3 dbl:5b61d46194d2fde6 1100",
+    "[/] headjoin dbl-dbl n=57750 oid:38f1911f634cd0d2 dbl:714d3e2dfd6c2cb3 1100",
+    "[/] bat-const dbl-dbl n=66000 void:6b9843b0e132aeb3 dbl:23ffc321165d377a 1100",
+    "[/] const-bat dbl-dbl n=66000 void:6b9843b0e132aeb3 dbl:e5224bfec1d4c923 1100",
+    "[/] synced dbl-date n=66000 void:6b9843b0e132aeb3 dbl:d76622f6c364b830 1100",
+    "[/] headjoin dbl-date n=57750 oid:38f1911f634cd0d2 dbl:7972df4085357b71 1100",
+    "[/] bat-const dbl-date n=66000 void:6b9843b0e132aeb3 dbl:9c4a7f1a8d262fe3 1100",
+    "[/] const-bat dbl-date n=66000 void:6b9843b0e132aeb3 dbl:311bb80d1a94e5f6 1100",
+    "[/] synced date-date n=66000 void:6b9843b0e132aeb3 dbl:41b7ce869610a27f 1100",
+    "[/] headjoin date-date n=57750 oid:38f1911f634cd0d2 dbl:66fa5bfb6d15f15f 1100",
+    "[/] bat-const date-date n=66000 void:6b9843b0e132aeb3 dbl:a58b71ecb702d89a 1100",
+    "[/] const-bat date-date n=66000 void:6b9843b0e132aeb3 dbl:dfc31bea8c5dfac6 1100",
+    "[/] synced date-bit n=66000 void:6b9843b0e132aeb3 dbl:c010d0952b9d9f96 1100",
+    "[/] headjoin date-bit n=57750 oid:38f1911f634cd0d2 dbl:7aa19299817575da 1100",
+    "[/] bat-const date-bit n=66000 void:6b9843b0e132aeb3 dbl:c010d0952b9d9f96 1100",
+    "[/] const-bat date-bit n=66000 void:6b9843b0e132aeb3 dbl:17031e2c9cc91b83 1100",
+    "[/] synced bit-bit n=66000 void:6b9843b0e132aeb3 dbl:467800097fae9c03 1100",
+    "[/] headjoin bit-bit n=57750 oid:38f1911f634cd0d2 dbl:8640456e79f6ff9a 1100",
+    "[/] bat-const bit-bit n=66000 void:6b9843b0e132aeb3 dbl:467800097fae9c03 1100",
+    "[/] const-bat bit-bit n=66000 void:6b9843b0e132aeb3 dbl:0f1bc05da11e0883 1100",
+    "[/] synced bit-chr n=66000 void:6b9843b0e132aeb3 dbl:dfcca4d7eddb84cd 1100",
+    "[/] headjoin bit-chr n=57750 oid:38f1911f634cd0d2 dbl:61b88f2577874acf 1100",
+    "[/] bat-const bit-chr n=66000 void:6b9843b0e132aeb3 dbl:467800097fae9c03 1100",
+    "[/] const-bat bit-chr n=66000 void:6b9843b0e132aeb3 dbl:0e14336b8a835eec 1100",
+    "[/] synced chr-chr n=66000 void:6b9843b0e132aeb3 dbl:dae6a956df129198 1100",
+    "[/] headjoin chr-chr n=57750 oid:38f1911f634cd0d2 dbl:7bb8252a940cafe6 1100",
+    "[/] bat-const chr-chr n=66000 void:6b9843b0e132aeb3 dbl:7520a02a6177cd1d 1100",
+    "[/] const-bat chr-chr n=66000 void:6b9843b0e132aeb3 dbl:03cc3b955e06c7ae 1100",
+    "[/] synced chr-void n=66000 void:6b9843b0e132aeb3 dbl:d308c66bbf8f4c77 1100",
+    "[/] headjoin chr-void n=57750 oid:38f1911f634cd0d2 dbl:693a2cdc25b88121 1100",
+    "[/] bat-const chr-void error Type error: '/' argument 2 is nil",
+    "[/] const-bat chr-void n=66000 void:6b9843b0e132aeb3 dbl:65846d35bd14b199 1100",
+    "[/] synced str-int error Type error: '/' needs numeric operands, argument 1 is str",
+    "[/] headjoin str-int error Type error: '/' needs numeric operands, argument 1 is str",
+    "[/] bat-const str-int error Type error: '/' needs numeric operands, argument 1 is str",
+    "[/] const-bat str-int error Type error: '/' needs numeric operands, argument 1 is str",
+    "[=] synced void-void n=66000 void:6b9843b0e132aeb3 bit:7cbcaa2905174713 1100",
+    "[=] headjoin void-void n=57750 oid:38f1911f634cd0d2 bit:9e07b0d2e091f999 1100",
+    "[=] bat-const void-void error Type error: '=' argument 2 is nil",
+    "[=] const-bat void-void error Type error: '=' argument 1 is nil",
+    "[=] synced void-oid n=66000 void:6b9843b0e132aeb3 bit:c236a1370c2dc143 1100",
+    "[=] headjoin void-oid n=57750 oid:38f1911f634cd0d2 bit:47b3299398a42eeb 1100",
+    "[=] bat-const void-oid n=66000 void:6b9843b0e132aeb3 bit:12982c9427fa7eba 1100",
+    "[=] const-bat void-oid error Type error: '=' argument 1 is nil",
+    "[=] synced oid-oid n=66000 void:6b9843b0e132aeb3 bit:057a144450968783 1100",
+    "[=] headjoin oid-oid n=57750 oid:38f1911f634cd0d2 bit:6de5e98e380bbb76 1100",
+    "[=] bat-const oid-oid n=66000 void:6b9843b0e132aeb3 bit:4fdb231047a69f9c 1100",
+    "[=] const-bat oid-oid n=66000 void:6b9843b0e132aeb3 bit:8180772fdcbc4161 1100",
+    "[=] synced oid-int n=66000 void:6b9843b0e132aeb3 bit:7b933290ed771f84 1100",
+    "[=] headjoin oid-int n=57750 oid:38f1911f634cd0d2 bit:10c38240c6785d11 1100",
+    "[=] bat-const oid-int n=66000 void:6b9843b0e132aeb3 bit:6ff4e5aae9c8feaa 1100",
+    "[=] const-bat oid-int n=66000 void:6b9843b0e132aeb3 bit:70ef511a62f7f08e 1100",
+    "[=] synced int-int n=66000 void:6b9843b0e132aeb3 bit:139d95535adde6f3 1100",
+    "[=] headjoin int-int n=57750 oid:38f1911f634cd0d2 bit:cece191da2c63186 1100",
+    "[=] bat-const int-int n=66000 void:6b9843b0e132aeb3 bit:84fe542041c3f641 1100",
+    "[=] const-bat int-int n=66000 void:6b9843b0e132aeb3 bit:8e0b564e48a3772d 1100",
+    "[=] synced int-lng n=66000 void:6b9843b0e132aeb3 bit:91062692b445c90c 1100",
+    "[=] headjoin int-lng n=57750 oid:38f1911f634cd0d2 bit:7da6d9a63faaf662 1100",
+    "[=] bat-const int-lng n=66000 void:6b9843b0e132aeb3 bit:c236a1370c2dc143 1100",
+    "[=] const-bat int-lng n=66000 void:6b9843b0e132aeb3 bit:c236a1370c2dc143 1100",
+    "[=] synced lng-lng n=66000 void:6b9843b0e132aeb3 bit:0b2250f784a7bc39 1100",
+    "[=] headjoin lng-lng n=57750 oid:38f1911f634cd0d2 bit:e73c9bdec5840583 1100",
+    "[=] bat-const lng-lng n=66000 void:6b9843b0e132aeb3 bit:3f93e7197674e2d8 1100",
+    "[=] const-bat lng-lng n=66000 void:6b9843b0e132aeb3 bit:49e56f5bb748b355 1100",
+    "[=] synced lng-flt n=66000 void:6b9843b0e132aeb3 bit:fb35a0644352e6a8 1100",
+    "[=] headjoin lng-flt n=57750 oid:38f1911f634cd0d2 bit:dd7e30c117a67fdf 1100",
+    "[=] bat-const lng-flt n=66000 void:6b9843b0e132aeb3 bit:c236a1370c2dc143 1100",
+    "[=] const-bat lng-flt n=66000 void:6b9843b0e132aeb3 bit:c236a1370c2dc143 1100",
+    "[=] synced flt-flt n=66000 void:6b9843b0e132aeb3 bit:57fcf157634c34df 1100",
+    "[=] headjoin flt-flt n=57750 oid:38f1911f634cd0d2 bit:f7766a89d2e75bcb 1100",
+    "[=] bat-const flt-flt n=66000 void:6b9843b0e132aeb3 bit:7f152f6c12464692 1100",
+    "[=] const-bat flt-flt n=66000 void:6b9843b0e132aeb3 bit:2fc82a597aec5bdf 1100",
+    "[=] synced flt-dbl n=66000 void:6b9843b0e132aeb3 bit:88a847a020dd676a 1100",
+    "[=] headjoin flt-dbl n=57750 oid:38f1911f634cd0d2 bit:9e704a20444df8a1 1100",
+    "[=] bat-const flt-dbl n=66000 void:6b9843b0e132aeb3 bit:02da0cc14e19534d 1100",
+    "[=] const-bat flt-dbl n=66000 void:6b9843b0e132aeb3 bit:37f8dbbbc5392151 1100",
+    "[=] synced dbl-dbl n=66000 void:6b9843b0e132aeb3 bit:2e7d37f6f1d21c97 1100",
+    "[=] headjoin dbl-dbl n=57750 oid:38f1911f634cd0d2 bit:c0dcd281d1729d09 1100",
+    "[=] bat-const dbl-dbl n=66000 void:6b9843b0e132aeb3 bit:7eb17800e6a52d42 1100",
+    "[=] const-bat dbl-dbl n=66000 void:6b9843b0e132aeb3 bit:c9be0a7aad873807 1100",
+    "[=] synced dbl-date n=66000 void:6b9843b0e132aeb3 bit:03701b07ad64a0b8 1100",
+    "[=] headjoin dbl-date n=57750 oid:38f1911f634cd0d2 bit:788c3bf8a47076fb 1100",
+    "[=] bat-const dbl-date n=66000 void:6b9843b0e132aeb3 bit:03701b07ad64a0b8 1100",
+    "[=] const-bat dbl-date n=66000 void:6b9843b0e132aeb3 bit:c236a1370c2dc143 1100",
+    "[=] synced date-date n=66000 void:6b9843b0e132aeb3 bit:6485d5049b136f09 1100",
+    "[=] headjoin date-date n=57750 oid:38f1911f634cd0d2 bit:d2af449b7b508ecd 1100",
+    "[=] bat-const date-date n=66000 void:6b9843b0e132aeb3 bit:4c11913674f0814a 1100",
+    "[=] const-bat date-date n=66000 void:6b9843b0e132aeb3 bit:7411bd48fcad081b 1100",
+    "[=] synced date-bit n=66000 void:6b9843b0e132aeb3 bit:c236a1370c2dc143 1100",
+    "[=] headjoin date-bit n=57750 oid:38f1911f634cd0d2 bit:47b3299398a42eeb 1100",
+    "[=] bat-const date-bit n=66000 void:6b9843b0e132aeb3 bit:c236a1370c2dc143 1100",
+    "[=] const-bat date-bit n=66000 void:6b9843b0e132aeb3 bit:c236a1370c2dc143 1100",
+    "[=] synced bit-bit n=66000 void:6b9843b0e132aeb3 bit:767a55c2178565a7 1100",
+    "[=] headjoin bit-bit n=57750 oid:38f1911f634cd0d2 bit:7e84ab45881a9eee 1100",
+    "[=] bat-const bit-bit n=66000 void:6b9843b0e132aeb3 bit:b132a315cd7377a7 1100",
+    "[=] const-bat bit-bit n=66000 void:6b9843b0e132aeb3 bit:40ebb75b13de9d6f 1100",
+    "[=] synced bit-chr n=66000 void:6b9843b0e132aeb3 bit:d50a62af6e9111dc 1100",
+    "[=] headjoin bit-chr n=57750 oid:38f1911f634cd0d2 bit:067ade4627e68be4 1100",
+    "[=] bat-const bit-chr n=66000 void:6b9843b0e132aeb3 bit:b132a315cd7377a7 1100",
+    "[=] const-bat bit-chr n=66000 void:6b9843b0e132aeb3 bit:36270faa466282af 1100",
+    "[=] synced chr-chr n=66000 void:6b9843b0e132aeb3 bit:68bac06aa8ac9ff1 1100",
+    "[=] headjoin chr-chr n=57750 oid:38f1911f634cd0d2 bit:61e1eccf7dc13581 1100",
+    "[=] bat-const chr-chr n=66000 void:6b9843b0e132aeb3 bit:69dd97a0c1561c55 1100",
+    "[=] const-bat chr-chr n=66000 void:6b9843b0e132aeb3 bit:5982fe0c3db7c219 1100",
+    "[=] synced chr-str n=66000 void:6b9843b0e132aeb3 bit:c236a1370c2dc143 1100",
+    "[=] headjoin chr-str n=57750 oid:38f1911f634cd0d2 bit:47b3299398a42eeb 1100",
+    "[=] bat-const chr-str n=66000 void:6b9843b0e132aeb3 bit:c236a1370c2dc143 1100",
+    "[=] const-bat chr-str n=66000 void:6b9843b0e132aeb3 bit:c236a1370c2dc143 1100",
+    "[=] synced str-str n=66000 void:6b9843b0e132aeb3 bit:8d338e129301de6d 1100",
+    "[=] headjoin str-str n=57750 oid:38f1911f634cd0d2 bit:4a2eb461b20c5aa9 1100",
+    "[=] bat-const str-str n=66000 void:6b9843b0e132aeb3 bit:daaabb2cd46c2779 1100",
+    "[=] const-bat str-str n=66000 void:6b9843b0e132aeb3 bit:77fdf12d21494451 1100",
+    "[=] synced str-str2 n=66000 void:6b9843b0e132aeb3 bit:6152540918259dc2 1100",
+    "[=] headjoin str-str2 n=57750 oid:38f1911f634cd0d2 bit:05a3f595ea163c50 1100",
+    "[=] bat-const str-str2 n=66000 void:6b9843b0e132aeb3 bit:daaabb2cd46c2779 1100",
+    "[=] const-bat str-str2 n=66000 void:6b9843b0e132aeb3 bit:f68f33fd578f2fc6 1100",
+    "[=] synced str2-str2 n=66000 void:6b9843b0e132aeb3 bit:96067fdc61ba8cb9 1100",
+    "[=] headjoin str2-str2 n=57750 oid:38f1911f634cd0d2 bit:d100785d0aa7cebd 1100",
+    "[=] bat-const str2-str2 n=66000 void:6b9843b0e132aeb3 bit:76b8373018431772 1100",
+    "[=] const-bat str2-str2 n=66000 void:6b9843b0e132aeb3 bit:f68f33fd578f2fc6 1100",
+    "[=] synced str2-void n=66000 void:6b9843b0e132aeb3 bit:c236a1370c2dc143 1100",
+    "[=] headjoin str2-void n=57750 oid:38f1911f634cd0d2 bit:47b3299398a42eeb 1100",
+    "[=] bat-const str2-void error Type error: '=' argument 2 is nil",
+    "[=] const-bat str2-void n=66000 void:6b9843b0e132aeb3 bit:c236a1370c2dc143 1100",
+    "[!=] synced void-void n=66000 void:6b9843b0e132aeb3 bit:c236a1370c2dc143 1100",
+    "[!=] headjoin void-void n=57750 oid:38f1911f634cd0d2 bit:6fded94a4b5aee5f 1100",
+    "[!=] bat-const void-void error Type error: '!=' argument 2 is nil",
+    "[!=] const-bat void-void error Type error: '!=' argument 1 is nil",
+    "[!=] synced oid-oid n=66000 void:6b9843b0e132aeb3 bit:cd540991e33842c3 1100",
+    "[!=] headjoin oid-oid n=57750 oid:38f1911f634cd0d2 bit:bc299c6e50998ff4 1100",
+    "[!=] bat-const oid-oid n=66000 void:6b9843b0e132aeb3 bit:dd96aff4c745c454 1100",
+    "[!=] const-bat oid-oid n=66000 void:6b9843b0e132aeb3 bit:7f5b534ffe644aad 1100",
+    "[!=] synced int-int n=66000 void:6b9843b0e132aeb3 bit:19174ae4866b347f 1100",
+    "[!=] headjoin int-int n=57750 oid:38f1911f634cd0d2 bit:7e0046260a1822d8 1100",
+    "[!=] bat-const int-int n=66000 void:6b9843b0e132aeb3 bit:ebe0fcb6d6d0ad21 1100",
+    "[!=] const-bat int-int n=66000 void:6b9843b0e132aeb3 bit:69dd93158f2c7be9 1100",
+    "[!=] synced lng-lng n=66000 void:6b9843b0e132aeb3 bit:5322b0c9942dc32d 1100",
+    "[!=] headjoin lng-lng n=57750 oid:38f1911f634cd0d2 bit:16aeb8eb9669c315 1100",
+    "[!=] bat-const lng-lng n=66000 void:6b9843b0e132aeb3 bit:8b7bab7e2fc69a6c 1100",
+    "[!=] const-bat lng-lng n=66000 void:6b9843b0e132aeb3 bit:8d525d7eccd09e5d 1100",
+    "[!=] synced flt-flt n=66000 void:6b9843b0e132aeb3 bit:786c674b5eb06bdf 1100",
+    "[!=] headjoin flt-flt n=57750 oid:38f1911f634cd0d2 bit:7216f876678ad0fd 1100",
+    "[!=] bat-const flt-flt n=66000 void:6b9843b0e132aeb3 bit:fdc3047cc9881c2e 1100",
+    "[!=] const-bat flt-flt n=66000 void:6b9843b0e132aeb3 bit:4dce075f1a4287fb 1100",
+    "[!=] synced dbl-dbl n=66000 void:6b9843b0e132aeb3 bit:bdb8d1f23f97eb23 1100",
+    "[!=] headjoin dbl-dbl n=57750 oid:38f1911f634cd0d2 bit:53829e60a1ba464f 1100",
+    "[!=] bat-const dbl-dbl n=66000 void:6b9843b0e132aeb3 bit:8872712f687c5452 1100",
+    "[!=] const-bat dbl-dbl n=66000 void:6b9843b0e132aeb3 bit:6c9d30ad4c8afdd3 1100",
+    "[!=] synced date-date n=66000 void:6b9843b0e132aeb3 bit:51fb10b72144b0e9 1100",
+    "[!=] headjoin date-date n=57750 oid:38f1911f634cd0d2 bit:825373a7377d9bd3 1100",
+    "[!=] bat-const date-date n=66000 void:6b9843b0e132aeb3 bit:73ffb3a7c2e06dae 1100",
+    "[!=] const-bat date-date n=66000 void:6b9843b0e132aeb3 bit:fcd370ecc16f6c6f 1100",
+    "[!=] synced bit-bit n=66000 void:6b9843b0e132aeb3 bit:c1bb6669d3bc961f 1100",
+    "[!=] headjoin bit-bit n=57750 oid:38f1911f634cd0d2 bit:35bb597ef25ba104 1100",
+    "[!=] bat-const bit-bit n=66000 void:6b9843b0e132aeb3 bit:6cc38605f5332aa3 1100",
+    "[!=] const-bat bit-bit n=66000 void:6b9843b0e132aeb3 bit:48e90521ae4f45f3 1100",
+    "[!=] synced chr-chr n=66000 void:6b9843b0e132aeb3 bit:0773a3dec5255c81 1100",
+    "[!=] headjoin chr-chr n=57750 oid:38f1911f634cd0d2 bit:f3e0b7b7cbd8ed37 1100",
+    "[!=] bat-const chr-chr n=66000 void:6b9843b0e132aeb3 bit:5bb53622f02059ed 1100",
+    "[!=] const-bat chr-chr n=66000 void:6b9843b0e132aeb3 bit:81b78be916ac1661 1100",
+    "[!=] synced str-str n=66000 void:6b9843b0e132aeb3 bit:f7c35bba54215d39 1100",
+    "[!=] headjoin str-str n=57750 oid:38f1911f634cd0d2 bit:f8444a438db0c437 1100",
+    "[!=] bat-const str-str n=66000 void:6b9843b0e132aeb3 bit:2b6decc9a9cff935 1100",
+    "[!=] const-bat str-str n=66000 void:6b9843b0e132aeb3 bit:d8f2dfce0f400a69 1100",
+    "[!=] synced str2-str2 n=66000 void:6b9843b0e132aeb3 bit:27093c34e713c74d 1100",
+    "[!=] headjoin str2-str2 n=57750 oid:38f1911f634cd0d2 bit:7c48c66456352d73 1100",
+    "[!=] bat-const str2-str2 n=66000 void:6b9843b0e132aeb3 bit:9e4c3027815ce796 1100",
+    "[!=] const-bat str2-str2 n=66000 void:6b9843b0e132aeb3 bit:71e8fe8004b59206 1100",
+    "[<] synced void-void n=66000 void:6b9843b0e132aeb3 bit:c236a1370c2dc143 1100",
+    "[<] headjoin void-void n=57750 oid:38f1911f634cd0d2 bit:730f6f9f757628c2 1100",
+    "[<] bat-const void-void error Type error: '<' argument 2 is nil",
+    "[<] const-bat void-void error Type error: '<' argument 1 is nil",
+    "[<] synced void-oid n=66000 void:6b9843b0e132aeb3 bit:03910255b820ea2c 1100",
+    "[<] headjoin void-oid n=57750 oid:38f1911f634cd0d2 bit:47b3299398a42eeb 1100",
+    "[<] bat-const void-oid n=66000 void:6b9843b0e132aeb3 bit:957c3aa97b8e87b1 1100",
+    "[<] const-bat void-oid error Type error: '<' argument 1 is nil",
+    "[<] synced oid-oid n=66000 void:6b9843b0e132aeb3 bit:30959ab425f08053 1100",
+    "[<] headjoin oid-oid n=57750 oid:38f1911f634cd0d2 bit:6e10685394aa4d87 1100",
+    "[<] bat-const oid-oid n=66000 void:6b9843b0e132aeb3 bit:585d6298606671f0 1100",
+    "[<] const-bat oid-oid n=66000 void:6b9843b0e132aeb3 bit:1d235b69b66d161b 1100",
+    "[<] synced oid-int n=66000 void:6b9843b0e132aeb3 bit:0268d8e6c214ff82 1100",
+    "[<] headjoin oid-int n=57750 oid:38f1911f634cd0d2 bit:4bb75699c186df2c 1100",
+    "[<] bat-const oid-int n=66000 void:6b9843b0e132aeb3 bit:ecf41abbe1a68151 1100",
+    "[<] const-bat oid-int n=66000 void:6b9843b0e132aeb3 bit:b9fb85caf77f83bc 1100",
+    "[<] synced int-int n=66000 void:6b9843b0e132aeb3 bit:7c9b06941eb501e0 1100",
+    "[<] headjoin int-int n=57750 oid:38f1911f634cd0d2 bit:442e0bc0517f20eb 1100",
+    "[<] bat-const int-int n=66000 void:6b9843b0e132aeb3 bit:e86f75cbfe4114fd 1100",
+    "[<] const-bat int-int n=66000 void:6b9843b0e132aeb3 bit:aaca6aa49c7bbe60 1100",
+    "[<] synced int-lng n=66000 void:6b9843b0e132aeb3 bit:d96b4d5e07210460 1100",
+    "[<] headjoin int-lng n=57750 oid:38f1911f634cd0d2 bit:e9e9a16a85cf4ed7 1100",
+    "[<] bat-const int-lng n=66000 void:6b9843b0e132aeb3 bit:7cbcaa2905174713 1100",
+    "[<] const-bat int-lng n=66000 void:6b9843b0e132aeb3 bit:9f1ba60253959c9f 1100",
+    "[<] synced lng-lng n=66000 void:6b9843b0e132aeb3 bit:7867df8e7937e35b 1100",
+    "[<] headjoin lng-lng n=57750 oid:38f1911f634cd0d2 bit:b2fa0e0ff40c3421 1100",
+    "[<] bat-const lng-lng n=66000 void:6b9843b0e132aeb3 bit:f4d61e115b29764e 1100",
+    "[<] const-bat lng-lng n=66000 void:6b9843b0e132aeb3 bit:0ca1eb9e8d384abc 1100",
+    "[<] synced lng-flt n=66000 void:6b9843b0e132aeb3 bit:a9828b528078c857 1100",
+    "[<] headjoin lng-flt n=57750 oid:38f1911f634cd0d2 bit:a4a4e738b78ffdfa 1100",
+    "[<] bat-const lng-flt n=66000 void:6b9843b0e132aeb3 bit:6765538a7afc56fe 1100",
+    "[<] const-bat lng-flt n=66000 void:6b9843b0e132aeb3 bit:c236a1370c2dc143 1100",
+    "[<] synced flt-flt n=66000 void:6b9843b0e132aeb3 bit:7af001e92f6ad3a0 1100",
+    "[<] headjoin flt-flt n=57750 oid:38f1911f634cd0d2 bit:41717330761e4ce1 1100",
+    "[<] bat-const flt-flt n=66000 void:6b9843b0e132aeb3 bit:47ac8ad911c3722a 1100",
+    "[<] const-bat flt-flt n=66000 void:6b9843b0e132aeb3 bit:610b2c99a235cf04 1100",
+    "[<] synced flt-dbl n=66000 void:6b9843b0e132aeb3 bit:29f214a5b112cd6f 1100",
+    "[<] headjoin flt-dbl n=57750 oid:38f1911f634cd0d2 bit:8ea90b898307cb47 1100",
+    "[<] bat-const flt-dbl n=66000 void:6b9843b0e132aeb3 bit:6a300bdcf823caaa 1100",
+    "[<] const-bat flt-dbl n=66000 void:6b9843b0e132aeb3 bit:21ebaff30e2aa62f 1100",
+    "[<] synced dbl-dbl n=66000 void:6b9843b0e132aeb3 bit:d5686435f5336aad 1100",
+    "[<] headjoin dbl-dbl n=57750 oid:38f1911f634cd0d2 bit:c1485e387969b2e4 1100",
+    "[<] bat-const dbl-dbl n=66000 void:6b9843b0e132aeb3 bit:e813d7b329d12fa8 1100",
+    "[<] const-bat dbl-dbl n=66000 void:6b9843b0e132aeb3 bit:eb5a959d02f3c152 1100",
+    "[<] synced dbl-date n=66000 void:6b9843b0e132aeb3 bit:bfa0c362eafa0c4c 1100",
+    "[<] headjoin dbl-date n=57750 oid:38f1911f634cd0d2 bit:70f1f82ec4480135 1100",
+    "[<] bat-const dbl-date n=66000 void:6b9843b0e132aeb3 bit:bfa0c362eafa0c4c 1100",
+    "[<] const-bat dbl-date n=66000 void:6b9843b0e132aeb3 bit:7cbcaa2905174713 1100",
+    "[<] synced date-date n=66000 void:6b9843b0e132aeb3 bit:246d830cc8711b80 1100",
+    "[<] headjoin date-date n=57750 oid:38f1911f634cd0d2 bit:cccf209db5fc64b6 1100",
+    "[<] bat-const date-date n=66000 void:6b9843b0e132aeb3 bit:4e7ba338b610be49 1100",
+    "[<] const-bat date-date n=66000 void:6b9843b0e132aeb3 bit:67c28f97afe07b6e 1100",
+    "[<] synced date-bit n=66000 void:6b9843b0e132aeb3 bit:c236a1370c2dc143 1100",
+    "[<] headjoin date-bit n=57750 oid:38f1911f634cd0d2 bit:47b3299398a42eeb 1100",
+    "[<] bat-const date-bit n=66000 void:6b9843b0e132aeb3 bit:c236a1370c2dc143 1100",
+    "[<] const-bat date-bit n=66000 void:6b9843b0e132aeb3 bit:c236a1370c2dc143 1100",
+    "[<] synced bit-bit n=66000 void:6b9843b0e132aeb3 bit:acabb103aca07f0a 1100",
+    "[<] headjoin bit-bit n=57750 oid:38f1911f634cd0d2 bit:bba1af699e7133d2 1100",
+    "[<] bat-const bit-bit n=66000 void:6b9843b0e132aeb3 bit:6cc38605f5332aa3 1100",
+    "[<] const-bat bit-bit n=66000 void:6b9843b0e132aeb3 bit:c236a1370c2dc143 1100",
+    "[<] synced bit-chr n=66000 void:6b9843b0e132aeb3 bit:4e67ca3a22088742 1100",
+    "[<] headjoin bit-chr n=57750 oid:38f1911f634cd0d2 bit:676ad080c41deecc 1100",
+    "[<] bat-const bit-chr n=66000 void:6b9843b0e132aeb3 bit:6cc38605f5332aa3 1100",
+    "[<] const-bat bit-chr n=66000 void:6b9843b0e132aeb3 bit:9d49d2e66bbe5413 1100",
+    "[<] synced chr-chr n=66000 void:6b9843b0e132aeb3 bit:d9164b7f99003030 1100",
+    "[<] headjoin chr-chr n=57750 oid:38f1911f634cd0d2 bit:a07e4e5f66dca6c1 1100",
+    "[<] bat-const chr-chr n=66000 void:6b9843b0e132aeb3 bit:fbc08b1963f21b68 1100",
+    "[<] const-bat chr-chr n=66000 void:6b9843b0e132aeb3 bit:651c0ba25cbdc495 1100",
+    "[<] synced chr-str n=66000 void:6b9843b0e132aeb3 bit:7cbcaa2905174713 1100",
+    "[<] headjoin chr-str n=57750 oid:38f1911f634cd0d2 bit:0bd51e261753d8c9 1100",
+    "[<] bat-const chr-str n=66000 void:6b9843b0e132aeb3 bit:7cbcaa2905174713 1100",
+    "[<] const-bat chr-str n=66000 void:6b9843b0e132aeb3 bit:7cbcaa2905174713 1100",
+    "[<] synced str-str n=66000 void:6b9843b0e132aeb3 bit:60c4490f86ae50f8 1100",
+    "[<] headjoin str-str n=57750 oid:38f1911f634cd0d2 bit:8f23ce0667c7f975 1100",
+    "[<] bat-const str-str n=66000 void:6b9843b0e132aeb3 bit:23ad4e8b98fafef9 1100",
+    "[<] const-bat str-str n=66000 void:6b9843b0e132aeb3 bit:cfe8b6d609a7a4b4 1100",
+    "[<] synced str-str2 n=66000 void:6b9843b0e132aeb3 bit:3ff9be1d33413b34 1100",
+    "[<] headjoin str-str2 n=57750 oid:38f1911f634cd0d2 bit:41ff1e681078ae92 1100",
+    "[<] bat-const str-str2 n=66000 void:6b9843b0e132aeb3 bit:23ad4e8b98fafef9 1100",
+    "[<] const-bat str-str2 n=66000 void:6b9843b0e132aeb3 bit:158042378d5f9632 1100",
+    "[<] synced str2-str2 n=66000 void:6b9843b0e132aeb3 bit:3c21f4ac8ddf614f 1100",
+    "[<] headjoin str2-str2 n=57750 oid:38f1911f634cd0d2 bit:b013d9fb45eb2e0b 1100",
+    "[<] bat-const str2-str2 n=66000 void:6b9843b0e132aeb3 bit:3dcd127ee6add065 1100",
+    "[<] const-bat str2-str2 n=66000 void:6b9843b0e132aeb3 bit:158042378d5f9632 1100",
+    "[<] synced str2-void n=66000 void:6b9843b0e132aeb3 bit:c236a1370c2dc143 1100",
+    "[<] headjoin str2-void n=57750 oid:38f1911f634cd0d2 bit:47b3299398a42eeb 1100",
+    "[<] bat-const str2-void error Type error: '<' argument 2 is nil",
+    "[<] const-bat str2-void n=66000 void:6b9843b0e132aeb3 bit:c236a1370c2dc143 1100",
+    "[<=] synced void-void n=66000 void:6b9843b0e132aeb3 bit:7cbcaa2905174713 1100",
+    "[<=] headjoin void-void n=57750 oid:38f1911f634cd0d2 bit:00f71461b309224c 1100",
+    "[<=] bat-const void-void error Type error: '<=' argument 2 is nil",
+    "[<=] const-bat void-void error Type error: '<=' argument 1 is nil",
+    "[<=] synced oid-oid n=66000 void:6b9843b0e132aeb3 bit:4818bf916542974f 1100",
+    "[<=] headjoin oid-oid n=57750 oid:38f1911f634cd0d2 bit:c79fb0781b2cbade 1100",
+    "[<=] bat-const oid-oid n=66000 void:6b9843b0e132aeb3 bit:3846a06ded6f99a7 1100",
+    "[<=] const-bat oid-oid n=66000 void:6b9843b0e132aeb3 bit:1130a36c22ce4711 1100",
+    "[<=] synced int-int n=66000 void:6b9843b0e132aeb3 bit:81cb71d618f9cd0c 1100",
+    "[<=] headjoin int-int n=57750 oid:38f1911f634cd0d2 bit:c05b58cf65ecdb3e 1100",
+    "[<=] bat-const int-int n=66000 void:6b9843b0e132aeb3 bit:094d170960564d5b 1100",
+    "[<=] const-bat int-int n=66000 void:6b9843b0e132aeb3 bit:f80dc1d66abd32f6 1100",
+    "[<=] synced lng-lng n=66000 void:6b9843b0e132aeb3 bit:4fa5f3ba30f49d85 1100",
+    "[<=] headjoin lng-lng n=57750 oid:38f1911f634cd0d2 bit:9b507bfe8f2c8b59 1100",
+    "[<=] bat-const lng-lng n=66000 void:6b9843b0e132aeb3 bit:d421b66c8eb1ebad 1100",
+    "[<=] const-bat lng-lng n=66000 void:6b9843b0e132aeb3 bit:96f55d95e560661a 1100",
+    "[<=] synced flt-flt n=66000 void:6b9843b0e132aeb3 bit:2dbb04cf95252e78 1100",
+    "[<=] headjoin flt-flt n=57750 oid:38f1911f634cd0d2 bit:6c99cf7491ba9d55 1100",
+    "[<=] bat-const flt-flt n=66000 void:6b9843b0e132aeb3 bit:bc7370018c2517bb 1100",
+    "[<=] const-bat flt-flt n=66000 void:6b9843b0e132aeb3 bit:1a1e05de3cd03e28 1100",
+    "[<=] synced dbl-dbl n=66000 void:6b9843b0e132aeb3 bit:e97985163cbde035 1100",
+    "[<=] headjoin dbl-dbl n=57750 oid:38f1911f634cd0d2 bit:0664a90878a69566 1100",
+    "[<=] bat-const dbl-dbl n=66000 void:6b9843b0e132aeb3 bit:ae66eec4985541a5 1100",
+    "[<=] const-bat dbl-dbl n=66000 void:6b9843b0e132aeb3 bit:8eb3148b86cad532 1100",
+    "[<=] synced date-date n=66000 void:6b9843b0e132aeb3 bit:71fe9ff3e3c97a3a 1100",
+    "[<=] headjoin date-date n=57750 oid:38f1911f634cd0d2 bit:d5d4cee2459d0268 1100",
+    "[<=] bat-const date-date n=66000 void:6b9843b0e132aeb3 bit:8d0b457ea0897804 1100",
+    "[<=] const-bat date-date n=66000 void:6b9843b0e132aeb3 bit:b57344b41bb71702 1100",
+    "[<=] synced bit-bit n=66000 void:6b9843b0e132aeb3 bit:8e27f98f291f81b6 1100",
+    "[<=] headjoin bit-bit n=57750 oid:38f1911f634cd0d2 bit:a0f87cc0d713d99b 1100",
+    "[<=] bat-const bit-bit n=66000 void:6b9843b0e132aeb3 bit:7cbcaa2905174713 1100",
+    "[<=] const-bat bit-bit n=66000 void:6b9843b0e132aeb3 bit:40ebb75b13de9d6f 1100",
+    "[<=] synced chr-chr n=66000 void:6b9843b0e132aeb3 bit:048e0393388780ba 1100",
+    "[<=] headjoin chr-chr n=57750 oid:38f1911f634cd0d2 bit:e09ffbcce9f2ba7f 1100",
+    "[<=] bat-const chr-chr n=66000 void:6b9843b0e132aeb3 bit:f1b75baf9138a326 1100",
+    "[<=] const-bat chr-chr n=66000 void:6b9843b0e132aeb3 bit:396bb2d1f9df0e7b 1100",
+    "[<=] synced str-str n=66000 void:6b9843b0e132aeb3 bit:7ed4d136fcc97102 1100",
+    "[<=] headjoin str-str n=57750 oid:38f1911f634cd0d2 bit:87ca912ee4f61fbf 1100",
+    "[<=] bat-const str-str n=66000 void:6b9843b0e132aeb3 bit:04b57293f8eaebf7 1100",
+    "[<=] const-bat str-str n=66000 void:6b9843b0e132aeb3 bit:d6f16f071818b36e 1100",
+    "[<=] synced str2-str2 n=66000 void:6b9843b0e132aeb3 bit:4dbd75dced9c8a2d 1100",
+    "[<=] headjoin str2-str2 n=57750 oid:38f1911f634cd0d2 bit:fcf44182982019f9 1100",
+    "[<=] bat-const str2-str2 n=66000 void:6b9843b0e132aeb3 bit:29d76527909133d0 1100",
+    "[<=] const-bat str2-str2 n=66000 void:6b9843b0e132aeb3 bit:07ac1df28b31fd1b 1100",
+    "[>] synced void-void n=66000 void:6b9843b0e132aeb3 bit:c236a1370c2dc143 1100",
+    "[>] headjoin void-void n=57750 oid:38f1911f634cd0d2 bit:5c8079d284db7b86 1100",
+    "[>] bat-const void-void error Type error: '>' argument 2 is nil",
+    "[>] const-bat void-void error Type error: '>' argument 1 is nil",
+    "[>] synced oid-oid n=66000 void:6b9843b0e132aeb3 bit:7873e45b4c1b4993 1100",
+    "[>] headjoin oid-oid n=57750 oid:38f1911f634cd0d2 bit:31963ff9f25db76c 1100",
+    "[>] bat-const oid-oid n=66000 void:6b9843b0e132aeb3 bit:3997533051116277 1100",
+    "[>] const-bat oid-oid n=66000 void:6b9843b0e132aeb3 bit:fe6a1d969da659d5 1100",
+    "[>] synced int-int n=66000 void:6b9843b0e132aeb3 bit:6a3f21fbcc51b090 1100",
+    "[>] headjoin int-int n=57750 oid:38f1911f634cd0d2 bit:ef5cb36accc77ff0 1100",
+    "[>] bat-const int-int n=66000 void:6b9843b0e132aeb3 bit:0c25c4a7fca50737 1100",
+    "[>] const-bat int-int n=66000 void:6b9843b0e132aeb3 bit:6befffd3ea6643ee 1100",
+    "[>] synced lng-lng n=66000 void:6b9843b0e132aeb3 bit:6b5a706a7fef52c1 1100",
+    "[>] headjoin lng-lng n=57750 oid:38f1911f634cd0d2 bit:0b44d7fdc8dc7783 1100",
+    "[>] bat-const lng-lng n=66000 void:6b9843b0e132aeb3 bit:78c104d579ff3491 1100",
+    "[>] const-bat lng-lng n=66000 void:6b9843b0e132aeb3 bit:4806690343fc8172 1100",
+    "[>] synced flt-flt n=66000 void:6b9843b0e132aeb3 bit:f56a63323edf6d34 1100",
+    "[>] headjoin flt-flt n=57750 oid:38f1911f634cd0d2 bit:21d25927f13614bb 1100",
+    "[>] bat-const flt-flt n=66000 void:6b9843b0e132aeb3 bit:e9e4828316e47763 1100",
+    "[>] const-bat flt-flt n=66000 void:6b9843b0e132aeb3 bit:6910c7090a580b8c 1100",
+    "[>] synced dbl-dbl n=66000 void:6b9843b0e132aeb3 bit:d778c46a00f927b5 1100",
+    "[>] headjoin dbl-dbl n=57750 oid:38f1911f634cd0d2 bit:b7355c8d88efa710 1100",
+    "[>] bat-const dbl-dbl n=66000 void:6b9843b0e132aeb3 bit:fefc4abb77679761 1100",
+    "[>] const-bat dbl-dbl n=66000 void:6b9843b0e132aeb3 bit:ade91a73085b238e 1100",
+    "[>] synced date-date n=66000 void:6b9843b0e132aeb3 bit:d64c1437ce9364fa 1100",
+    "[>] headjoin date-date n=57750 oid:38f1911f634cd0d2 bit:463f83471c67febe 1100",
+    "[>] bat-const date-date n=66000 void:6b9843b0e132aeb3 bit:3f1ef525b4363334 1100",
+    "[>] const-bat date-date n=66000 void:6b9843b0e132aeb3 bit:f14abba7b70708aa 1100",
+    "[>] synced bit-bit n=66000 void:6b9843b0e132aeb3 bit:cd14f753c1cb4956 1100",
+    "[>] headjoin bit-bit n=57750 oid:38f1911f634cd0d2 bit:38a46c55cabc3515 1100",
+    "[>] bat-const bit-bit n=66000 void:6b9843b0e132aeb3 bit:c236a1370c2dc143 1100",
+    "[>] const-bat bit-bit n=66000 void:6b9843b0e132aeb3 bit:48e90521ae4f45f3 1100",
+    "[>] synced chr-chr n=66000 void:6b9843b0e132aeb3 bit:7fcfa970b10320de 1100",
+    "[>] headjoin chr-chr n=57750 oid:38f1911f634cd0d2 bit:66b20606b6e753e9 1100",
+    "[>] bat-const chr-chr n=66000 void:6b9843b0e132aeb3 bit:9320b23a4500a562 1100",
+    "[>] const-bat chr-chr n=66000 void:6b9843b0e132aeb3 bit:d2d7e671c9215673 1100",
+    "[>] synced str-str n=66000 void:6b9843b0e132aeb3 bit:a66def31f3680636 1100",
+    "[>] headjoin str-str n=57750 oid:38f1911f634cd0d2 bit:2850aba0233574d5 1100",
+    "[>] bat-const str-str n=66000 void:6b9843b0e132aeb3 bit:fa28429a6a3bf40f 1100",
+    "[>] const-bat str-str n=66000 void:6b9843b0e132aeb3 bit:bffe6254d7af1d5e 1100",
+    "[>] synced str2-str2 n=66000 void:6b9843b0e132aeb3 bit:7a2f935151df8b99 1100",
+    "[>] headjoin str2-str2 n=57750 oid:38f1911f634cd0d2 bit:c3bec776b5a32753 1100",
+    "[>] bat-const str2-str2 n=66000 void:6b9843b0e132aeb3 bit:d97bb2f7bd979234 1100",
+    "[>] const-bat str2-str2 n=66000 void:6b9843b0e132aeb3 bit:11dd977c3df42d43 1100",
+    "[>=] synced void-void n=66000 void:6b9843b0e132aeb3 bit:7cbcaa2905174713 1100",
+    "[>=] headjoin void-void n=57750 oid:38f1911f634cd0d2 bit:23df7a565ed550bc 1100",
+    "[>=] bat-const void-void error Type error: '>=' argument 2 is nil",
+    "[>=] const-bat void-void error Type error: '>=' argument 1 is nil",
+    "[>=] synced oid-oid n=66000 void:6b9843b0e132aeb3 bit:d8499c2f768c137f 1100",
+    "[>=] headjoin oid-oid n=57750 oid:38f1911f634cd0d2 bit:1418deb9479bad9d 1100",
+    "[>=] bat-const oid-oid n=66000 void:6b9843b0e132aeb3 bit:f5016d1d2c8014d0 1100",
+    "[>=] const-bat oid-oid n=66000 void:6b9843b0e132aeb3 bit:1eccb4992fe83893 1100",
+    "[>=] synced int-int n=66000 void:6b9843b0e132aeb3 bit:082ee77e750ac0f8 1100",
+    "[>=] headjoin int-int n=57750 oid:38f1911f634cd0d2 bit:1e718ce74596cac9 1100",
+    "[>=] bat-const int-int n=66000 void:6b9843b0e132aeb3 bit:a76e55d689d44ce1 1100",
+    "[>=] const-bat int-int n=66000 void:6b9843b0e132aeb3 bit:c282c12d56e7fd34 1100",
+    "[>=] synced lng-lng n=66000 void:6b9843b0e132aeb3 bit:257146076747f623 1100",
+    "[>=] headjoin lng-lng n=57750 oid:38f1911f634cd0d2 bit:5b0c3c7bf631c427 1100",
+    "[>=] bat-const lng-lng n=66000 void:6b9843b0e132aeb3 bit:0180a34833f11fae 1100",
+    "[>=] const-bat lng-lng n=66000 void:6b9843b0e132aeb3 bit:3d0de9423ac1c1d4 1100",
+    "[>=] synced flt-flt n=66000 void:6b9843b0e132aeb3 bit:5fff1241f5e0087c 1100",
+    "[>=] headjoin flt-flt n=57750 oid:38f1911f634cd0d2 bit:335b1224cc93a7ab 1100",
+    "[>=] bat-const flt-flt n=66000 void:6b9843b0e132aeb3 bit:eefd58ab8e18d4f6 1100",
+    "[>=] const-bat flt-flt n=66000 void:6b9843b0e132aeb3 bit:b191dc5bc12d4d4c 1100",
+    "[>=] synced dbl-dbl n=66000 void:6b9843b0e132aeb3 bit:cf039674aa531d39 1100",
+    "[>=] headjoin dbl-dbl n=57750 oid:38f1911f634cd0d2 bit:769b5beafd1abe76 1100",
+    "[>=] bat-const dbl-dbl n=66000 void:6b9843b0e132aeb3 bit:bb75186b3b3e491c 1100",
+    "[>=] const-bat dbl-dbl n=66000 void:6b9843b0e132aeb3 bit:9586f451f270a86a 1100",
+    "[>=] synced date-date n=66000 void:6b9843b0e132aeb3 bit:a3726e6d93ec8468 1100",
+    "[>=] headjoin date-date n=57750 oid:38f1911f634cd0d2 bit:23a1591996d5841c 1100",
+    "[>=] bat-const date-date n=66000 void:6b9843b0e132aeb3 bit:5abb52e0ca4ddeb5 1100",
+    "[>=] const-bat date-date n=66000 void:6b9843b0e132aeb3 bit:adb46f79be0e02aa 1100",
+    "[>=] synced bit-bit n=66000 void:6b9843b0e132aeb3 bit:d3aab85d5cd527c2 1100",
+    "[>=] headjoin bit-bit n=57750 oid:38f1911f634cd0d2 bit:c49d2575b1b44574 1100",
+    "[>=] bat-const bit-bit n=66000 void:6b9843b0e132aeb3 bit:b132a315cd7377a7 1100",
+    "[>=] const-bat bit-bit n=66000 void:6b9843b0e132aeb3 bit:7cbcaa2905174713 1100",
+    "[>=] synced chr-chr n=66000 void:6b9843b0e132aeb3 bit:8e62c33d979a9c54 1100",
+    "[>=] headjoin chr-chr n=57750 oid:38f1911f634cd0d2 bit:f2b4b9918a8e553b 1100",
+    "[>=] bat-const chr-chr n=66000 void:6b9843b0e132aeb3 bit:f5d3c59fab07c22c 1100",
+    "[>=] const-bat chr-chr n=66000 void:6b9843b0e132aeb3 bit:e5189ffeebe56d15 1100",
+    "[>=] synced str-str n=66000 void:6b9843b0e132aeb3 bit:e320979a2dd85cc0 1100",
+    "[>=] headjoin str-str n=57750 oid:38f1911f634cd0d2 bit:79e942dba49f564b 1100",
+    "[>=] bat-const str-str n=66000 void:6b9843b0e132aeb3 bit:658ade8916412445 1100",
+    "[>=] const-bat str-str n=66000 void:6b9843b0e132aeb3 bit:a21fd41d89b1623c 1100",
+    "[>=] synced str2-str2 n=66000 void:6b9843b0e132aeb3 bit:82ecfbf956d4a56f 1100",
+    "[>=] headjoin str2-str2 n=57750 oid:38f1911f634cd0d2 bit:4c311f23ce24e365 1100",
+    "[>=] bat-const str2-str2 n=66000 void:6b9843b0e132aeb3 bit:59339b3be21c68fd 1100",
+    "[>=] const-bat str2-str2 n=66000 void:6b9843b0e132aeb3 bit:72ccc03a6b53cef2 1100",
+    "[and] synced bit-bit n=66000 void:6b9843b0e132aeb3 bit:13b0b2e473691b12 1100",
+    "[and] headjoin bit-bit n=57750 oid:38f1911f634cd0d2 bit:55587562fc936b7a 1100",
+    "[and] bat-const bit-bit n=66000 void:6b9843b0e132aeb3 bit:b132a315cd7377a7 1100",
+    "[and] const-bat bit-bit n=66000 void:6b9843b0e132aeb3 bit:40ebb75b13de9d6f 1100",
+    "[and] synced int-bit error Type error: 'and' needs bit operands, argument 1 is int",
+    "[and] headjoin int-bit error Type error: 'and' needs bit operands, argument 1 is int",
+    "[and] bat-const int-bit error Type error: 'and' needs bit operands, argument 1 is int",
+    "[and] const-bat int-bit error Type error: 'and' needs bit operands, argument 1 is int",
+    "[or] synced bit-bit n=66000 void:6b9843b0e132aeb3 bit:d875ea459fd1d852 1100",
+    "[or] headjoin bit-bit n=57750 oid:38f1911f634cd0d2 bit:c701ed3abe3fb855 1100",
+    "[or] bat-const bit-bit n=66000 void:6b9843b0e132aeb3 bit:7cbcaa2905174713 1100",
+    "[or] const-bat bit-bit n=66000 void:6b9843b0e132aeb3 bit:7cbcaa2905174713 1100",
+    "[or] synced int-bit error Type error: 'or' needs bit operands, argument 1 is int",
+    "[or] headjoin int-bit error Type error: 'or' needs bit operands, argument 1 is int",
+    "[or] bat-const int-bit error Type error: 'or' needs bit operands, argument 1 is int",
+    "[or] const-bat int-bit error Type error: 'or' needs bit operands, argument 1 is int",
+    "[not] bat bit n=66000 void:6b9843b0e132aeb3 bit:6cc38605f5332aa3 1100",
+    "[not] bat int error Type error: 'not' needs bit operands, argument 1 is int",
+    "[year] bat date n=66000 void:6b9843b0e132aeb3 int:7dffe7a06b4f2341 1100",
+    "[year] bat int error Type error: 'year' needs date operands, argument 1 is int",
+    "[month] bat date n=66000 void:6b9843b0e132aeb3 int:3eadf442b1eb5255 1100",
+    "[month] bat int error Type error: 'month' needs date operands, argument 1 is int",
+    "[day] bat date n=66000 void:6b9843b0e132aeb3 int:a9b8680eda13251b 1100",
+    "[day] bat int error Type error: 'day' needs date operands, argument 1 is int",
+    "[like] synced str-str n=66000 void:6b9843b0e132aeb3 bit:8d338e129301de6d 1100",
+    "[like] headjoin str-str n=57750 oid:38f1911f634cd0d2 bit:4a2eb461b20c5aa9 1100",
+    "[like] bat-const str-str n=66000 void:6b9843b0e132aeb3 bit:daaabb2cd46c2779 1100",
+    "[like] const-bat str-str n=66000 void:6b9843b0e132aeb3 bit:77fdf12d21494451 1100",
+    "[like] synced str-str2 n=66000 void:6b9843b0e132aeb3 bit:6152540918259dc2 1100",
+    "[like] headjoin str-str2 n=57750 oid:38f1911f634cd0d2 bit:05a3f595ea163c50 1100",
+    "[like] bat-const str-str2 n=66000 void:6b9843b0e132aeb3 bit:daaabb2cd46c2779 1100",
+    "[like] const-bat str-str2 n=66000 void:6b9843b0e132aeb3 bit:f68f33fd578f2fc6 1100",
+    "[like] synced int-str error Type error: 'like' needs str operands, argument 1 is int",
+    "[like] headjoin int-str error Type error: 'like' needs str operands, argument 1 is int",
+    "[like] bat-const int-str error Type error: 'like' needs str operands, argument 1 is int",
+    "[like] const-bat int-str error Type error: 'like' needs str operands, argument 1 is int",
+    "[length] bat str n=66000 void:6b9843b0e132aeb3 int:dbc77f6c24041532 1100",
+    "[length] bat str2 n=66000 void:6b9843b0e132aeb3 int:8660bb1d2319fd92 1100",
+    "[length] bat int error Type error: 'length' needs str operands, argument 1 is int",
+    "[concat] synced str-str n=66000 void:6b9843b0e132aeb3 str:62e52822eef61ce0 1100",
+    "[concat] headjoin str-str n=57750 oid:38f1911f634cd0d2 str:5fbffe719ae9a9df 1100",
+    "[concat] bat-const str-str n=66000 void:6b9843b0e132aeb3 str:620814954377dc7c 1100",
+    "[concat] const-bat str-str n=66000 void:6b9843b0e132aeb3 str:90912b9baf67947f 1100",
+    "[concat] synced str-str2 n=66000 void:6b9843b0e132aeb3 str:019a5739d36cd3be 1100",
+    "[concat] headjoin str-str2 n=57750 oid:38f1911f634cd0d2 str:7ef43a59f7a36849 1100",
+    "[concat] bat-const str-str2 n=66000 void:6b9843b0e132aeb3 str:620814954377dc7c 1100",
+    "[concat] const-bat str-str2 n=66000 void:6b9843b0e132aeb3 str:cee5ee6c1c80ab67 1100",
+    "[concat] synced int-str error Type error: 'concat' needs str operands, argument 1 is int",
+    "[concat] headjoin int-str error Type error: 'concat' needs str operands, argument 1 is int",
+    "[concat] bat-const int-str error Type error: 'concat' needs str operands, argument 1 is int",
+    "[concat] const-bat int-str error Type error: 'concat' needs str operands, argument 1 is int",
+    "[ifthen] synced bit-void-void n=66000 void:6b9843b0e132aeb3 oid:e31365f6b70ce7ad 1100",
+    "[ifthen] headjoin bit-void-void n=57750 oid:38f1911f634cd0d2 oid:10540b61ec180e32 1100",
+    "[ifthen] bat-const bit-void-void error Type error: 'ifthen' argument 2 is nil",
+    "[ifthen] const-bat bit-void-void n=66000 void:6b9843b0e132aeb3 oid:e31365f6b70ce7ad 1100",
+    "[ifthen] synced bit-oid-oid n=66000 void:6b9843b0e132aeb3 oid:2861707d174f3b62 1100",
+    "[ifthen] headjoin bit-oid-oid n=57750 oid:38f1911f634cd0d2 oid:23d613b10be88705 1100",
+    "[ifthen] bat-const bit-oid-oid n=66000 void:6b9843b0e132aeb3 oid:0457b2fc181a61c3 1100",
+    "[ifthen] const-bat bit-oid-oid n=66000 void:6b9843b0e132aeb3 oid:50ca3fb267e764e4 1100",
+    "[ifthen] synced bit-int-int n=66000 void:6b9843b0e132aeb3 int:23952d675f44c08d 1100",
+    "[ifthen] headjoin bit-int-int n=57750 oid:38f1911f634cd0d2 int:18be4e5849d7ed5c 1100",
+    "[ifthen] bat-const bit-int-int n=66000 void:6b9843b0e132aeb3 int:e32a58cccadf7b33 1100",
+    "[ifthen] const-bat bit-int-int n=66000 void:6b9843b0e132aeb3 int:314ded7d67695c22 1100",
+    "[ifthen] synced bit-lng-lng n=66000 void:6b9843b0e132aeb3 lng:8568cdc15428728b 1100",
+    "[ifthen] headjoin bit-lng-lng n=57750 oid:38f1911f634cd0d2 lng:5763e98e1fcfaf58 1100",
+    "[ifthen] bat-const bit-lng-lng n=66000 void:6b9843b0e132aeb3 lng:7c818515910de483 1100",
+    "[ifthen] const-bat bit-lng-lng n=66000 void:6b9843b0e132aeb3 lng:1d38e83868949752 1100",
+    "[ifthen] synced bit-flt-flt n=66000 void:6b9843b0e132aeb3 flt:3f789acea4223c7d 1100",
+    "[ifthen] headjoin bit-flt-flt n=57750 oid:38f1911f634cd0d2 flt:28ef9aff121d2c24 1100",
+    "[ifthen] bat-const bit-flt-flt n=66000 void:6b9843b0e132aeb3 flt:2671dcc1956bffc3 1100",
+    "[ifthen] const-bat bit-flt-flt n=66000 void:6b9843b0e132aeb3 flt:02d9ac77990026cf 1100",
+    "[ifthen] synced bit-dbl-dbl n=66000 void:6b9843b0e132aeb3 dbl:1bccac572748c952 1100",
+    "[ifthen] headjoin bit-dbl-dbl n=57750 oid:38f1911f634cd0d2 dbl:feeedab09fae68df 1100",
+    "[ifthen] bat-const bit-dbl-dbl n=66000 void:6b9843b0e132aeb3 dbl:1da11e3a92099f83 1100",
+    "[ifthen] const-bat bit-dbl-dbl n=66000 void:6b9843b0e132aeb3 dbl:171e74ef5dd545e9 1100",
+    "[ifthen] synced bit-date-date n=66000 void:6b9843b0e132aeb3 date:c12724a454b865fc 1100",
+    "[ifthen] headjoin bit-date-date n=57750 oid:38f1911f634cd0d2 date:fc9ae0e6cb2d9904 1100",
+    "[ifthen] bat-const bit-date-date n=66000 void:6b9843b0e132aeb3 date:86c413820fc196a3 1100",
+    "[ifthen] const-bat bit-date-date n=66000 void:6b9843b0e132aeb3 date:ccfda2dc115dd67b 1100",
+    "[ifthen] synced bit-bit-bit n=66000 void:6b9843b0e132aeb3 bit:d875ea459fd1d852 1100",
+    "[ifthen] headjoin bit-bit-bit n=57750 oid:38f1911f634cd0d2 bit:c12436771b30ad23 1100",
+    "[ifthen] bat-const bit-bit-bit n=66000 void:6b9843b0e132aeb3 bit:7cbcaa2905174713 1100",
+    "[ifthen] const-bat bit-bit-bit n=66000 void:6b9843b0e132aeb3 bit:b132a315cd7377a7 1100",
+    "[ifthen] synced bit-chr-chr n=66000 void:6b9843b0e132aeb3 chr:be51b569a2e7e2f8 1100",
+    "[ifthen] headjoin bit-chr-chr n=57750 oid:38f1911f634cd0d2 chr:b915330763994c7c 1100",
+    "[ifthen] bat-const bit-chr-chr n=66000 void:6b9843b0e132aeb3 chr:6eaf6e8e147ce3d3 1100",
+    "[ifthen] const-bat bit-chr-chr n=66000 void:6b9843b0e132aeb3 chr:f8bad43b64d4dca7 1100",
+    "[ifthen] synced bit-str-str n=66000 void:6b9843b0e132aeb3 str:8d2cb5e3ec29ce6c 1100",
+    "[ifthen] headjoin bit-str-str n=57750 oid:38f1911f634cd0d2 str:7e2bbb02125b06fa 1100",
+    "[ifthen] bat-const bit-str-str n=66000 void:6b9843b0e132aeb3 str:4bd00b6bf0fffd73 1100",
+    "[ifthen] const-bat bit-str-str n=66000 void:6b9843b0e132aeb3 str:45894a2c20e3b272 1100",
+    "[ifthen] synced bit-str2-str2 n=66000 void:6b9843b0e132aeb3 str:821aa811fd97e07e 1100",
+    "[ifthen] headjoin bit-str2-str2 n=57750 oid:38f1911f634cd0d2 str:f93a9301d7e60acf 1100",
+    "[ifthen] bat-const bit-str2-str2 n=66000 void:6b9843b0e132aeb3 str:4bd00b6bf0fffd73 1100",
+    "[ifthen] const-bat bit-str2-str2 n=66000 void:6b9843b0e132aeb3 str:50f40a9aabadc56b 1100",
+    "[ifthen] synced bit-int-dbl n=66000 void:6b9843b0e132aeb3 int:728ef31682ad991b 1100",
+    "[ifthen] synced int-int-int error Type error: 'ifthen' needs bit operands, argument 1 is int",
+    "[/] synced dbl-int zero error Execution error: division by zero",
+    "[/] headjoin dbl-int zero error Execution error: division by zero",
+    "[/] bat-const dbl-int zero error Execution error: division by zero",
+    "[/] const-bat dbl-int zero error Execution error: division by zero",
+    "[+] const-const int-int error Invalid argument: multiplex [+] needs at least one BAT argument",
+    "[year] const date error Invalid argument: multiplex [year] needs at least one BAT argument",
+    "[*] synced dbl-dbl empty n=0 void:14650fb0739d0383 dbl:14650fb0739d0383 0000",
+};
+
+TEST(KernelGoldenTest, EveryMultiplexFunctionIsPinned) {
+  SetParallelBlockCap(4);
+  const std::vector<std::string> d1 = MxGoldenTable(1);
+  const std::vector<std::string> d4 = MxGoldenTable(4);
+  SetParallelBlockCap(0);
+  const size_t pinned = std::size(kMxGolden);
+  EXPECT_EQ(d1.size(), pinned);
+  std::string table;
+  bool same = d1.size() == pinned && d4.size() == pinned;
+  for (size_t i = 0; i < d1.size(); ++i) {
+    table += "    \"" + d1[i] + "\",\n";
+    if (i < pinned) {
+      EXPECT_EQ(d1[i], kMxGolden[i]) << "degree 1";
+      same = same && d1[i] == kMxGolden[i];
+    }
+    if (i < d4.size()) {
+      EXPECT_EQ(d4[i], d1[i]) << "degree 4";
+    }
+  }
+  if (!same) ADD_FAILURE() << "current table:\n" << table;
 }
 
 }  // namespace

@@ -18,6 +18,7 @@
 #include "common/task_pool.h"
 #include "kernel/exec_context.h"
 #include "kernel/operators.h"
+#include "kernel/scalar_fn.h"
 #include "storage/page_accountant.h"
 #include "tpcd/loader.h"
 #include "tpcd/queries.h"
@@ -221,24 +222,27 @@ TEST(ParallelDeterminismTest, HashGroupRefine) {
 
 TEST(ParallelDeterminismTest, SyncedNumericMultiplex) {
   ExpectDegreeInvariant(
-      "multiplex", "multiplex_synced_numeric", [](const ExecContext& ctx) {
+      "multiplex", "multiplex_synced", [](const ExecContext& ctx) {
         Bat price = PriceBat(kRows);
         Bat factor(price.head_col(), QuantityBat(kRows).tail_col());
-        return kernel::Multiplex(ctx, "*", {price, factor}).ValueOrDie();
+        return kernel::Multiplex(ctx, *kernel::FindScalarFn("*"),
+                                 {price, factor})
+            .ValueOrDie();
       });
 }
 
 TEST(ParallelDeterminismTest, SyncedBoxedMultiplex) {
   ExpectDegreeInvariant(
       "multiplex", "multiplex_synced", [](const ExecContext& ctx) {
-        // Three args: not the unboxed binary fast path, but still synced
-        // -> the boxed parallel row loop.
+        // Three synced args, a bit condition and dbl branches: the typed
+        // ifthen of the synced variant (its result type round-trips
+        // through double).
         Bat price = PriceBat(kRows);
         Rng rng(37);
         std::vector<uint8_t> cond(kRows);
         for (auto& v : cond) v = rng.Chance(0.5) ? 1 : 0;
         Bat flags(price.head_col(), Column::MakeBit(cond));
-        return kernel::Multiplex(ctx, "ifthen",
+        return kernel::Multiplex(ctx, *kernel::FindScalarFn("ifthen"),
                                  {flags, price, Value::Dbl(0.0)})
             .ValueOrDie();
       });
@@ -347,7 +351,9 @@ TEST(ParallelDeterminismTest, HeadJoinMultiplex) {
         std::vector<double> rvals(kRows);
         for (auto& v : rvals) v = rng.NextDouble() * 1e3;
         Bat other(Column::MakeOid(rheads), Column::MakeDbl(rvals));
-        return kernel::Multiplex(ctx, "+", {driver, other}).ValueOrDie();
+        return kernel::Multiplex(ctx, *kernel::FindScalarFn("+"),
+                                 {driver, other})
+            .ValueOrDie();
       });
 }
 
@@ -461,50 +467,50 @@ struct LedgerRow {
 /// Re-record an entry only for an intended change of a query's access
 /// pattern.
 constexpr LedgerRow kLedger[] = {
-    {1, 'm', 1, 5035, 3184, 1851, 3443719, 41, 0x903da646aeda89b9ULL},
-    {1, 'm', 4, 5035, 3184, 1851, 3443719, 41, 0x903da646aeda89b9ULL},
+    {1, 'm', 1, 5035, 3184, 1851, 3443719, 41, 0x9d334451ee9d950dULL},
+    {1, 'm', 4, 5035, 3184, 1851, 3443719, 41, 0x9d334451ee9d950dULL},
     {1, 'r', 1, 1331, 111, 1220, 60519, 0, 0xcbf29ce484222325ULL},
     {2, 'm', 1, 102, 36, 66, 27535, 13, 0x7bd83bce81145398ULL},
     {2, 'm', 4, 102, 36, 66, 27535, 13, 0x7bd83bce81145398ULL},
     {2, 'r', 1, 99, 99, 0, 9848, 0, 0xcbf29ce484222325ULL},
-    {3, 'm', 1, 983, 251, 732, 458521, 23, 0x576ea68d0d4334d5ULL},
-    {3, 'm', 4, 966, 324, 642, 122537, 23, 0x9812029d4fe77c4dULL},
+    {3, 'm', 1, 983, 251, 732, 458521, 23, 0x33327f407eb90589ULL},
+    {3, 'm', 4, 966, 324, 642, 122537, 23, 0x9326e4e0f2fc64e1ULL},
     {3, 'r', 1, 1495, 91, 1404, 40719, 0, 0xcbf29ce484222325ULL},
     {4, 'm', 1, 683, 150, 533, 101240, 12, 0xfadd64f4b1d06aa9ULL},
     {4, 'm', 4, 573, 380, 193, 29189, 12, 0x08344b7c6581e13fULL},
     {4, 'r', 1, 1394, 1212, 182, 78535, 0, 0xcbf29ce484222325ULL},
-    {5, 'm', 1, 1033, 276, 757, 323007, 22, 0x13d4360a4af059a7ULL},
-    {5, 'm', 4, 992, 374, 618, 148996, 22, 0xae2098fb770a9346ULL},
+    {5, 'm', 1, 1033, 276, 757, 323007, 22, 0x7e043c07ee1f99c3ULL},
+    {5, 'm', 4, 992, 374, 618, 148996, 22, 0xa578ff732c3182d2ULL},
     {5, 'r', 1, 1421, 1235, 186, 2486, 0, 0xcbf29ce484222325ULL},
-    {6, 'm', 1, 869, 331, 538, 1121538, 13, 0xfe8b26e966c1d05aULL},
+    {6, 'm', 1, 869, 331, 538, 1121538, 13, 0x221f7df3eca93736ULL},
     {6, 'm', 4, 1115, 647, 468, 794557, 13, 0xa9623b3993ac2c74ULL},
     {6, 'r', 1, 1146, 14, 1132, 9745, 0, 0xcbf29ce484222325ULL},
-    {7, 'm', 1, 1071, 309, 762, 580250, 27, 0x56c12e21c64c32eaULL},
-    {7, 'm', 4, 1239, 535, 704, 227424, 27, 0xf92bf387d9ad2f51ULL},
+    {7, 'm', 1, 1071, 309, 762, 580250, 27, 0xedb3fab526ecf7feULL},
+    {7, 'm', 4, 1239, 535, 704, 227424, 27, 0xaaea18529ba8940dULL},
     {7, 'r', 1, 1449, 235, 1214, 19728, 0, 0xcbf29ce484222325ULL},
-    {8, 'm', 1, 565, 148, 417, 10452, 30, 0xd708427b9df78653ULL},
-    {8, 'm', 4, 565, 148, 417, 10452, 30, 0xd708427b9df78653ULL},
+    {8, 'm', 1, 565, 148, 417, 10452, 30, 0x1404f52e1f57d79fULL},
+    {8, 'm', 4, 565, 148, 417, 10452, 30, 0x1404f52e1f57d79fULL},
     {8, 'r', 1, 1438, 1438, 0, 34, 0, 0xcbf29ce484222325ULL},
-    {9, 'm', 1, 1473, 372, 1101, 292199, 31, 0xd07a949022a1d843ULL},
-    {9, 'm', 4, 1865, 1019, 846, 204428, 31, 0x5d205dc208f51f00ULL},
+    {9, 'm', 1, 1473, 372, 1101, 292199, 31, 0x00bcd9ec9f57582fULL},
+    {9, 'm', 4, 1865, 1019, 846, 204428, 31, 0x49e8b79128608368ULL},
     {9, 'r', 1, 1489, 1489, 0, 5, 0, 0xcbf29ce484222325ULL},
-    {10, 'm', 1, 855, 184, 671, 527167, 23, 0xc84bb49811a0d61fULL},
-    {10, 'm', 4, 1048, 489, 559, 116028, 23, 0xf52d711fac658cc8ULL},
+    {10, 'm', 1, 855, 184, 671, 527167, 23, 0xf18fe7680ac44173ULL},
+    {10, 'm', 4, 1048, 489, 559, 116028, 23, 0x3d4d6999d502ba30ULL},
     {10, 'r', 1, 1392, 1392, 0, 2, 0, 0xcbf29ce484222325ULL},
-    {11, 'm', 1, 59, 26, 33, 8299, 12, 0x459f1893b7320c68ULL},
-    {11, 'm', 4, 59, 26, 33, 8299, 12, 0x459f1893b7320c68ULL},
+    {11, 'm', 1, 59, 26, 33, 8299, 12, 0xa7033b1e9cf08af4ULL},
+    {11, 'm', 4, 59, 26, 33, 8299, 12, 0xa7033b1e9cf08af4ULL},
     {11, 'r', 1, 74, 74, 0, 3, 0, 0xcbf29ce484222325ULL},
     {12, 'm', 1, 755, 170, 585, 389956, 27, 0xa8dd1193bcc8fb9aULL},
     {12, 'm', 4, 940, 477, 463, 51288, 27, 0xaec3ae6c5bc82a22ULL},
     {12, 'r', 1, 1392, 1392, 0, 2, 0, 0xcbf29ce484222325ULL},
-    {13, 'm', 1, 858, 191, 667, 174330, 19, 0x02ebd1753f7d763cULL},
-    {13, 'm', 4, 954, 529, 425, 37364, 19, 0x93f7ba814fa9b6feULL},
+    {13, 'm', 1, 858, 191, 667, 174330, 19, 0xa8e3664eb02b5d28ULL},
+    {13, 'm', 4, 954, 529, 425, 37364, 19, 0x83e6938137c43422ULL},
     {13, 'r', 1, 1402, 1213, 189, 1582, 0, 0xcbf29ce484222325ULL},
-    {14, 'm', 1, 501, 20, 481, 18917, 11, 0xd89066a693643207ULL},
-    {14, 'm', 4, 501, 20, 481, 18917, 11, 0xd89066a693643207ULL},
+    {14, 'm', 1, 501, 20, 481, 18917, 11, 0xce3da08aeea2cd4bULL},
+    {14, 'm', 4, 501, 20, 481, 18917, 11, 0xce3da08aeea2cd4bULL},
     {14, 'r', 1, 482, 24, 458, 856, 0, 0xcbf29ce484222325ULL},
-    {15, 'm', 1, 523, 38, 485, 51226, 10, 0xd590b99d940f7404ULL},
-    {15, 'm', 4, 775, 395, 380, 16392, 10, 0xf2f057aed399a82eULL},
+    {15, 'm', 1, 523, 38, 485, 51226, 10, 0x5a79802f3aa7e690ULL},
+    {15, 'm', 4, 775, 395, 380, 16392, 10, 0x591212152ce72916ULL},
     {15, 'r', 1, 719, 3, 716, 2368, 0, 0xcbf29ce484222325ULL},
 };
 
@@ -568,36 +574,36 @@ struct LruLedgerRow {
 /// pager sees every touch in order, so a kernel whose touch sequence
 /// changes moves faults or evictions here even when the cold ledger holds.
 constexpr LruLedgerRow kLruLedger[] = {
-    {1, 1, 7648, 4032, 3616, 3443719, 7392, 41, 0x903da646aeda89b9ULL},
-    {1, 4, 7487, 4032, 3455, 3443719, 7231, 41, 0x903da646aeda89b9ULL},
+    {1, 1, 7648, 4032, 3616, 3443719, 7392, 41, 0x9d334451ee9d950dULL},
+    {1, 4, 7487, 4032, 3455, 3443719, 7231, 41, 0x9d334451ee9d950dULL},
     {2, 1, 102, 36, 66, 27535, 0, 13, 0x7bd83bce81145398ULL},
     {2, 4, 102, 36, 66, 27535, 0, 13, 0x7bd83bce81145398ULL},
-    {3, 1, 1181, 252, 929, 458521, 925, 23, 0x576ea68d0d4334d5ULL},
-    {3, 4, 966, 324, 642, 122537, 710, 23, 0x9812029d4fe77c4dULL},
+    {3, 1, 1181, 252, 929, 458521, 925, 23, 0x33327f407eb90589ULL},
+    {3, 4, 966, 324, 642, 122537, 710, 23, 0x9326e4e0f2fc64e1ULL},
     {4, 1, 683, 150, 533, 101240, 427, 12, 0xfadd64f4b1d06aa9ULL},
     {4, 4, 806, 497, 309, 29189, 550, 12, 0x08344b7c6581e13fULL},
-    {5, 1, 1223, 276, 947, 323007, 967, 22, 0x13d4360a4af059a7ULL},
-    {5, 4, 992, 374, 618, 148996, 736, 22, 0xae2098fb770a9346ULL},
-    {6, 1, 1124, 331, 793, 1121538, 868, 13, 0xfe8b26e966c1d05aULL},
+    {5, 1, 1223, 276, 947, 323007, 967, 22, 0x7e043c07ee1f99c3ULL},
+    {5, 4, 992, 374, 618, 148996, 736, 22, 0xa578ff732c3182d2ULL},
+    {6, 1, 1124, 331, 793, 1121538, 868, 13, 0x221f7df3eca93736ULL},
     {6, 4, 1386, 885, 501, 794557, 1130, 13, 0xa9623b3993ac2c74ULL},
-    {7, 1, 1306, 348, 958, 580250, 1050, 27, 0x56c12e21c64c32eaULL},
-    {7, 4, 1263, 547, 716, 227424, 1007, 27, 0xf92bf387d9ad2f51ULL},
-    {8, 1, 606, 148, 458, 10452, 350, 30, 0xd708427b9df78653ULL},
-    {8, 4, 606, 148, 458, 10452, 350, 30, 0xd708427b9df78653ULL},
-    {9, 1, 1849, 379, 1470, 292199, 1593, 31, 0xd07a949022a1d843ULL},
-    {9, 4, 1907, 1026, 881, 204428, 1651, 31, 0x5d205dc208f51f00ULL},
-    {10, 1, 1393, 187, 1206, 527167, 1137, 23, 0xc84bb49811a0d61fULL},
-    {10, 4, 1536, 727, 809, 116028, 1280, 23, 0xf52d711fac658cc8ULL},
-    {11, 1, 59, 26, 33, 8299, 0, 12, 0x459f1893b7320c68ULL},
-    {11, 4, 59, 26, 33, 8299, 0, 12, 0x459f1893b7320c68ULL},
+    {7, 1, 1306, 348, 958, 580250, 1050, 27, 0xedb3fab526ecf7feULL},
+    {7, 4, 1263, 547, 716, 227424, 1007, 27, 0xaaea18529ba8940dULL},
+    {8, 1, 606, 148, 458, 10452, 350, 30, 0x1404f52e1f57d79fULL},
+    {8, 4, 606, 148, 458, 10452, 350, 30, 0x1404f52e1f57d79fULL},
+    {9, 1, 1849, 379, 1470, 292199, 1593, 31, 0x00bcd9ec9f57582fULL},
+    {9, 4, 1907, 1026, 881, 204428, 1651, 31, 0x49e8b79128608368ULL},
+    {10, 1, 1393, 187, 1206, 527167, 1137, 23, 0xf18fe7680ac44173ULL},
+    {10, 4, 1536, 727, 809, 116028, 1280, 23, 0x3d4d6999d502ba30ULL},
+    {11, 1, 59, 26, 33, 8299, 0, 12, 0xa7033b1e9cf08af4ULL},
+    {11, 4, 59, 26, 33, 8299, 0, 12, 0xa7033b1e9cf08af4ULL},
     {12, 1, 852, 170, 682, 389956, 596, 27, 0xa8dd1193bcc8fb9aULL},
     {12, 4, 1116, 596, 520, 51288, 860, 27, 0xaec3ae6c5bc82a22ULL},
-    {13, 1, 980, 195, 785, 174330, 724, 19, 0x02ebd1753f7d763cULL},
-    {13, 4, 1191, 648, 543, 37364, 935, 19, 0x93f7ba814fa9b6feULL},
-    {14, 1, 565, 20, 545, 18917, 309, 11, 0xd89066a693643207ULL},
-    {14, 4, 565, 20, 545, 18917, 309, 11, 0xd89066a693643207ULL},
-    {15, 1, 596, 38, 558, 51226, 340, 10, 0xd590b99d940f7404ULL},
-    {15, 4, 775, 395, 380, 16392, 519, 10, 0xf2f057aed399a82eULL},
+    {13, 1, 980, 195, 785, 174330, 724, 19, 0xa8e3664eb02b5d28ULL},
+    {13, 4, 1191, 648, 543, 37364, 935, 19, 0x83e6938137c43422ULL},
+    {14, 1, 565, 20, 545, 18917, 309, 11, 0xce3da08aeea2cd4bULL},
+    {14, 4, 565, 20, 545, 18917, 309, 11, 0xce3da08aeea2cd4bULL},
+    {15, 1, 596, 38, 558, 51226, 340, 10, 0x5a79802f3aa7e690ULL},
+    {15, 4, 775, 395, 380, 16392, 519, 10, 0x591212152ce72916ULL},
 };
 
 std::string LruLedgerString(const LruLedgerRow& r) {

@@ -12,6 +12,7 @@
 #include "common/rng.h"
 #include "common/task_pool.h"
 #include "kernel/operators.h"
+#include "kernel/scalar_fn.h"
 #include "storage/page_accountant.h"
 
 namespace moaflat {
@@ -132,9 +133,11 @@ TEST(ParallelTest, ParallelMultiplexMatchesSerial) {
   Bat a = BigRandomAttr(150000);
   Bat b = Bat(a.head_col(), BigRandomAttr(150000).tail_col());
   SetParallelDegree(1);
-  Bat serial = kernel::Multiplex(ctx, "*", {a, b}).ValueOrDie();
+  Bat serial =
+      kernel::Multiplex(ctx, *kernel::FindScalarFn("*"), {a, b}).ValueOrDie();
   SetParallelDegree(6);
-  Bat parallel = kernel::Multiplex(ctx, "*", {a, b}).ValueOrDie();
+  Bat parallel =
+      kernel::Multiplex(ctx, *kernel::FindScalarFn("*"), {a, b}).ValueOrDie();
   SetParallelDegree(0);
   ASSERT_EQ(serial.size(), parallel.size());
   for (size_t i = 0; i < serial.size(); i += 97) {

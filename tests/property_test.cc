@@ -15,6 +15,7 @@
 #include "bat/bat.h"
 #include "common/rng.h"
 #include "kernel/operators.h"
+#include "kernel/scalar_fn.h"
 
 namespace moaflat::kernel {
 namespace {
@@ -278,7 +279,7 @@ TEST_P(KernelProperty, MultiplexArithMatchesRowAtATime) {
   Bat a = MakeRandomAttr(cfg, 12);
   Bat b = Bat(a.head_col(),
               MakeRandomAttr(cfg, 13).tail_col());  // synced with a
-  Bat out = Multiplex(ctx, "+", {a, b}).ValueOrDie();
+  Bat out = Multiplex(ctx, *FindScalarFn("+"), {a, b}).ValueOrDie();
   ASSERT_EQ(out.size(), a.size());
   for (size_t i = 0; i < out.size(); ++i) {
     EXPECT_DOUBLE_EQ(out.tail().NumAt(i),

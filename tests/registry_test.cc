@@ -15,6 +15,7 @@
 #include "kernel/exec_context.h"
 #include "kernel/operators.h"
 #include "kernel/registry.h"
+#include "kernel/scalar_fn.h"
 
 namespace moaflat::kernel {
 namespace {
@@ -211,7 +212,7 @@ TEST(RegistryTest, ThetaJoinDispatchesThroughRegisteredVariants) {
   auto& reg = KernelRegistry::Global();
 
   DispatchInput in = MakeInput(ab, cd);
-  in.param = OpParam{static_cast<int64_t>(CmpOp::kLt), "", false};
+  in.param = OpParam{static_cast<int64_t>(CmpOp::kLt)};
   EXPECT_EQ(reg.Explain("thetajoin", in).chosen, "sort_band_thetajoin");
 
   in.param->code = static_cast<int64_t>(CmpOp::kNe);
@@ -237,15 +238,15 @@ TEST(RegistryTest, MultiplexDispatchesThroughRegisteredVariants) {
   ExecContext ctx;
   ctx.WithTracer(&tracer);
 
-  // Synced numeric binary arithmetic takes the unboxed fast path.
+  // Synced numeric binary arithmetic takes the synced typed loop.
   Bat a = AttrBat({1, 2, 3}, {10, 20, 30});
   Bat b(a.head_col(), Column::MakeInt({2, 4, 6}));
   ASSERT_TRUE(a.SyncedWith(b));
-  ASSERT_TRUE(Multiplex(ctx, "*", {a, b}).ok());
-  EXPECT_EQ(tracer.records.back().impl, "multiplex_synced_numeric");
+  ASSERT_TRUE(Multiplex(ctx, *FindScalarFn("*"), {a, b}).ok());
+  EXPECT_EQ(tracer.records.back().impl, "multiplex_synced");
 
-  // A unary function over one BAT is synced but not binary arithmetic.
-  ASSERT_TRUE(Multiplex(ctx, "year",
+  // So does a unary function over one BAT.
+  ASSERT_TRUE(Multiplex(ctx, *FindScalarFn("year"),
                         {Bat(Column::MakeOid({1}),
                              Column::MakeDate({Date::FromYmd(1995, 6, 1)}))})
                   .ok());
@@ -253,7 +254,7 @@ TEST(RegistryTest, MultiplexDispatchesThroughRegisteredVariants) {
 
   // Unsynced operands align over the head hash accelerators.
   Bat c(Column::MakeOid({3, 2, 1}), Column::MakeInt({5, 5, 5}));
-  ASSERT_TRUE(Multiplex(ctx, "+", {a, c}).ok());
+  ASSERT_TRUE(Multiplex(ctx, *FindScalarFn("+"), {a, c}).ok());
   EXPECT_EQ(tracer.records.back().impl, "multiplex_headjoin");
 }
 

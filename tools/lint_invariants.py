@@ -78,6 +78,18 @@ op-dispatch
     vocabulary that drifts from the table. Escapes carry
     `// lint:allow(op-dispatch)` and, on the same comment line, the reason.
 
+fn-dispatch
+    A scalar-function name compared with a string literal (`fn == "+"`,
+    `"year" != fn`, also through `fn.name` / `fn->name`) in src/kernel/ or
+    src/mil/ outside kernel/scalar_fn.cc, where the functions are
+    declared. A scalar function is resolved by name once, through
+    kernel::FindScalarFn (mil::ResolveOp does it for every `[f]` and
+    `calc.f`), and its ScalarFn entry says what it means: `apply` for a
+    boxed row, `eval` for the typed row loops. A name compare below that
+    is a second copy of the table. A justified exception carries
+    `// lint:allow(fn-dispatch)` and the reason on the same line as the
+    compare.
+
 unfiltered-touch
     A per-element `Column::TouchAt` call (`.TouchAt(` or `->TouchAt(`).
     Each call is an out-of-line accountant touch plus a heap-cache scan,
@@ -117,7 +129,7 @@ shard-replay
 
 An allow comment counts when it appears inside the flagged statement or on
 one of the two lines above it (on the flagged line itself for
-boxed-value and shard-replay).
+fn-dispatch, boxed-value and shard-replay).
 
 Usage
 -----
@@ -424,6 +436,37 @@ def check_op_dispatch(path, lines):
     return findings
 
 
+FN_DISPATCH_DIRS = ("src/kernel/", "src/mil/")
+# The scalar-function table itself.
+FN_DISPATCH_EXEMPT = "src/kernel/scalar_fn.cc"
+FN_COMPARE_RE = re.compile(
+    r'\bfn(?:(?:\.|->)name)?\s*[!=]=\s*"|"\s*[!=]=\s*'
+    r'(?:[A-Za-z_]\w*(?:\.|->))*fn(?:(?:\.|->)name)?\b')
+
+
+def check_fn_dispatch(path, lines):
+    norm = "/" + path.replace(os.sep, "/")
+    if (not any("/" + d in norm for d in FN_DISPATCH_DIRS) or
+            norm.endswith(FN_DISPATCH_EXEMPT)):
+        return []
+    findings = []
+    for i, line in enumerate(lines):
+        if not FN_COMPARE_RE.search(strip_comments(line)):
+            continue
+        comment = line[line.find("//"):] if "//" in line else ""
+        tag = ALLOW_RE.search(comment)
+        if (tag and tag.group(1) == "fn-dispatch" and
+                re.search(r"[A-Za-z]", comment[tag.end():])):
+            continue
+        findings.append(Finding(
+            path, i + 1, "fn-dispatch",
+            "scalar-function name compared outside the ScalarFn table: "
+            "resolve it once with kernel::FindScalarFn and read the entry "
+            "(apply, eval), or annotate // lint:allow(fn-dispatch) with the "
+            "reason on the same line"))
+    return findings
+
+
 TOUCH_AT_RE = re.compile(r"(?:\.|->)TouchAt\(")
 
 
@@ -504,8 +547,8 @@ def check_shard_replay(path, lines):
 
 CHECKS = [check_sync_head_only, check_uncharged_kernel, check_unpolled_plan,
           check_unsynced_rename, check_naked_mutex, check_thread_local,
-          check_op_dispatch, check_unfiltered_touch, check_boxed_value,
-          check_shard_replay]
+          check_op_dispatch, check_fn_dispatch, check_unfiltered_touch,
+          check_boxed_value, check_shard_replay]
 
 
 def lint_file(path, text=None):
@@ -753,11 +796,29 @@ AbstractBinding Analyze(const MilStmt& stmt) {
 // lint:allow(op-dispatch) plan-shape report: counts grouping statements
 if (s.op == "group") ++groups;
 """, {"op-dispatch": 0}),
-    # Scalar-function names are not operator spellings (multiplex.cc's
-    # typed loops are out of scope).
-    ("scalar_fn_compare.cc", """
+    # Scalar-function names are not operator spellings, but a kernel that
+    # dispatches on one holds a second copy of the ScalarFn table.
+    ("src/kernel/scalar_fn_compare.cc", """
 if (fn == "+") return Add(x, y);
-""", {"op-dispatch": 0}),
+const bool conj = "and" == fn;
+""", {"op-dispatch": 0, "fn-dispatch": 2}),
+    # A site that names a function for another reason, and says why.
+    ("src/mil/allowed_fn_dispatch.cc", """
+if (s.op.fn->name == "ifthen") hint = "b";  // lint:allow(fn-dispatch) wording
+""", {"fn-dispatch": 0}),
+    # An allow without a reason does not count.
+    ("src/kernel/bare_allow_fn_dispatch.cc", """
+if (fn.name == "/") return DivisionByZero();  // lint:allow(fn-dispatch)
+""", {"fn-dispatch": 1}),
+    # The one name -> entry lookup compares names, not literals.
+    ("src/kernel/find_scalar_fn.cc", """
+const ScalarFn* FindScalarFn(std::string_view name) {
+  for (const ScalarFn& f : kScalarFns) {
+    if (f.name == name) return &f;
+  }
+  return nullptr;
+}
+""", {"fn-dispatch": 0}),
     # A per-match touch in a hash-probe lambda: the loop the page filter
     # exists for.
     ("broken_unfiltered_touch.cc", """
