@@ -153,8 +153,28 @@ int main(int argc, char** argv) {
   Bat scan_attr = IntAttr(rows, 0, 1 << 20, 123);
   Bat mx_a = DblAttr(rows, 5);
   Bat mx_b = Bat(mx_a.head_col(), DblAttr(rows, 6).tail_col());
+  // pk's head oids 1..65536 are dense and unique, so the join probes the
+  // direct-addressed accelerator form; the sparse pair spreads the same
+  // keys over 3x their count, past the dense bound, and keeps the chained
+  // form measured at the same fan-out.
   Bat fk = IntAttr(small, 1, 1 << 16, 7);
   Bat pk = IntAttr(1 << 16, 1, 1 << 16, 8);
+  const auto spread = [](const Bat& b, auto key) {
+    std::vector<Oid> heads(b.size());
+    std::vector<int32_t> tails(b.size());
+    for (size_t i = 0; i < b.size(); ++i) {
+      heads[i] = 3 * b.head().OidAt(i) - 2;
+      tails[i] = key(b, i);
+    }
+    return Bat(Column::MakeOid(std::move(heads)), Column::MakeInt(tails),
+               b.props());
+  };
+  Bat fk_sparse = spread(fk, [](const Bat& b, size_t i) {
+    return 3 * b.tail().Data<int32_t>()[i] - 2;
+  });
+  Bat pk_sparse = spread(pk, [](const Bat& b, size_t i) {
+    return b.tail().Data<int32_t>()[i];
+  });
   Bat group_attr = IntAttr(small, 0, 9999, 9);
   Bat agg = [&] {
     // hsorted oid grouping column with ~4K groups -> run_set_aggregate.
@@ -232,6 +252,10 @@ int main(int argc, char** argv) {
       {"hash_join", small,
        [&](const kernel::ExecContext& ctx) {
          return kernel::Join(ctx, fk, pk).ValueOrDie().size();
+       }},
+      {"hash_join_sparse", small,
+       [&](const kernel::ExecContext& ctx) {
+         return kernel::Join(ctx, fk_sparse, pk_sparse).ValueOrDie().size();
        }},
       {"hash_group", small,
        [&](const kernel::ExecContext& ctx) {

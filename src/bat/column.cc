@@ -6,6 +6,7 @@
 #include <unordered_set>
 
 #include "common/fault_injector.h"
+#include "common/parallel.h"
 #include "storage/memory_tracker.h"
 
 namespace moaflat::bat {
@@ -190,6 +191,41 @@ bool Column::ComputeKey() const {
       }
     }
     return true;
+  });
+}
+
+std::optional<KeyRange> IntegralKeyRange(const Column& col, int degree) {
+  const size_t n = col.size();
+  if (n == 0) return std::nullopt;
+  if (col.is_void()) return KeyRange{col.void_base(), n};
+  return col.VisitValues([&](const auto& v) -> std::optional<KeyRange> {
+    using K = decltype(ValueKey(v[0]));
+    if constexpr (!std::is_integral_v<K>) {
+      return std::nullopt;
+    } else {
+      const BlockPlan plan = PlanBlocks(n, std::min(degree, kMaxScatterDegree));
+      std::vector<std::pair<K, K>> bounds(plan.blocks);
+      RunBlocks(plan, [&](int block, size_t begin, size_t end) {
+        K lo = std::numeric_limits<K>::max();
+        K hi = std::numeric_limits<K>::min();
+        for (size_t i = begin; i < end; ++i) {
+          const K k = ValueKey(v[i]);
+          lo = std::min(lo, k);
+          hi = std::max(hi, k);
+        }
+        bounds[block] = {lo, hi};
+      });
+      K lo = bounds[0].first;
+      K hi = bounds[0].second;
+      for (const auto& [blo, bhi] : bounds) {
+        lo = std::min(lo, blo);
+        hi = std::max(hi, bhi);
+      }
+      const uint64_t extent =
+          static_cast<uint64_t>(hi) - static_cast<uint64_t>(lo);
+      if (extent == std::numeric_limits<uint64_t>::max()) return std::nullopt;
+      return KeyRange{static_cast<uint64_t>(lo), extent + 1};
+    }
   });
 }
 

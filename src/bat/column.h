@@ -9,6 +9,7 @@
 #include <string>
 #include <string_view>
 #include <type_traits>
+#include <utility>
 #include <variant>
 #include <vector>
 
@@ -236,6 +237,23 @@ template <typename V>
 inline uint64_t Hash(const V& v, size_t i) {
   return value_internal::HashKey(ValueKey(v[i]));
 }
+
+namespace value_internal {
+
+template <typename V>
+constexpr int KeyClass() {
+  using K = decltype(ValueKey(std::declval<const std::decay_t<V>&>()[0]));
+  return kIsStr<K> ? 2 : (kIsFloat<K> ? 1 : 0);
+}
+
+}  // namespace value_internal
+
+/// True if the values of views VA and VB share a key class (integral,
+/// float, str). Since the classes hash apart, a hash probe matches only
+/// within its own class, whatever the accelerator's form or size.
+template <typename VA, typename VB>
+inline constexpr bool kSameKeyClass =
+    value_internal::KeyClass<VA>() == value_internal::KeyClass<VB>();
 
 /// Three-way comparison of a[i] against b[j]: negative, 0 or positive.
 template <typename VA, typename VB>
@@ -533,6 +551,28 @@ class Column {
   uint64_t heap_id_;
   uint64_t sync_key_;
 };
+
+/// The keys of an integral column (bit/chr/sht/int/lng/date/oid/void) laid
+/// out as one offset space: key k sits at offset uint64(k) - base, and
+/// every key of the column at an offset below `span` (max - min + 1). The
+/// direct-addressed accelerator forms index their arrays by it.
+struct KeyRange {
+  uint64_t base = 0;  // the smallest key, as uint64 (int64 keys wrap)
+  uint64_t span = 0;  // max - min + 1
+
+  /// Offset of a key of the range's own key type (int64 or oid).
+  template <typename K>
+  uint64_t Offset(K k) const {
+    return static_cast<uint64_t>(k) - base;
+  }
+};
+
+/// The key range of an integral column, from one pass over its value view
+/// (on the TaskPool at degree > 1; a void column reads its base and size):
+/// nullopt for an empty, flt, dbl or str column, and for one whose keys
+/// span all 2^64 values. Callers compute it once per column and kernel
+/// call and hand it to every table built over that column.
+std::optional<KeyRange> IntegralKeyRange(const Column& col, int degree = 1);
 
 /// Up to kRows consecutive values of one column lowered to their keys
 /// (a str column's offsets stay offsets): a value view of one of four

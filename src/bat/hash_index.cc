@@ -1,6 +1,7 @@
 #include "bat/hash_index.h"
 
 #include <algorithm>
+#include <atomic>
 
 #include "common/parallel.h"
 
@@ -16,6 +17,67 @@ uint64_t NextPow2(uint64_t n) {
 }  // namespace
 
 HashIndex::HashIndex(ColumnPtr col, int degree) : col_(std::move(col)) {
+  const MonetType type = col_->type();
+  if (type == MonetType::kVoid || type == MonetType::kOidT) {
+    const std::optional<KeyRange> range = IntegralKeyRange(*col_, degree);
+    if (range && range->span <= 2 * static_cast<uint64_t>(col_->size())) {
+      range_ = *range;
+      if (col_->is_void()) {
+        form_ = Form::kVoid;
+        return;
+      }
+      if (BuildDense(degree)) {
+        form_ = Form::kDense;
+        return;
+      }
+    }
+  }
+  BuildChained(degree);
+}
+
+bool HashIndex::BuildDense(int degree) {
+  const size_t n = col_->size();
+  const Oid* oids = col_->Data<Oid>().data();
+  pos_of_.assign(range_.span, kEnd);
+  const BlockPlan plan = PlanBlocks(n, std::min(degree, kMaxScatterDegree));
+  if (plan.blocks <= 1) {
+    for (size_t i = 0; i < n; ++i) {
+      uint32_t& slot = pos_of_[range_.Offset(oids[i])];
+      if (slot != kEnd) {
+        std::vector<uint32_t>().swap(pos_of_);
+        return false;
+      }
+      slot = static_cast<uint32_t>(i) + 1;
+    }
+    return true;
+  }
+  // Blocks store their positions into the shared table. Two rows with one
+  // oid race on its slot and exactly one store survives, so the second
+  // pass — every row checks that its slot holds it — finds a duplicate
+  // whichever store won: the outcome never depends on the interleaving.
+  RunBlocks(plan, [&](int, size_t begin, size_t end) {
+    for (size_t i = begin; i < end; ++i) {
+      std::atomic_ref<uint32_t>(pos_of_[range_.Offset(oids[i])])
+          .store(static_cast<uint32_t>(i) + 1, std::memory_order_relaxed);
+    }
+  });
+  std::vector<uint8_t> duplicate(plan.blocks, 0);
+  RunBlocks(plan, [&](int block, size_t begin, size_t end) {
+    for (size_t i = begin; i < end; ++i) {
+      if (pos_of_[range_.Offset(oids[i])] != i + 1) {
+        duplicate[block] = 1;
+        return;
+      }
+    }
+  });
+  if (std::find(duplicate.begin(), duplicate.end(), 1) == duplicate.end()) {
+    return true;
+  }
+  std::vector<uint32_t>().swap(pos_of_);
+  return false;
+}
+
+void HashIndex::BuildChained(int degree) {
   const size_t n = col_->size();
   const uint64_t nbuckets = NextPow2(n + n / 2 + 1);
   mask_ = nbuckets - 1;

@@ -4,31 +4,45 @@
 #include <algorithm>
 #include <cstdint>
 #include <memory>
+#include <type_traits>
 #include <vector>
 
 #include "bat/column.h"
 
 namespace moaflat::bat {
 
-/// Chained bucket hash table over one column, the classic Monet search
-/// accelerator stored "in a separate heap" (Fig. 2). Built once per column,
-/// then shared; probing never allocates and is safe from any number of
-/// threads concurrently (the structure is immutable after construction).
+/// The search accelerator of one column, stored "in a separate heap"
+/// (Fig. 2), in one of three forms picked from the data at build time:
+///   - chained: the classic Monet bucket hash table (bucket heads plus
+///     chain links over the value hashes), for any column;
+///   - dense: a unique oid column whose keys span at most 2n values is
+///     addressed directly, pos_of[oid - min] (at most 2n slots, against the
+///     chained form's 2.5n or more);
+///   - void: a void column needs no table, pos = oid - base.
+/// Every form answers every probe identically. Built once per column, then
+/// shared; probing never allocates and is safe from any number of threads
+/// concurrently (the structure is immutable after construction).
 class HashIndex {
  public:
+  enum class Form { kChained, kDense, kVoid };
+
   /// Builds the index over all positions of `col`. degree > 1 builds on
   /// the TaskPool: a parallel hashing pass, then bucket-range-partitioned
-  /// chain linking. The resulting structure is bit-identical to the
-  /// serial build at any degree (each bucket's chain depends only on the
-  /// insertion order of its own positions, which stays ascending), so
-  /// probe results — including match *order* — never depend on the degree
-  /// the accelerator happened to be built at.
+  /// chain linking (chained); a parallel range pass, then parallel slot
+  /// stores and a parallel duplicate check (dense). The resulting structure
+  /// is bit-identical to the serial build at any degree (each bucket's
+  /// chain depends only on the insertion order of its own positions, which
+  /// stays ascending; a duplicate oid falls back to the chained form
+  /// whichever store wins its slot), so probe results — including match
+  /// *order* — never depend on the degree the accelerator was built at.
   explicit HashIndex(ColumnPtr col, int degree = 1);
 
   // The bulk probes. Matches are the positions whose value Equals
-  // probe[j] (bat/column.h's value view), visited in chain order. Each
-  // pass lowers a KeyBatch of probe rows, then hashes them and walks their
-  // chains in one loop per (indexed shape, probe key kind).
+  // probe[j] (bat/column.h's value view) and shares its key class
+  // (integral, float or str: the classes hash apart, so a hash probe never
+  // pairs an integral with a float key), visited in chain order. Each pass
+  // lowers a KeyBatch of probe rows, then looks them up in one loop per
+  // (indexed shape, probe key kind).
 
   /// Invokes `fn(j, pos)` for every match of probe[j], j ascending over
   /// [begin, end), matches in chain order.
@@ -79,42 +93,93 @@ class HashIndex {
     });
   }
 
+  /// The form the build picked.
+  Form form() const { return form_; }
+
   size_t byte_size() const {
-    return (buckets_.size() + next_.size()) * sizeof(uint32_t);
+    return (buckets_.size() + next_.size() + pos_of_.size()) *
+           sizeof(uint32_t);
   }
 
  private:
   static constexpr uint32_t kEnd = 0;
 
+  void BuildChained(int degree);
+
+  /// Fills pos_of_ over range_; false (and no table) on a duplicate oid.
+  bool BuildDense(int degree);
+
   /// The probe loop behind every bulk form: for each j in [begin, end),
-  /// calls `row(j, chain)`, where `chain(visit)` walks probe[j]'s bucket
-  /// and calls `visit(pos)` for each match until it returns false.
+  /// calls `row(j, chain)`, where `chain(visit)` walks probe[j]'s matches
+  /// and calls `visit(pos)` for each until it returns false.
   template <typename Row>
   void ProbeRows(const Column& probe, size_t begin, size_t end,
                  Row&& row) const {
     KeyBatch batch;
-    uint32_t heads[KeyBatch::kRows];
     for (size_t lo = begin; lo < end; lo += KeyBatch::kRows) {
       const size_t n = std::min(end - lo, KeyBatch::kRows);
       batch.Fill(probe, lo, lo + n);
       batch.Visit([&](const auto& probes) {
-        for (size_t k = 0; k < n; ++k) {
-          heads[k] = buckets_[Hash(probes, k) & mask_];
+        if (form_ == Form::kChained) {
+          ProbeChained(probes, lo, n, row);
+        } else {
+          ProbeDense(probes, lo, n, row);
         }
-        col_->VisitValues([&](const auto& keys) {
-          for (size_t k = 0; k < n; ++k) {
-            row(lo + k, [&](auto&& visit) {
-              for (uint32_t cur = heads[k]; cur != kEnd;
-                   cur = next_[cur - 1]) {
-                const uint32_t pos = cur - 1;
-                if (Equal(keys, pos, probes, k) && !visit(pos)) return;
-              }
-            });
-          }
-        });
       });
     }
   }
+
+  template <typename P, typename Row>
+  void ProbeChained(const P& probes, size_t lo, size_t n, Row& row) const {
+    col_->VisitValues([&](const auto& keys) {
+      if constexpr (!kSameKeyClass<decltype(keys), P>) {
+        for (size_t k = 0; k < n; ++k) row(lo + k, NoMatch);
+      } else {
+        uint32_t heads[KeyBatch::kRows];
+        for (size_t k = 0; k < n; ++k) {
+          heads[k] = buckets_[Hash(probes, k) & mask_];
+        }
+        for (size_t k = 0; k < n; ++k) {
+          row(lo + k, [&](auto&& visit) {
+            for (uint32_t cur = heads[k]; cur != kEnd; cur = next_[cur - 1]) {
+              const uint32_t pos = cur - 1;
+              if (Equal(keys, pos, probes, k) && !visit(pos)) return;
+            }
+          });
+        }
+      }
+    });
+  }
+
+  /// One slot read per probe: no hash, no chain walk, no key compare.
+  template <typename P, typename Row>
+  void ProbeDense(const P& probes, size_t lo, size_t n, Row& row) const {
+    using K = decltype(ValueKey(probes[0]));
+    if constexpr (!std::is_integral_v<K>) {
+      for (size_t k = 0; k < n; ++k) row(lo + k, NoMatch);
+    } else {
+      for (size_t k = 0; k < n; ++k) {
+        const uint32_t slot = DenseSlot(probes[k]);
+        row(lo + k, [slot](auto&& visit) {
+          if (slot != kEnd) visit(slot - 1);
+        });
+      }
+    }
+  }
+
+  /// 1 + the position holding integral key `key`, kEnd when none does.
+  template <typename K>
+  uint32_t DenseSlot(K key) const {
+    if constexpr (std::is_signed_v<K>) {
+      if (key < 0) return kEnd;  // no oid is negative
+    }
+    const uint64_t off = range_.Offset(static_cast<Oid>(key));
+    if (off >= range_.span) return kEnd;
+    return form_ == Form::kVoid ? static_cast<uint32_t>(off) + 1
+                                : pos_of_[off];
+  }
+
+  static constexpr auto NoMatch = [](auto&&) {};
 
   template <typename Chain>
   static bool AnyMatch(Chain&& chain) {
@@ -127,9 +192,12 @@ class HashIndex {
   }
 
   ColumnPtr col_;
-  std::vector<uint32_t> buckets_;  // 1-based heads, 0 = empty
-  std::vector<uint32_t> next_;     // chain links, 0 = end
-  uint64_t mask_;
+  Form form_ = Form::kChained;
+  std::vector<uint32_t> buckets_;  // chained: 1-based heads, 0 = empty
+  std::vector<uint32_t> next_;     // chained: chain links, 0 = end
+  uint64_t mask_ = 0;
+  KeyRange range_;                 // dense and void: the oids' span
+  std::vector<uint32_t> pos_of_;   // dense: 1-based position per offset
 };
 
 }  // namespace moaflat::bat

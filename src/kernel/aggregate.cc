@@ -1,10 +1,12 @@
 #include <algorithm>
-#include <unordered_map>
+#include <numeric>
+#include <optional>
 #include <utility>
 #include <vector>
 
 #include "common/parallel.h"
 #include "kernel/cost_model.h"
+#include "kernel/group_table.h"
 #include "kernel/internal.h"
 #include "kernel/operators.h"
 #include "kernel/registry.h"
@@ -103,49 +105,86 @@ Result<Bat> FinishSetAggregate(const Bat& ab, ColumnBuilder& hb,
   return Bat::Make(out_head, tb.Finish(), props);
 }
 
+/// Folds the rows each `lists(visit)` call hands over (as position lists,
+/// ascending overall) into one accumulator per group of the head column,
+/// found through `table`, and appends (group oid, accumulator) pairs to
+/// `out` in first-appearance order.
+template <typename Lists>
+void FoldGroups(const Column& head, const Column& tail, AggKind kind,
+                internal::GroupTable& table, const Lists& lists,
+                std::vector<std::pair<Oid, Acc>>& out) {
+  std::vector<Acc> accs;
+  std::vector<Oid> gids;
+  tail.VisitValues([&](const auto& v) {
+    lists([&](const std::vector<uint32_t>& rows) {
+      gids.clear();
+      table.AddAt(head, rows, gids);
+      accs.resize(table.reps().size());
+      for (size_t k = 0; k < rows.size(); ++k) {
+        Accumulate(&accs[gids[k]], v, rows[k], kind);
+      }
+    });
+  });
+  for (size_t g = 0; g < accs.size(); ++g) {
+    out.emplace_back(head.OidAt(table.reps()[g]), accs[g]);
+  }
+}
+
 /// Hash aggregation: one accumulator per group oid, groups emitted in
-/// ascending oid order.
+/// ascending oid order. Rows find their group through a GroupTable over
+/// the head: over dense group oids (the gids of group/group_refine) that
+/// is an array of accumulators indexed by oid - min, otherwise a hashed
+/// table.
 ///
 /// The parallel evaluation partitions by *group*, not by accumulator
-/// shard: a scatter pass buckets row positions by group-oid hash (block-
-/// local buckets, so no contention), then each partition accumulates its
-/// groups from the concatenation of the block buckets — which visits every
-/// group's rows in ascending position order, exactly like the serial
-/// loop. No floating-point partial sums are ever merged, so sum/avg
-/// results are bit-identical to degree 1 (double addition is not
-/// associative; merging shard partials would not be).
+/// shard: a scatter pass buckets row positions by partition (block-local
+/// buckets, so no contention) — an equal slice of the oid range each when
+/// the head is dense, a group-oid hash class otherwise — then each
+/// partition accumulates its groups from the concatenation of the block
+/// buckets, which visits every group's rows in ascending position order,
+/// exactly like the serial loop. No floating-point partial sums are ever
+/// merged, so sum/avg results are bit-identical to degree 1 (double
+/// addition is not associative; merging shard partials would not be).
 Result<Bat> HashSetAggregate(const ExecContext& ctx, AggKind kind,
                              const Bat& ab, OpRecorder& rec) {
   const Column& head = ab.head();
   const Column& tail = ab.tail();
   head.TouchAll(ctx.io());
   tail.TouchAll(ctx.io());
+  const size_t n = ab.size();
+  const std::optional<bat::KeyRange> range =
+      bat::IntegralKeyRange(head, ctx.parallel_degree());
+  const bool dense = range && range->span <= internal::DenseBound(n);
   std::vector<std::pair<Oid, Acc>> groups;  // sorted by oid before emit
   // Scatter bookkeeping is blocks x partitions; cap the fan-out so it
   // stays linear in practice (kMaxScatterDegree^2 headers at worst).
-  const BlockPlan plan = ctx.Plan(ab.size(), kMaxScatterDegree);
+  const BlockPlan plan = ctx.Plan(n, kMaxScatterDegree);
+  constexpr size_t kFoldChunk = 16 * 1024;
   if (plan.blocks <= 1) {
-    std::unordered_map<Oid, size_t> index;
-    tail.VisitValues([&](const auto& v) {
-      for (size_t i = 0; i < ab.size(); ++i) {
-        const Oid g = head.OidAt(i);
-        auto [it, inserted] = index.try_emplace(g, groups.size());
-        if (inserted) groups.emplace_back(g, Acc{});
-        Accumulate(&groups[it->second].second, v, i, kind);
+    internal::GroupTable table(range, n);
+    std::vector<uint32_t> rows;
+    FoldGroups(head, tail, kind, table, [&](const auto& visit) {
+      for (size_t lo = 0; lo < n; lo += kFoldChunk) {
+        rows.resize(std::min(n, lo + kFoldChunk) - lo);
+        std::iota(rows.begin(), rows.end(), static_cast<uint32_t>(lo));
+        visit(rows);
       }
-    });
+    }, groups);
   } else {
     const size_t parts = plan.blocks;
-    const auto part_of = [parts](Oid g) {
-      return static_cast<size_t>(internal::MixSync(g, 0x5ca1ab1eULL) % parts);
+    const uint64_t slice = dense ? (range->span + parts - 1) / parts : 0;
+    const auto part_of = [&](Oid g) {
+      return static_cast<size_t>(
+          dense ? range->Offset(g) / slice
+                : internal::MixSync(g, 0x5ca1ab1eULL) % parts);
     };
     // Scatter: block-local per-partition position lists. Each block
-    // hashes its rows once into a scratch partition-id array, counts,
+    // partitions its rows once into a scratch partition-id array, counts,
     // pre-reserves, then fills — no mid-scatter reallocation, no second
-    // hashing pass.
+    // partitioning pass.
     std::vector<std::vector<std::vector<uint32_t>>> scatter(
         plan.blocks, std::vector<std::vector<uint32_t>>(parts));
-    std::vector<uint8_t> part_of_row(ab.size());  // parts <= 64 fits a byte
+    std::vector<uint8_t> part_of_row(n);  // parts <= 64 fits a byte
     RunBlocks(plan, [&](int block, size_t begin, size_t end) {
       auto& mine = scatter[block];
       std::vector<uint32_t> counts(parts, 0);
@@ -162,21 +201,23 @@ Result<Bat> HashSetAggregate(const ExecContext& ctx, AggKind kind,
     // Accumulate: one block per partition (parts == plan.blocks, and
     // RunBlocks keeps the no-implicit-IO-scope discipline); groups are
     // disjoint across partitions, and each group's rows arrive in
-    // ascending order.
+    // ascending order. A dense partition's table spans its oid slice.
     std::vector<std::vector<std::pair<Oid, Acc>>> pgroups(parts);
     RunBlocks(plan, [&](int p, size_t, size_t) {
-      auto& out = pgroups[p];
-      std::unordered_map<Oid, size_t> index;
-      tail.VisitValues([&](const auto& v) {
+      size_t rows = 0;
+      for (size_t block = 0; block < plan.blocks; ++block) {
+        rows += scatter[block][p].size();
+      }
+      internal::GroupTable table(
+          dense ? std::optional<bat::KeyRange>(
+                      bat::KeyRange{range->base + p * slice, slice})
+                : std::nullopt,
+          rows);
+      FoldGroups(head, tail, kind, table, [&](const auto& visit) {
         for (size_t block = 0; block < plan.blocks; ++block) {
-          for (uint32_t i : scatter[block][p]) {
-            const Oid g = head.OidAt(i);
-            auto [it, inserted] = index.try_emplace(g, out.size());
-            if (inserted) out.emplace_back(g, Acc{});
-            Accumulate(&out[it->second].second, v, i, kind);
-          }
+          visit(scatter[block][p]);
         }
-      });
+      }, pgroups[p]);
     });
     for (auto& pg : pgroups) {
       groups.insert(groups.end(), pg.begin(), pg.end());

@@ -1,6 +1,7 @@
 #include <algorithm>
 #include <memory>
 #include <numeric>
+#include <optional>
 #include <vector>
 
 #include "common/parallel.h"
@@ -19,35 +20,39 @@ using bat::ColumnPtr;
 using internal::GroupTable;
 using internal::RefineTable;
 
-/// Parallel hash grouping. Every block hash-conses its contiguous row
-/// range into a *local* table (writing local gids into its slice of
-/// `gids`); the serial merge then feeds each block's representatives — in
-/// block order, each block's in local first-appearance order — through one
-/// global table. Because blocks are contiguous and ascending, that visit
-/// order sorts representatives by their value's first global occurrence,
-/// so the global numbering is exactly the serial first-appearance
-/// numbering; a second parallel pass rewrites local to global gids.
+/// Parallel hash grouping. Every block conses its contiguous row range
+/// into a *local* table (direct-addressed when the column's key range is
+/// within the block's DenseBound, hashed otherwise; writing local gids
+/// into its slice of `gids`); the serial merge then feeds each block's
+/// representatives — in block order, each block's in local
+/// first-appearance order — through one global table. Because blocks are
+/// contiguous and ascending, that visit order sorts representatives by
+/// their value's first global occurrence, so the global numbering is
+/// exactly the serial first-appearance numbering; a second parallel pass
+/// rewrites local to global gids.
 Result<Bat> HashGroup(const ExecContext& ctx, const Bat& ab, OpRecorder& rec) {
   // The result shares the head; only the gid tail is new storage.
   MF_RETURN_NOT_OK(ctx.ChargeMemory(ab.size() * sizeof(Oid)));
   const Column& tail = ab.tail();
   tail.TouchAll(ctx.io());
   std::vector<Oid> gids(ab.size());
+  const std::optional<bat::KeyRange> range =
+      bat::IntegralKeyRange(tail, ctx.parallel_degree());
   const BlockPlan plan = ctx.Plan(ab.size());
   if (plan.blocks <= 1) {
-    GroupTable groups;
+    GroupTable groups(range, ab.size());
     groups.Add(tail, 0, ab.size(), gids.data());
   } else {
     std::vector<std::unique_ptr<GroupTable>> locals(plan.blocks);
     RunBlocks(plan, [&](int block, size_t begin, size_t end) {
-      auto table = std::make_unique<GroupTable>();
-      table->Add(tail, begin, end, gids.data());
+      auto table = std::make_unique<GroupTable>(range, end - begin);
+      table->Add(tail, begin, end, gids.data() + begin);
       locals[block] = std::move(table);
     });
     // An interrupted eval phase leaves null local tables; bail before the
     // merge dereferences them.
     MF_RETURN_NOT_OK(ctx.CheckInterrupt());
-    GroupTable global;
+    GroupTable global(range, ab.size());
     std::vector<std::vector<Oid>> to_global(plan.blocks);
     for (size_t b = 0; b < plan.blocks; ++b) {
       global.AddAt(tail, locals[b]->reps(), to_global[b]);
@@ -96,10 +101,15 @@ Result<std::vector<Oid>> ParallelRefine(const ExecContext& ctx, const Bat& ab,
                                         const AlignFn& align) {
   const Column& prev = ab.tail();
   std::vector<Oid> gids(ab.size());
+  const std::optional<bat::KeyRange> prev_range =
+      bat::IntegralKeyRange(prev, ctx.parallel_degree());
+  const std::optional<bat::KeyRange> d_range =
+      bat::IntegralKeyRange(d, ctx.parallel_degree());
   internal::MorselRun run(ctx, ab.size());
   std::vector<std::unique_ptr<RefineTable>> tables(run.plan().blocks);
   MF_RETURN_NOT_OK(run.Run([&](internal::Morsel& m, internal::ChargeGate&) {
-    tables[m.block] = std::make_unique<RefineTable>();
+    tables[m.block] =
+        std::make_unique<RefineTable>(prev_range, d_range, m.end - m.begin);
     storage::ColdPageFilter d_pages = d.PageFilter(m.io);
     std::vector<uint32_t> dpos;
     std::vector<Oid> prev_gid;
@@ -120,7 +130,7 @@ Result<std::vector<Oid>> ParallelRefine(const ExecContext& ctx, const Bat& ab,
   }));
   if (run.plan().blocks <= 1) return gids;
 
-  RefineTable global;
+  RefineTable global(prev_range, d_range, ab.size());
   std::vector<std::vector<Oid>> to_global(run.plan().blocks);
   for (size_t b = 0; b < run.plan().blocks; ++b) {
     global.AddReps(d, tables[b]->reps(), to_global[b]);

@@ -1,9 +1,30 @@
 #include "kernel/group_table.h"
 
+#include <type_traits>
+
 namespace moaflat::kernel::internal {
+
+GroupTable::GroupTable(const std::optional<bat::KeyRange>& range,
+                       size_t rows) {
+  if (range && range->span <= DenseBound(rows)) {
+    dense_ = true;
+    range_ = *range;
+    gid_of_.assign(range_.span, 0);
+  }
+}
 
 template <typename V>
 Oid GroupTable::GidOf(const V& v, size_t i) {
+  if constexpr (std::is_integral_v<decltype(bat::ValueKey(v[i]))>) {
+    if (dense_) {
+      uint32_t& slot = gid_of_[range_.Offset(bat::ValueKey(v[i]))];
+      if (slot == 0) {
+        reps_.push_back(static_cast<uint32_t>(i));
+        slot = static_cast<uint32_t>(reps_.size());
+      }
+      return slot - 1;
+    }
+  }
   const uint64_t h = bat::Hash(v, i);
   const int64_t id = slots_.Find(
       h, [&](uint32_t cand) { return bat::Equal(v, i, v, reps_[cand]); });
@@ -17,7 +38,7 @@ void GroupTable::Add(const bat::Column& col, size_t begin, size_t end,
   col.VisitValues([&](const auto& v) {
     for (size_t i = begin; i < end; ++i) {
       const Oid gid = GidOf(v, i);
-      if (gids != nullptr) gids[i] = gid;
+      if (gids != nullptr) gids[i - begin] = gid;
     }
   });
 }
@@ -31,8 +52,31 @@ void GroupTable::AddAt(const bat::Column& col,
   });
 }
 
+RefineTable::RefineTable(const std::optional<bat::KeyRange>& prev,
+                         const std::optional<bat::KeyRange>& values,
+                         size_t rows) {
+  if (prev && values && prev->span <= DenseBound(rows) / values->span) {
+    dense_ = true;
+    prev_range_ = *prev;
+    value_range_ = *values;
+    gid_of_.assign(prev->span * values->span, 0);
+  }
+}
+
 template <typename V>
 Oid RefineTable::Refine(Oid prev_gid, const V& d, size_t dpos) {
+  if constexpr (std::is_integral_v<decltype(bat::ValueKey(d[dpos]))>) {
+    if (dense_) {
+      uint32_t& slot =
+          gid_of_[prev_range_.Offset(prev_gid) * value_range_.span +
+                  value_range_.Offset(bat::ValueKey(d[dpos]))];
+      if (slot == 0) {
+        reps_.push_back(Rep{prev_gid, static_cast<uint32_t>(dpos)});
+        slot = static_cast<uint32_t>(reps_.size());
+      }
+      return slot - 1;
+    }
+  }
   const uint64_t h = MixSync(prev_gid, bat::Hash(d, dpos));
   const int64_t id = slots_.Find(h, [&](uint32_t cand) {
     return reps_[cand].prev_gid == prev_gid &&

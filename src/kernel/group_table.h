@@ -1,7 +1,9 @@
 #ifndef MOAFLAT_KERNEL_GROUP_TABLE_H_
 #define MOAFLAT_KERNEL_GROUP_TABLE_H_
 
+#include <algorithm>
 #include <cstdint>
+#include <optional>
 #include <vector>
 
 #include "bat/column.h"
@@ -66,42 +68,71 @@ class HashSlots {
   uint64_t mask_;
 };
 
+/// The most slots a direct-addressed table that conses `rows` rows may
+/// take: one per row, and never fewer than 256 (so a chr or bit column
+/// always qualifies). Such a table is O(rows).
+inline uint64_t DenseBound(size_t rows) {
+  return std::max<uint64_t>(rows, 256);
+}
+
 /// Hash-consing of one column's values into dense group oids (gid ==
-/// insertion index), with collision verification against a representative
-/// position through the column's value view. Every call must pass the
-/// same column.
+/// insertion index). Two forms, picked from the column's key range: a
+/// column whose integral keys span at most DenseBound values conses
+/// through gid_of[key - min] (no hash, no compare); any other through
+/// HashSlots, with collision verification against a representative
+/// position through the column's value view. Both number groups in
+/// first-appearance order. Every call must pass the same column.
 class GroupTable {
  public:
-  /// Conses rows [begin, end) of `col`: gids[i] = the group oid of col[i]
-  /// (`gids` may be null).
+  /// A table for up to `rows` rows of a column whose keys span `range`
+  /// (bat::IntegralKeyRange; nullopt for the hashed form).
+  explicit GroupTable(const std::optional<bat::KeyRange>& range = std::nullopt,
+                      size_t rows = 0);
+
+  /// Conses rows [begin, end) of `col`: gids[i - begin] = the group oid of
+  /// col[i] (`gids` may be null).
   void Add(const bat::Column& col, size_t begin, size_t end, Oid* gids);
 
   /// Conses the rows `positions` of `col` (another table's
-  /// representatives), appending their group oids to `gids`.
+  /// representatives, or any position list), appending their group oids to
+  /// `gids`.
   void AddAt(const bat::Column& col, const std::vector<uint32_t>& positions,
              std::vector<Oid>& gids);
 
   /// Representative positions in gid (first-appearance) order.
   const std::vector<uint32_t>& reps() const { return reps_; }
 
+  bool dense() const { return dense_; }
+
  private:
   template <typename V>
   Oid GidOf(const V& v, size_t i);
 
-  HashSlots slots_;
+  bool dense_ = false;
+  bat::KeyRange range_;
+  std::vector<uint32_t> gid_of_;  // dense: 1 + gid per key offset, 0 = none
+  HashSlots slots_;               // hashed
   std::vector<uint32_t> reps_;
 };
 
 /// Pair (previous gid, refining value) -> new dense gid (gid == insertion
-/// index), keyed by MixSync(prev_gid, value hash) over HashSlots. Keeps its
-/// representatives in gid order for the parallel merge. Every call must
-/// pass the same refining column.
+/// index). Direct-addressed over (previous gid offset) x (value offset)
+/// when both sides' key ranges are known and their product is at
+/// most DenseBound; otherwise keyed by MixSync(prev_gid, value hash) over
+/// HashSlots. Keeps its representatives in gid order for the parallel
+/// merge. Every call must pass the same refining column.
 class RefineTable {
  public:
   struct Rep {
     Oid prev_gid;
     uint32_t dpos;  // position in the refining column of the representative
   };
+
+  /// A table for up to `rows` pairs whose previous gids span `prev` and
+  /// whose refining values span `values` (nullopt: hashed).
+  RefineTable(const std::optional<bat::KeyRange>& prev = std::nullopt,
+              const std::optional<bat::KeyRange>& values = std::nullopt,
+              size_t rows = 0);
 
   /// gids[k] = the gid of the pair (prev[k], d[dpos[k]]) for k < n
   /// (`gids` may be null).
@@ -115,11 +146,17 @@ class RefineTable {
 
   const std::vector<Rep>& reps() const { return reps_; }
 
+  bool dense() const { return dense_; }
+
  private:
   template <typename V>
   Oid Refine(Oid prev_gid, const V& d, size_t dpos);
 
-  HashSlots slots_;
+  bool dense_ = false;
+  bat::KeyRange prev_range_;
+  bat::KeyRange value_range_;
+  std::vector<uint32_t> gid_of_;  // dense: 1 + gid per pair offset, 0 = none
+  HashSlots slots_;               // hashed
   std::vector<Rep> reps_;
 };
 

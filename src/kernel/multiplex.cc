@@ -396,6 +396,14 @@ Result<Bat> SyncedMultiplex(const ExecContext& ctx, const ScalarFn& fn,
       static_cast<uint64_t>(n) *
       static_cast<uint64_t>(TypeWidth(sh.out_type))));
 
+  // The boxed loop stages one Value per row beside the result until the
+  // blocks' values are stored: transient staging, released on return.
+  internal::TransientCharge staging(ctx);
+  if (!sh.typed) {
+    MF_RETURN_NOT_OK(
+        staging.Add(static_cast<uint64_t>(n) * sizeof(Value)));
+  }
+
   const BlockPlan plan = ctx.Plan(n);
   const bool str_out = sh.out_type == MonetType::kStr;
   std::optional<bat::ColumnScatter> ts;
@@ -574,9 +582,9 @@ Result<Bat> HeadJoinMultiplex(const ExecContext& ctx, const ScalarFn& fn,
                                boxed[m.block]);
     }
   }));
-  // The typed values are further transient staging beside the kept-row
-  // lists, live until the scatter below finishes.
-  MF_RETURN_NOT_OK(run.Stage(sh.typed ? sizeof(double) : 0));
+  // The typed or boxed values are further transient staging beside the
+  // kept-row lists, live until the scatter below finishes.
+  MF_RETURN_NOT_OK(run.Stage(sh.typed ? sizeof(double) : sizeof(Value)));
   const bool str_out = sh.out_type == MonetType::kStr;
   std::optional<bat::ColumnScatter> ts;
   if (!str_out) ts.emplace(sh.out_type, run.total());

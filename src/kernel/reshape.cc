@@ -53,12 +53,14 @@ Result<Bat> Unique(const ExecContext& ctx, const Bat& ab) {
 
   // First occurrences of the distinct (head, tail) pairs: the refinement
   // of the head groups by tail value, in first-appearance order.
+  const int degree = ctx.parallel_degree();
   std::vector<Oid> head_gid(ab.size());
-  internal::GroupTable heads;
+  internal::GroupTable heads(bat::IntegralKeyRange(head, degree), ab.size());
   heads.Add(head, 0, ab.size(), head_gid.data());
   std::vector<uint32_t> rows(ab.size());
   std::iota(rows.begin(), rows.end(), 0u);
-  internal::RefineTable pairs;
+  internal::RefineTable pairs(bat::KeyRange{0, heads.reps().size()},
+                              bat::IntegralKeyRange(tail, degree), ab.size());
   pairs.Add(tail, head_gid.data(), rows.data(), ab.size(), nullptr);
   std::vector<uint32_t> keep;
   keep.reserve(pairs.reps().size());
@@ -87,7 +89,8 @@ Result<Bat> HeadUnique(const ExecContext& ctx, const Bat& ab) {
   const Column& head = ab.head();
   head.TouchAll(ctx.io());
   // First occurrence of every distinct head value.
-  internal::GroupTable groups;
+  internal::GroupTable groups(
+      bat::IntegralKeyRange(head, ctx.parallel_degree()), ab.size());
   groups.Add(head, 0, ab.size(), nullptr);
   const std::vector<uint32_t>& keep = groups.reps();
   bat::Properties props;

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <functional>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -203,6 +204,61 @@ TEST(ExecContextTest, TransientStagingIsChargedAtPeakAndReleased) {
   ASSERT_TRUE(ok.ok()) << ok.status().ToString();
   EXPECT_EQ(ok->size(), kRows);
   EXPECT_EQ(roomy.memory_charged(), result_bytes);
+}
+
+TEST(ExecContextTest, BoxedMultiplexStagingIsCharged) {
+  // Both multiplex variants stage one boxed Value per evaluated row until
+  // the result is stored. A str-valued [concat] must be vetoed under a
+  // budget that admits its result and other staging but not those Values,
+  // and release them once it succeeds.
+  constexpr size_t kRows = 20000;
+  std::vector<Oid> heads(kRows), reversed(kRows);
+  std::vector<std::string> words(kRows);
+  for (size_t i = 0; i < kRows; ++i) {
+    heads[i] = static_cast<Oid>(i + 1);
+    reversed[i] = static_cast<Oid>(kRows - i);
+    words[i] = "w" + std::to_string(i % 100);
+  }
+  const Bat left(Column::MakeOid(heads), Column::MakeStr(words));
+  const Bat synced(left.head_col(), Column::MakeStr(words));
+  const Bat other(Column::MakeOid(reversed), Column::MakeStr(words));
+  const uint64_t str_width = TypeWidth(MonetType::kStr);
+  struct Case {
+    const Bat* right;
+    const char* impl;
+    uint64_t result_bytes;  // what stays charged after success
+    uint64_t budget;        // result + other staging, short of the Values
+  };
+  const Case cases[] = {
+      // Synced: the str tail; the head is shared.
+      {&synced, "multiplex_synced", kRows * str_width,
+       kRows * (str_width + 24)},
+      // Head-join: oid head + str tail, beside 8-byte alignment slots and
+      // 4-byte kept-row positions.
+      {&other, "multiplex_headjoin", kRows * (8 + str_width),
+       kRows * (8 + str_width + 8 + 4 + 24)},
+  };
+  for (const Case& c : cases) {
+    ExecTracer tracer;
+    ExecContext tight;
+    tight.WithTracer(&tracer).WithMemoryBudget(c.budget);
+    auto vetoed = kernel::Multiplex(tight, *kernel::FindScalarFn("concat"),
+                                    {left, *c.right});
+    ASSERT_FALSE(vetoed.ok()) << c.impl;
+    EXPECT_EQ(vetoed.status().code(), StatusCode::kResourceExhausted)
+        << c.impl;
+    EXPECT_EQ(tight.memory_charged(), 0u) << c.impl;
+
+    ExecTracer roomy_tracer;
+    ExecContext roomy;
+    roomy.WithTracer(&roomy_tracer).WithMemoryBudget(kRows * 200);
+    auto ok = kernel::Multiplex(roomy, *kernel::FindScalarFn("concat"),
+                                {left, *c.right});
+    ASSERT_TRUE(ok.ok()) << c.impl << ": " << ok.status().ToString();
+    EXPECT_EQ(roomy_tracer.LastImplOf("multiplex"), c.impl);
+    EXPECT_EQ(ok->size(), kRows) << c.impl;
+    EXPECT_EQ(roomy.memory_charged(), c.result_bytes) << c.impl;
+  }
 }
 
 TEST(ExecContextTest, CopiesShareTheChargeCounter) {
